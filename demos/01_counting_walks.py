@@ -9,8 +9,7 @@ against brute-force enumeration, and pushes the same recurrence to length
 
 from fractions import Fraction
 
-from orthantwalks import (brute_force_count, builtin_model, count_walks,
-                          excursion_count, sample_walk, total_walks)
+from orthantwalks import brute_force_count, builtin_model, count_walks, sample_walk
 
 # ----------------------------------------------------------------------
 # exact small tables and the brute-force cross-check
@@ -19,10 +18,10 @@ model = builtin_model("gb", 1, 1)  # all weights 1
 table = count_walks(model, (0, 0), 8, mode="exact")
 
 print("unweighted walk totals by length:")
-print(" ", [total_walks(table, n) for n in range(9)])
+print(" ", [table.total(n) for n in range(9)])
 
 print("excursions back to the origin (odd lengths are impossible):")
-print(" ", [excursion_count(table, (0, 0), n) for n in range(9)])
+print(" ", [table.endpoint((0, 0), n) for n in range(9)])
 
 for n in range(6):
     assert table.layer(n) == brute_force_count(model, (0, 0), n)
@@ -34,13 +33,13 @@ print("layers 0..5 agree with brute-force enumeration")
 weighted = builtin_model("gb", 2, 3)  # steps weighted a=2, b=3
 wtable = count_walks(weighted, (0, 0), 6, mode="exact")
 print("\nweighted totals (exact rationals):")
-print(" ", [str(total_walks(wtable, n)) for n in range(7)])
-assert total_walks(wtable, 1) == 2  # only (1,0) stays inside, weight a = 2
+print(" ", [str(wtable.total(n)) for n in range(7)])
+assert wtable.total(1) == 2  # only (1,0) stays inside, weight a = 2
 
 halves = builtin_model("gb", Fraction(1, 2), Fraction(1, 2))
 htable = count_walks(halves, (0, 0), 4, mode="exact")
 print("with a = b = 1/2 the totals are genuine fractions:")
-print(" ", [str(total_walks(htable, n)) for n in range(5)])
+print(" ", [str(htable.total(n)) for n in range(5)])
 
 # ----------------------------------------------------------------------
 # scaled mode: 4**2000 does not fit a float, so counts carry a separate

@@ -17,7 +17,7 @@ from .classify import (AmbiguousClassError, Classification, ClassifyError,
 from .conjecture import (ConjectureReport, conjecture2_nullspace,
                          minimal_refutation_length)
 from .counting import (ResourceGuardError, Walk, WalkTable, brute_force_count,
-                       count_walks, excursion_count, sample_walk, total_walks)
+                       count_walks, sample_walk)
 from .gb import (GBClassification, GBParams, check_harmonicity, gb_classify,
                  gb_contributing, gb_critical_points, gb_estimate,
                  gb_excursion_estimate, gb_kappa_V, universal_harmonic)
@@ -39,12 +39,12 @@ __all__ = [
     "brute_force_count", "builtin_model", "central_weights",
     "check_excursion_relation", "check_gf_relation", "check_harmonicity",
     "classify", "conjecture2_nullspace", "count_walks", "covariance_factor",
-    "drift", "drift_diagram", "excursion_count", "find_path_pairs",
+    "drift", "drift_diagram", "find_path_pairs",
     "gb_classify", "gb_contributing", "gb_critical_points", "gb_estimate",
     "gb_excursion_estimate", "gb_kappa_V", "interior_critical_point",
     "inventory_eval", "is_central", "is_singular", "make_stepset",
     "minimal_refutation_length", "minimize_on_Q", "p1_exponent",
     "parse_stepset", "rank_full", "sample_walk", "solve_central",
-    "step_matrix", "stepset_from_json", "total_walks", "universal_harmonic",
+    "step_matrix", "stepset_from_json", "universal_harmonic",
     "validate_excursions", "validate_totals",
 ]

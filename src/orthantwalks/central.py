@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
+from .linalg import EchelonBasis, solve
 from .stepset import StepSet, StepSetError, Vector, is_singular
 
 
@@ -34,55 +35,30 @@ def step_matrix(model: StepSet) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(s) + (1,) for s in model.steps)
 
 
-def _rank_of(rows: Sequence[Sequence[int]]) -> int:
-    mat = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        for r in range(rank + 1, len(mat)):
-            if mat[r][c] != 0:
-                factor = mat[r][c] / mat[rank][c]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
-
-
 def rank_full(model: StepSet) -> tuple[int, bool]:
     """Exact rank of the step matrix; full iff it equals dimension + 1."""
-    rank = _rank_of(step_matrix(model))
+    rank = EchelonBasis(model.dimension + 1, step_matrix(model)).rank
     return rank, rank == model.dimension + 1
 
 
-def _independent_rows(rows: Sequence[Sequence[int]], want: int) -> Optional[list[int]]:
-    """Indices of the lexicographically-first `want` linearly independent rows."""
-    chosen: list[int] = []
-    for k in range(len(rows)):
-        if _rank_of([rows[i] for i in chosen] + [rows[k]]) == len(chosen) + 1:
-            chosen.append(k)
-            if len(chosen) == want:
-                return chosen
-    return None
+def _base_rows(model: StepSet, base: Optional[Sequence[int]]) -> list[int]:
+    """Indices of d+1 steps with independent step-matrix rows.
 
-
-def _solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    n = len(matrix)
-    aug = [row[:] + [r] for row, r in zip(matrix, rhs)]
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if aug[r][c] != 0), None)
-        if pivot is None:
-            raise ValueError("singular linear system")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = aug[c][c]
-        aug[c] = [x / inv for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c] != 0:
-                factor = aug[r][c]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[c])]
-    return [aug[r][n] for r in range(n)]
+    Default: the lexicographically-first such subset, picked greedily.
+    """
+    rows = step_matrix(model)
+    want = model.dimension + 1
+    basis = EchelonBasis(want)
+    if base is None:
+        chosen = [k for k, row in enumerate(rows) if basis.add(row)]
+        if len(chosen) < want:
+            raise SingularModelError(
+                "step matrix is rank deficient; the model is singular")
+        return chosen
+    chosen = list(base)
+    if len(chosen) != want or not all(basis.add(rows[i]) for i in chosen):
+        raise ValueError(f"base {base} is not an independent subset of size {want}")
+    return chosen
 
 
 @dataclass(frozen=True)
@@ -131,25 +107,13 @@ def find_path_pairs(model: StepSet, base: Optional[Sequence[int]] = None
     if is_singular(model):
         raise SingularModelError("path pairs require a non-singular step set")
     rows = step_matrix(model)
-    want = model.dimension + 1
-    if base is None:
-        chosen = _independent_rows(rows, want)
-        if chosen is None:
-            raise SingularModelError(
-                "step matrix is rank deficient; the model is singular")
-    else:
-        chosen = list(base)
-        if len(chosen) != want or _rank_of([rows[i] for i in chosen]) != want:
-            raise ValueError(f"base {base} is not an independent subset of size {want}")
-    columns = [[Fraction(rows[i][r]) for i in chosen] for r in range(want)]
+    chosen = _base_rows(model, base)
+    columns = [[rows[i][r] for i in chosen] for r in range(model.dimension + 1)]
+    others = [k for k in range(model.size) if k not in chosen]
     pairs = []
-    for s_idx in range(model.size):
-        if s_idx in chosen:
-            continue
-        coeffs = _solve_square(columns, [Fraction(x) for x in rows[s_idx]])
+    for s_idx, coeffs in zip(others, solve(columns, [rows[k] for k in others])):
         denom = lcm(*[c.denominator for c in coeffs])
-        target_mult = denom
-        left = {s_idx: target_mult}
+        left = {s_idx: denom}
         right: dict[int, int] = {}
         for t_idx, c in zip(chosen, coeffs):
             m = int(c * denom)
@@ -328,47 +292,22 @@ def solve_central(model: StepSet, base: Optional[Sequence[int]] = None
             f"weighting is not central; violated relation {witness.describe()}",
             witness)
     rows = step_matrix(model)
-    want = model.dimension + 1
-    if base is None:
-        chosen = _independent_rows(rows, want)
-        if chosen is None:
-            raise SingularModelError("step matrix is rank deficient")
-    else:
-        chosen = list(base)
-        if len(chosen) != want or _rank_of([rows[i] for i in chosen]) != want:
-            raise ValueError(f"base {base} is not an independent subset of size {want}")
-    # Invert the square subsystem: column r of the inverse gives the exponent
+    chosen = _base_rows(model, base)
+    want = len(chosen)
+    # Invert the square subsystem: row r of the inverse gives the exponent
     # vector expressing the r-th unknown through the chosen weights.
-    square = [[Fraction(x) for x in rows[i]] for i in chosen]
-    inverse = _invert(square)
+    inverse_cols = solve([rows[i] for i in chosen],
+                         [[int(r == c) for r in range(want)] for c in range(want)])
     monomials = []
     for r in range(want):
         exps = [Fraction(0)] * model.size
         for col, i in enumerate(chosen):
-            exps[i] = inverse[r][col]
+            exps[i] = inverse_cols[col][r]
         monomials.append(Monomial(tuple(exps)))
     dec = CentralDecomposition(model=model, alpha=tuple(monomials[:-1]), beta=monomials[-1])
     if not dec.verify():
         raise NotCentralError("weighting failed the exact round-trip check")
     return dec
-
-
-def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(matrix)
-    aug = [row[:] + [Fraction(int(r == c)) for c in range(n)]
-           for r, row in enumerate(matrix)]
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if aug[r][c] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = aug[c][c]
-        aug[c] = [x / inv for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c] != 0:
-                factor = aug[r][c]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
 
 
 def central_check(model: StepSet) -> dict:

@@ -24,7 +24,7 @@ from . import __version__
 from .central import (NotCentralError, SingularModelError, are_equivalent,
                       central_check, solve_central)
 from .classify import AmbiguousClassError, ClassifyError, classify, drift_diagram
-from .conjecture import conjecture2_nullspace, minimal_refutation_length
+from .conjecture import conjecture2_nullspace
 from .counting import DEFAULT_GUARD, ResourceGuardError, count_walks, sample_walk
 from .gb import (GBParams, check_harmonicity, gb_classify, gb_contributing,
                  gb_critical_points, gb_estimate, gb_kappa_V)
@@ -271,7 +271,7 @@ def _cmd_gb(args) -> int:
 def _cmd_conjecture2(args) -> int:
     model = _resolve_model(args)
     report = conjecture2_nullspace(model, args.cap, guard=args.guard)
-    n_s = minimal_refutation_length(model, args.cap, guard=args.guard)
+    n_s = report.refutation_length
     payload = {
         "cap": args.cap,
         "verified": report.verified,
@@ -308,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--emit", choices=("json", "csv"), default="json")
         p.add_argument("--guard", type=int, default=DEFAULT_GUARD,
                        help="maximum number of retained table entries")
-        p.add_argument("--threads", type=int, default=1,
-                       help="reserved; all operations are single-threaded and pure")
 
     p = sub.add_parser("count", help="count confined walks by length")
     _add_model_options(p)

@@ -7,25 +7,29 @@ For a step set S, consider unknowns mu_s and require, for every endpoint
 
 where w are the unweighted confined walk counts from the origin.  The
 conjecture asserts the system forces mu = 0; this module assembles the
-equations exactly, computes the rational null space by fraction-free
-elimination over big integers, and reports the minimal length N_S at which
-the null space first becomes trivial.
+equations exactly, computes the rational null space in one pass over the
+lengths with an integer echelon basis, and reports the minimal length N_S at
+which the null space first becomes trivial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Optional
+from typing import Iterator, Optional
 
 from .counting import DEFAULT_GUARD, WalkTable, count_walks
+from .linalg import EchelonBasis
 from .stepset import StepSet
 
 
 @dataclass(frozen=True)
 class ConjectureReport:
-    """Null-space summary of the assembled system up to a length cap."""
+    """Null-space summary of the assembled system up to a length cap.
+
+    `refutation_length` is N_S, the least n <= n_cap at which the system for
+    lengths 1..n has a trivial null space, or None when there is none.
+    """
 
     model: StepSet
     n_cap: int
@@ -47,7 +51,7 @@ def _count_table(model: StepSet, n_cap: int, guard: int) -> WalkTable:
                        mode="exact", guard=guard)
 
 
-def _rows_for_length(model: StepSet, table: WalkTable, n: int) -> list[list[int]]:
+def _rows_for_length(model: StepSet, table: WalkTable, n: int) -> Iterator[list[int]]:
     """Equation rows at length n: coefficient of mu_s at endpoint i is w_{i-s}(n-1).
 
     Only orthant endpoints where some coefficient is nonzero produce a row,
@@ -60,72 +64,29 @@ def _rows_for_length(model: StepSet, table: WalkTable, n: int) -> list[list[int]
             target = tuple(p + c for p, c in zip(point, s))
             if min(target) >= 0:
                 endpoints.add(target)
-    rows = []
     for endpoint in sorted(endpoints):
         row = []
         for s in model.steps:
             source = tuple(p - c for p, c in zip(endpoint, s))
             row.append(int(layer.get(source, 0)) if min(source) >= 0 else 0)
         if any(row):
-            rows.append(row)
-    return rows
+            yield row
 
 
-def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free (Bareiss) forward elimination; returns echelon rows and pivot columns.
+def _nullspace_pass(model: StepSet, n_cap: int,
+                    guard: int) -> tuple[EchelonBasis, Optional[int]]:
+    """Feed the equations of lengths 1..n_cap into one basis; also N_S, or None.
 
-    Every interior division is exact by Sylvester's identity, so the echelon
-    entries stay integers of moderate size instead of exploding rationals.
+    N_S is the length at which the rank reaches |S|.  The nullity cannot
+    fall further, so no more rows are assembled from there on.
     """
-    mat = [row[:] for row in rows]
-    m = len(mat)
-    cols = len(mat[0]) if mat else 0
-    pivots: list[int] = []
-    rank = 0
-    prev = 1
-    for c in range(cols):
-        pivot = next((r for r in range(rank, m) if mat[r][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        p = mat[rank][c]
-        for r in range(rank + 1, m):
-            factor = mat[r][c]
-            for cc in range(cols):
-                if cc == c:
-                    continue
-                mat[r][cc] = (p * mat[r][cc] - factor * mat[rank][cc]) // prev
-            mat[r][c] = 0
-        prev = p
-        pivots.append(c)
-        rank += 1
-        if rank == m:
-            break
-    return mat[:rank], pivots
-
-
-def _null_space(rows: list[list[int]], width: int) -> list[tuple[Fraction, ...]]:
-    """Exact rational null-space basis, one primitive integer vector per free column."""
-    if not rows:
-        return [tuple(Fraction(int(k == f)) for k in range(width)) for f in range(width)]
-    echelon, pivots = _bareiss_echelon(rows)
-    basis = []
-    for f in (c for c in range(width) if c not in pivots):
-        vec = [Fraction(0)] * width
-        vec[f] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            acc = sum(Fraction(echelon[r][cc]) * vec[cc] for cc in range(c + 1, width))
-            vec[c] = -acc / echelon[r][c]
-        denom = 1
-        for q in vec:
-            denom = denom * q.denominator // gcd(denom, q.denominator)
-        ints = [int(q * denom) for q in vec]
-        common = 0
-        for x in ints:
-            common = gcd(common, abs(x))
-        basis.append(tuple(Fraction(x // common) for x in ints))
-    return basis
+    table = _count_table(model, n_cap, guard)
+    basis = EchelonBasis(model.size)
+    for n in range(1, n_cap + 1):
+        for row in _rows_for_length(model, table, n):
+            if basis.add(row) and basis.rank == model.size:
+                return basis, n
+    return basis, None
 
 
 def conjecture2_nullspace(model: StepSet, n_cap: int,
@@ -133,13 +94,11 @@ def conjecture2_nullspace(model: StepSet, n_cap: int,
     """Assemble the system for lengths up to n_cap and return its exact null space."""
     if n_cap < 1:
         raise ValueError("n_cap must be at least 1")
-    table = _count_table(model, n_cap, guard)
-    rows: list[list[int]] = []
-    for n in range(1, n_cap + 1):
-        rows.extend(_rows_for_length(model, table, n))
-    basis = _null_space(rows, model.size)
-    return ConjectureReport(model=model, n_cap=n_cap, basis=tuple(basis),
-                            refutation_length=n_cap if not basis else None)
+    basis, n_s = _nullspace_pass(model, n_cap, guard)
+    return ConjectureReport(
+        model=model, n_cap=n_cap,
+        basis=tuple(tuple(Fraction(x) for x in vec) for vec in basis.null_space()),
+        refutation_length=n_s)
 
 
 def minimal_refutation_length(model: StepSet, cap: int,
@@ -151,13 +110,7 @@ def minimal_refutation_length(model: StepSet, cap: int,
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    table = _count_table(model, cap, guard)
-    rows: list[list[int]] = []
-    for n in range(1, cap + 1):
-        rows.extend(_rows_for_length(model, table, n))
-        if not _null_space(rows, model.size):
-            return n
-    return None
+    return _nullspace_pass(model, cap, guard)[1]
 
 
 def residuals(model: StepSet, vector: tuple[Fraction, ...], n_cap: int,

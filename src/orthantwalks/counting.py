@@ -286,16 +286,6 @@ def count_walks(model: StepSet, start: Sequence[int], n_max: int,
                      track=[tuple(p) for p in track], keep_layers=keep_layers)
 
 
-def total_walks(table: WalkTable, n: int) -> Count:
-    """Weighted count of length-n walks ending anywhere."""
-    return table.total(n)
-
-
-def excursion_count(table: WalkTable, end: Sequence[int], n: int) -> Count:
-    """Weighted count of length-n walks ending at the given point."""
-    return table.endpoint(tuple(end), n)
-
-
 def brute_force_count(model: StepSet, start: Sequence[int], n: int,
                       guard: int = BRUTE_FORCE_GUARD) -> dict[Vector, Union[int, Fraction]]:
     """Independent oracle: enumerate every step sequence, pruning out-of-orthant prefixes."""

@@ -281,12 +281,9 @@ def gb_excursion_estimate(params: GBParams, n: int) -> XFloat:
     """
     if n < 1:
         raise ValueError("estimates require n >= 1")
-    i, j = params.i, params.j
-    if (n + i) % 2 == 1:
+    if (n + params.i) % 2 == 1:
         return XFloat(0.0)
-    constant = 128.0 * (j + 1) * (1 + i) * (3 + i + 2 * j) * (2 + i + j) / (
-        float(params.a) ** i * float(params.b) ** j * math.pi)
-    return XFloat.exp2(math.log2(constant) + 2.0 * n - 5.0 * math.log2(n))
+    return XFloat.exp2(math.log2(excursion_constant(params)) + 2.0 * n - 5.0 * math.log2(n))
 
 
 def excursion_constant(params: GBParams) -> float:

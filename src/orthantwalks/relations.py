@@ -29,10 +29,6 @@ def _combined_exponents(dec: CentralDecomposition, endpoint, n: int) -> tuple[Fr
     return mono.exponents
 
 
-def _ratio_matches(weights, exponents, ratio: Fraction) -> bool:
-    return monomial_equals(weights, exponents, ratio)
-
-
 def check_gf_relation(model: StepSet, dec: CentralDecomposition, n_max: int) -> bool:
     """Exact check of weighted(i, n) = beta**n prod alpha_k**i_k unweighted(i, n), n <= n_max."""
     central, witness = is_central(model)
@@ -51,8 +47,8 @@ def check_gf_relation(model: StepSet, dec: CentralDecomposition, n_max: int) -> 
         for endpoint, u_count in layer_u.items():
             w_count = layer_w[endpoint]
             exponents = _combined_exponents(dec, endpoint, n)
-            if not _ratio_matches(model.weights, exponents,
-                                  Fraction(w_count) / Fraction(u_count)):
+            if not monomial_equals(model.weights, exponents,
+                                   Fraction(w_count) / Fraction(u_count)):
                 return False
     return True
 
@@ -74,6 +70,6 @@ def check_excursion_relation(model: StepSet, dec: CentralDecomposition, n_max: i
             return False
         if e_u == 0:
             continue
-        if not _ratio_matches(model.weights, (dec.beta ** n).exponents, e_w / e_u):
+        if not monomial_equals(model.weights, (dec.beta ** n).exponents, e_w / e_u):
             return False
     return True

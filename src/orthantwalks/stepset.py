@@ -15,6 +15,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
+from .linalg import EchelonBasis
+
 Rational = Union[int, Fraction]
 Vector = tuple[int, ...]
 
@@ -279,52 +281,6 @@ def is_singular(model: StepSet) -> bool:
     return _dual_cone_nontrivial(nonzero, d)
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    mat = [row[:] for row in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = mat[rank][c]
-        for r in range(len(mat)):
-            if r != rank and mat[r][c] != 0:
-                factor = mat[r][c] / inv
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
-
-
-def _null_direction(vectors: list[Vector], d: int) -> Optional[list[Fraction]]:
-    """A nonzero rational vector orthogonal to all given vectors, if one exists."""
-    rows = [[Fraction(c) for c in v] for v in vectors]
-    mat = [row[:] for row in rows]
-    pivots: list[int] = []
-    rank = 0
-    for c in range(d):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = mat[rank][c]
-        for r in range(len(mat)):
-            if r != rank and mat[r][c] != 0:
-                factor = mat[r][c] / inv
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
-        pivots.append(c)
-        rank += 1
-        if rank == d:
-            return None
-    free = next(c for c in range(d) if c not in pivots)
-    u = [Fraction(0)] * d
-    u[free] = Fraction(1)
-    for r, c in reversed(list(enumerate(pivots))):
-        u[c] = -sum(mat[r][cc] * u[cc] for cc in range(c + 1, d)) / mat[r][c]
-    return u
-
-
 def _dual_cone_nontrivial(steps: list[Vector], d: int) -> bool:
     """Exact test for a nonzero u with u . s >= 0 for all s, in dimension >= 3.
 
@@ -333,15 +289,13 @@ def _dual_cone_nontrivial(steps: list[Vector], d: int) -> bool:
     on d-1 linearly independent active constraints; enumerating those rays is
     exact and cheap at the sizes handled here.
     """
-    if _rank([[Fraction(c) for c in s] for s in steps]) < d:
+    if EchelonBasis(d, steps).rank < d:
         return True
-    for subset in combinations(range(len(steps)), d - 1):
-        chosen = [steps[k] for k in subset]
-        if _rank([[Fraction(c) for c in v] for v in chosen]) != d - 1:
+    for subset in combinations(steps, d - 1):
+        face = EchelonBasis(d, subset)
+        if face.rank != d - 1:
             continue
-        u = _null_direction(chosen, d)
-        if u is None:
-            continue
+        (u,) = face.null_space()
         for cand in (u, [-x for x in u]):
             if all(sum(cx * sx for cx, sx in zip(cand, s)) >= 0 for s in steps):
                 return True

@@ -150,17 +150,10 @@ class XFloat:
         return f"XFloat({self.man!r}*2**{self.exp})"
 
 
-def ratio(numerator: XFloat, denominator: XFloat) -> float:
-    """numerator/denominator as a plain float; both sides may be astronomically large."""
-    q = numerator / denominator
-    return float(q)
-
-
 def relative_difference(x: XFloat, y: XFloat) -> float:
     """|x - y| / max(x, y) for nonnegative x, y; 0 when both are zero."""
     if x.is_zero() and y.is_zero():
         return 0.0
     if x.is_zero() or y.is_zero():
         return math.inf
-    r = ratio(x, y) if x < y else ratio(y, x)
-    return 1.0 - r
+    return 1.0 - (float(x / y) if x < y else float(y / x))

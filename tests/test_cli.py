@@ -170,6 +170,13 @@ class TestConjectureAndValidate:
         assert payload["N_S"] == 3
         assert payload["verified"] is True and payload["basis"] == []
 
+    def test_conjecture2_reordered_tandem(self, capsys):
+        spec = json.dumps({"dimension": 2,
+                           "steps": [{"v": [0, -1]}, {"v": [-1, 1]}, {"v": [1, 0]}]})
+        code, out, _ = run_cli(capsys, "conjecture2", "--json", spec, "--cap", "4")
+        assert code == 0
+        assert json.loads(out)["N_S"] == 3
+
     def test_validate_pass_and_exit_codes(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--model", "gb", "--a", "1",
                                "--b", "1", "--n-max", "150", "--what", "excursions",

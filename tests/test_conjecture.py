@@ -1,14 +1,22 @@
-"""Null-space checker: assembled equations, Bareiss elimination, refutation lengths."""
+"""Null-space checker: assembled equations, the echelon core, refutation lengths."""
 
 import itertools
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthantwalks import (builtin_model, conjecture2_nullspace, make_stepset,
                           minimal_refutation_length)
-from orthantwalks.conjecture import _bareiss_echelon, _null_space, residuals
+from orthantwalks.conjecture import residuals
+from orthantwalks.linalg import EchelonBasis
+
+# tandem with its steps in the reverse order; row reduction of its cap-1
+# system leaves the last column a pivot with nothing to its right
+REVERSED_TANDEM = ((0, -1), (-1, 1), (1, 0))
 
 
 class TestGBNullspace:
@@ -121,21 +129,64 @@ class TestElimination:
             basis.append(vec)
         return basis
 
-    def test_bareiss_matches_fraction_elimination(self):
+    def test_core_matches_fraction_elimination(self):
         rng = random.Random(99)
         for _ in range(40):
             rows = [[rng.randrange(-4, 5) for _ in range(5)] for _ in range(rng.randrange(1, 8))]
             if not any(any(row) for row in rows):
                 continue
-            ours = _null_space([r[:] for r in rows if any(r)], 5)
+            ours = EchelonBasis(5, [r for r in rows if any(r)]).null_space()
             reference = self.fraction_nullspace([r for r in rows if any(r)], 5)
             assert len(ours) == len(reference)
             for vec in ours:
                 assert all(sum(F(c) * q for c, q in zip(row, vec)) == 0
                            for row in rows)
 
-    def test_bareiss_entries_stay_integral(self):
+    def test_core_entries_stay_integral(self):
         rows = [[3, 1, 4, 1], [5, 9, 2, 6], [5, 3, 5, 8], [9, 7, 9, 3]]
-        echelon, pivots = _bareiss_echelon(rows)
-        assert all(isinstance(x, int) for row in echelon for x in row)
-        assert pivots == [0, 1, 2, 3]
+        assert EchelonBasis(4, rows).rank == 4
+        (vec,) = EchelonBasis(4, rows[:3]).null_space()
+        assert all(isinstance(x, int) for x in vec)
+        assert gcd(*vec) == 1 and vec[3] > 0
+
+    def test_pivot_in_last_column(self):
+        assert EchelonBasis(2, [[0, 1]]).null_space() == [(1, 0)]
+
+    @given(st.integers(1, 8).flatmap(lambda width: st.lists(
+        st.lists(st.integers(-5, 5), min_size=width, max_size=width), max_size=10)
+        .map(lambda rows: (width, rows))), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_core_properties(self, case, rnd):
+        width, rows = case
+        basis = EchelonBasis(width)
+        for k, row in enumerate(rows):
+            before = len(self.fraction_nullspace(rows[:k], width))
+            after = len(self.fraction_nullspace(rows[:k + 1], width))
+            assert basis.add(row) == (after < before)
+        null = basis.null_space()
+        assert basis.rank + len(null) == width
+        assert all(sum(c * x for c, x in zip(row, vec)) == 0 for row in rows for vec in null)
+        for vec, ref in zip(null, self.fraction_nullspace(rows, width)):
+            # vec must be a positive multiple of ref, which is 1 at its free column
+            scale = vec[ref.index(1)]
+            assert scale > 0 and [F(x, scale) for x in vec] == ref
+        shuffled = rows[:]
+        rnd.shuffle(shuffled)
+        assert EchelonBasis(width, shuffled).null_space() == null
+
+
+class TestReorderedSteps:
+    """A permuted step list permutes the null space and keeps N_S."""
+
+    def test_reversed_tandem_matches_builtin(self):
+        tandem = builtin_model("tandem", 1, 1)
+        order = [tandem.steps.index(s) for s in REVERSED_TANDEM]
+        model = make_stepset(REVERSED_TANDEM, [1] * 3)
+        for cap in (1, 2, 3, 4):
+            ours, ref = conjecture2_nullspace(model, cap), conjecture2_nullspace(tandem, cap)
+            assert ours.nullity == ref.nullity
+            assert sorted(ours.basis) == sorted(tuple(vec[k] for k in order)
+                                                for vec in ref.basis)
+            assert ours.refutation_length == ref.refutation_length
+        assert (minimal_refutation_length(model, 12)
+                == minimal_refutation_length(tandem, 12) == 3)

@@ -8,8 +8,7 @@ import pytest
 
 from orthantwalks import (ResourceGuardError, StepSetError, brute_force_count,
                           builtin_model, central_weights, count_walks,
-                          excursion_count, make_stepset, sample_walk,
-                          total_walks)
+                          make_stepset, sample_walk)
 
 LONG_STEP_SET = ((2, 2), (1, 1), (-1, 0), (0, -1))
 
@@ -46,30 +45,30 @@ class TestOracle:
 class TestAccessors:
     def test_gb_totals_by_length(self):
         table = count_walks(builtin_model("gb", 1, 1), (0, 0), 3)
-        assert [total_walks(table, n) for n in range(4)] == [1, 1, 3, 6]
+        assert [table.total(n) for n in range(4)] == [1, 1, 3, 6]
 
     def test_gb_excursions(self):
         table = count_walks(builtin_model("gb", 1, 1), (0, 0), 4)
-        assert [excursion_count(table, (0, 0), n) for n in (0, 2, 4)] == [1, 1, 3]
-        assert all(excursion_count(table, (0, 0), n) == 0 for n in (1, 3))
+        assert [table.endpoint((0, 0), n) for n in (0, 2, 4)] == [1, 1, 3]
+        assert all(table.endpoint((0, 0), n) == 0 for n in (1, 3))
 
     def test_weighted_single_step(self):
         table = count_walks(builtin_model("gb", 2, 3), (0, 0), 1)
-        assert excursion_count(table, (1, 0), 1) == 2
-        assert total_walks(table, 1) == 2
+        assert table.endpoint((1, 0), 1) == 2
+        assert table.total(1) == 2
 
     def test_half_weight_total(self):
         table = count_walks(builtin_model("gb", F(1, 2), F(1, 2)), (0, 0), 1)
-        assert total_walks(table, 1) == F(1, 2)
+        assert table.total(1) == F(1, 2)
 
     def test_tandem_cycle(self):
         table = count_walks(builtin_model("tandem", 1, 1), (0, 0), 3)
-        assert excursion_count(table, (0, 0), 3) == 1
+        assert table.endpoint((0, 0), 3) == 1
 
     def test_out_of_range(self):
         table = count_walks(builtin_model("gb", 1, 1), (0, 0), 3)
         with pytest.raises(ValueError):
-            total_walks(table, 4)
+            table.total(4)
 
     def test_start_outside_orthant(self):
         with pytest.raises(StepSetError):
@@ -78,7 +77,7 @@ class TestAccessors:
     def test_start_offset(self):
         table = count_walks(builtin_model("gb", 1, 1), (2, 1), 2)
         assert table.layer(0) == {(2, 1): 1}
-        assert total_walks(table, 1) == 4  # all four steps stay inside from (2,1)
+        assert table.total(1) == 4  # all four steps stay inside from (2,1)
 
 
 class TestScaledMode:
@@ -198,7 +197,7 @@ class TestSampling:
         # total layer is nonempty though, so use a model with a blocked layer
         blocked = make_stepset([(-1, 0), (1, 1), (-1, -1), (0, -1)], [1] * 4)
         table = count_walks(blocked, (0, 0), 2)
-        assert total_walks(table, 1) == 1  # only (1,1)
+        assert table.total(1) == 1  # only (1,1)
         model_stuck = make_stepset([(-1, 0), (0, -1), (-1, -1)], [1] * 3)
         stuck = count_walks(model_stuck, (0, 0), 1)
         with pytest.raises(ValueError):

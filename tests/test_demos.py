@@ -1,0 +1,25 @@
+"""The demo scripts run to completion against the current API.
+
+demos/01 is left out: its scaled n=2000 run takes about a minute.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ["02_central_weightings.py", "03_gb_asymptotics.py",
+         "04_universality_diagram.py", "05_conjecture_checker.py"]
+
+
+@pytest.mark.parametrize("script", DEMOS)
+def test_demo_runs(script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    result = subprocess.run([sys.executable, str(ROOT / "demos" / script)], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
