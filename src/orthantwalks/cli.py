@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--emit", choices=("json", "csv"), default="json")
         p.add_argument("--guard", type=int, default=DEFAULT_GUARD,
-                       help="maximum number of retained table entries")
+                       help="maximum number of table cells held")
 
     p = sub.add_parser("count", help="count confined walks by length")
     _add_model_options(p)

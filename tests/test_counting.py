@@ -1,5 +1,6 @@
 """Counting tables: DP vs brute force, accessors, scaled arithmetic, sampling."""
 
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction as F
@@ -11,6 +12,10 @@ from orthantwalks import (ResourceGuardError, StepSetError, brute_force_count,
                           make_stepset, sample_walk)
 
 LONG_STEP_SET = ((2, 2), (1, 1), (-1, 0), (0, -1))
+THREE_D = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (-1, 1, 0), (0, -1, 1))
+# the 16-step 4-D set of the benchmark's null-space jobs
+FOUR_D = tuple([tuple(int(k == i) for k in range(4)) for i in range(4)]
+               + sorted(set(itertools.permutations((-1, 1, 1, 0)))))
 
 
 def all_models():
@@ -23,12 +28,30 @@ def all_models():
     return out
 
 
+def offset_cases():
+    """Models, starts and lengths whose layer windows sit away from the origin or the plane."""
+    return [
+        ("3d", make_stepset(THREE_D, [1] * 6), (0, 0, 0), 6),
+        ("3d weighted from (1,0,2)", make_stepset(THREE_D, [1, 2, F(1, 3), 1, 1, 5]), (1, 0, 2), 5),
+        ("4d 16 steps", make_stepset(FOUR_D, [1] * 16), (0, 0, 0, 0), 4),
+        ("gb(2,3) from (2,1)", builtin_model("gb", 2, 3), (2, 1), 6),
+        ("gessel from (0,3)", builtin_model("gessel", 1, 1), (0, 3), 6),
+        ("longstep from (2,1)", make_stepset(LONG_STEP_SET, [1] * 4), (2, 1), 6),
+        ("longstep(1/2,5/7) from (0,3)",
+         make_stepset(LONG_STEP_SET, central_weights(LONG_STEP_SET, (F(1, 2), F(5, 7)))), (0, 3), 6),
+    ]
+
+
+ORACLE_CASES = [(name, model, (0, 0), 6) for name, model in all_models()] + offset_cases()
+
+
 class TestOracle:
-    @pytest.mark.parametrize("name,model", all_models())
-    def test_dp_equals_brute_force(self, name, model):
-        table = count_walks(model, (0, 0), 6, mode="exact")
-        for n in range(7):
-            assert table.layer(n) == brute_force_count(model, (0, 0), n), (name, n)
+    @pytest.mark.parametrize("name,model,start,n_max", ORACLE_CASES,
+                             ids=[f"{case[0]}-model{i}" for i, case in enumerate(ORACLE_CASES)])
+    def test_dp_equals_brute_force(self, name, model, start, n_max):
+        table = count_walks(model, start, n_max, mode="exact")
+        for n in range(n_max + 1):
+            assert table.layer(n) == brute_force_count(model, start, n), (name, n)
 
     def test_brute_force_guard(self):
         with pytest.raises(ResourceGuardError):
@@ -102,6 +125,23 @@ class TestScaledMode:
         for n in range(101):
             assert abs(float(scaled.total(n)) / float(exact.total(n)) - 1) <= 1e-10
 
+    @pytest.mark.parametrize("name,model,start,n_max", offset_cases(),
+                             ids=[case[0] for case in offset_cases()])
+    def test_offset_windows_agree_with_exact(self, name, model, start, n_max):
+        n_max *= 2
+        exact = count_walks(model, start, n_max, mode="exact")
+        scaled = count_walks(model, start, n_max, mode="scaled", track=[start])
+        kept = count_walks(model, start, n_max, mode="scaled", keep_layers=True)
+        for n in range(n_max, -1, -1):
+            assert float(scaled.total(n)) == pytest.approx(float(exact.total(n)), rel=1e-10)
+            assert float(scaled.endpoint(start, n)) == pytest.approx(
+                float(exact.endpoint(start, n)), rel=1e-10)
+            for point, count in exact.layer(n).items():
+                assert float(kept.endpoint(point, n)) == pytest.approx(float(count), rel=1e-10)
+            beyond = tuple(c + 2 * n + 1 for c in start)  # no step exceeds 2
+            assert kept.endpoint(beyond, n).is_zero()
+            assert kept.endpoint((-1,) + start[1:], n).is_zero()
+
     def test_survives_large_n(self):
         table = count_walks(builtin_model("gb", 1, 1), (0, 0), 1500, mode="scaled")
         total = table.total(1500)
@@ -125,10 +165,19 @@ class TestScaledMode:
             else:
                 assert float(got) == pytest.approx(float(reference), rel=1e-10)
 
-    def test_resource_guard(self):
+    @pytest.mark.parametrize("mode", ["exact", "scaled"])
+    def test_resource_guard(self, mode):
         with pytest.raises(ResourceGuardError):
-            count_walks(builtin_model("gb", 1, 1), (0, 0), 4000, mode="scaled",
+            count_walks(builtin_model("gb", 1, 1), (0, 0), 4000, mode=mode,
                         guard=1000)
+
+    def test_exact_guard_counts_window_cells(self):
+        # GB layer n has the window [0, n]^2, so n <= 10 holds 506 cells,
+        # of which 91 are nonzero
+        model = builtin_model("gb", 1, 1)
+        assert count_walks(model, (0, 0), 10, guard=506).total(10) == 19404
+        with pytest.raises(ResourceGuardError):
+            count_walks(model, (0, 0), 10, guard=505)
 
 
 class TestMonotonicity:
@@ -191,6 +240,35 @@ class TestSampling:
         counts = Counter(sample_walk(table, 2, seed).steps for seed in range(3000))
         for freq in counts.values():
             assert abs(freq / 3000 - 1 / 3) <= 0.04
+
+    # Walks drawn for seeds 0-4, as step indices into model.steps.  The draw
+    # depends only on the counts, the seed and the order in which points and
+    # steps are visited, so a change to how tables are stored must keep them.
+    PINNED = [
+        ("gb", 1, 1, 30, "exact", False,
+         ["000201323203121023120010000120", "000222320001030130312200113003",
+          "020312300100110203222323300111", "000012210101030320300232302320",
+          "000200212012323301101322013003"]),
+        ("gessel", 2, 3, 25, "exact", False,
+         ["2112222212212121220122222", "1111222222222221212022220",
+          "2223222202222021321221222", "1121122220212222122221111",
+          "2112222122212122212112220"]),
+        ("gb", 1, 1, 50, "scaled", True,
+         ["02020300300020201202033200023203233022013210211012",
+          "00203221033022200110021001113200330210213003211123",
+          "00022033022322302310000223001000123331103220223003",
+          "00201020223000231303232130023022232021213013002212",
+          "01002000201232302330101220332210222310012022310010"]),
+    ]
+
+    @pytest.mark.parametrize("name,a,b,n,mode,keep,walks", PINNED,
+                             ids=[f"{c[0]}({c[1]},{c[2]})-{c[4]}-n{c[3]}" for c in PINNED])
+    def test_pinned_walks(self, name, a, b, n, mode, keep, walks):
+        model = builtin_model(name, a, b)
+        table = count_walks(model, (0, 0), n, mode=mode, keep_layers=keep)
+        for seed, want in enumerate(walks):
+            steps = sample_walk(table, n, seed).steps
+            assert "".join(str(model.steps.index(s)) for s in steps) == want, seed
 
     def test_empty_layer_rejected(self):
         # tandem from origin has no length-1 walk returning ... to (0,0);

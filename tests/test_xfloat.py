@@ -3,7 +3,7 @@
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orthantwalks.xfloat import XFloat, relative_difference
@@ -55,10 +55,17 @@ def test_add_matches_fractions(p, q):
 
 @given(positive_ints, positive_ints)
 @settings(max_examples=200)
+@example(9_999_999_999_999_998_490_397_299_005_059_904_831_488,
+         9_999_999_999_999_998_490_397_299_005_059_904_831_489)
 def test_ordering(p, q):
+    # from_int keeps 53 significant bits: order is kept, ties may merge
     x, y = XFloat.from_int(p), XFloat.from_int(q)
-    assert (x < y) == (p < q)
-    assert (x == y) == (p == q)
+    if p < q:
+        assert x <= y
+    if p > q:
+        assert y <= x
+    if p == q:
+        assert x == y
 
 
 def test_add_with_extreme_exponent_gap():
