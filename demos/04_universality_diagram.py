@@ -12,18 +12,17 @@ import csv
 import io
 from fractions import Fraction as F
 
-from orthantwalks import (builtin_model, classify, covariance_factor,
-                          drift_diagram, interior_critical_point, minimize_on_Q)
+from orthantwalks import builtin_model, classify, drift_diagram
 
 # ----------------------------------------------------------------------
-# the pipeline on one model
+# the pipeline on one model: one convex solve gives every quantity
 
 model = builtin_model("tandem", F(3, 2), F(1, 2))
-print("tandem with (a,b)=(3/2,1/2):")
-print("  critical point:", interior_critical_point(model))
-print("  min over Q:", minimize_on_Q(model))
-print("  covariance factor:", covariance_factor(model))
 result = classify(model)
+print("tandem with (a,b)=(3/2,1/2):")
+print("  critical point:", result.critical_point)
+print("  min over Q:", (*result.minimizer, result.rho))
+print("  covariance factor:", result.covariance)
 print(f"  class {result.family}, rho={result.rho:.6f}, alpha={result.alpha:.3f}")
 
 # ----------------------------------------------------------------------

@@ -11,9 +11,7 @@ from .central import (CentralDecomposition, Monomial, NotCentralError, PathPair,
                       SingularModelError, are_equivalent, find_path_pairs,
                       is_central, rank_full, solve_central, step_matrix)
 from .classify import (AmbiguousClassError, Classification, ClassifyError,
-                       boundary_minimizers, classify, covariance_factor,
-                       drift_diagram, interior_critical_point, minimize_on_Q,
-                       p1_exponent)
+                       classify, drift_diagram)
 from .conjecture import (ConjectureReport, conjecture2_nullspace,
                          minimal_refutation_length)
 from .counting import (ResourceGuardError, Walk, WalkTable, brute_force_count,
@@ -35,15 +33,13 @@ __all__ = [
     "ClassifyError", "ConjectureReport", "GBClassification", "GBParams",
     "Monomial", "NotCentralError", "PathPair", "ResourceGuardError",
     "SingularModelError", "StepSet", "StepSetError", "ValidationReport",
-    "Walk", "WalkTable", "XFloat", "are_equivalent", "boundary_minimizers",
-    "brute_force_count", "builtin_model", "central_weights",
-    "check_excursion_relation", "check_gf_relation", "check_harmonicity",
-    "classify", "conjecture2_nullspace", "count_walks", "covariance_factor",
-    "drift", "drift_diagram", "find_path_pairs",
-    "gb_classify", "gb_contributing", "gb_critical_points", "gb_estimate",
-    "gb_excursion_estimate", "gb_kappa_V", "interior_critical_point",
-    "inventory_eval", "is_central", "is_singular", "make_stepset",
-    "minimal_refutation_length", "minimize_on_Q", "p1_exponent",
+    "Walk", "WalkTable", "XFloat", "are_equivalent", "brute_force_count",
+    "builtin_model", "central_weights", "check_excursion_relation",
+    "check_gf_relation", "check_harmonicity", "classify",
+    "conjecture2_nullspace", "count_walks", "drift", "drift_diagram",
+    "find_path_pairs", "gb_classify", "gb_contributing", "gb_critical_points",
+    "gb_estimate", "gb_excursion_estimate", "gb_kappa_V", "inventory_eval",
+    "is_central", "is_singular", "make_stepset", "minimal_refutation_length",
     "parse_stepset", "rank_full", "sample_walk", "solve_central",
     "step_matrix", "stepset_from_json", "universal_harmonic",
     "validate_excursions", "validate_totals",

@@ -1,12 +1,16 @@
 """Model-agnostic universality classification for two-dimensional models.
 
-The classifier locates the interior critical point of the inventory
-S(x, y) = sum_s w_s x^{s1} y^{s2}, minimizes S over the dual-cone image
-Q = {x >= 1, y >= 1}, and reads the class off the position of the minimizer
-and the gradient signs there.  After the substitution (x, y) = (e^u, e^v) the
-inventory is strictly convex and coercive for non-singular models, so plain
-Newton iterations with a halving line search are deterministic and certified
-by their gradient residuals.
+The class is read off one convex problem per model.  After the substitution
+(x, y) = (e^u, e^v) the inventory S(x, y) = sum_s w_s x^{s1} y^{s2} is
+strictly convex and coercive for non-singular models, so damped Newton
+iterations with a halving line search are deterministic and certified by
+their gradient residuals.  `_solve` runs once per model: one Newton solve for
+the interior critical point; the covariance factor c = H_uv / sqrt(H_uu H_vv)
+from the log-coordinate Hessian there, which equals S_xy / sqrt(S_xx S_yy)
+where the gradient vanishes; the same Newton on one column of the step matrix
+for each edge minimizer; and from these pieces the minimizer of S on
+Q = {x >= 1, y >= 1}.  `classify` reads the class off the position of that
+minimizer and the gradient signs there.
 
 Equality decisions (is the minimizer on a boundary, is a gradient zero) use
 absolute tolerance 1e-8 on the log-scale variables; quantities falling in the
@@ -20,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -46,160 +50,119 @@ class AmbiguousClassError(ClassifyError):
         self.classification = classification
 
 
-def _check_2d(model: StepSet) -> None:
-    if model.dimension != 2:
-        raise ClassifyError("classification is implemented for d = 2 models")
-    if is_singular(model):
-        raise ClassifyError("classification requires a non-singular model")
+def _value(steps: np.ndarray, weights: np.ndarray, u: np.ndarray) -> float:
+    """L(u) = sum_k w_k exp(s_k . u): the inventory in log coordinates."""
+    return float(np.dot(weights, np.exp(steps @ u)))
 
 
-def _log_inventory(model: StepSet):
-    """L(u) = S(e^u, e^v) with gradient and Hessian, as numpy callables."""
-    steps = np.array(model.steps, dtype=float)
-    weights = np.array([float(w) for w in model.weights])
+def _grad(steps: np.ndarray, weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    return steps.T @ (weights * np.exp(steps @ u))
 
-    def value(u: np.ndarray) -> float:
-        return float(np.dot(weights, np.exp(steps @ u)))
 
-    def grad(u: np.ndarray) -> np.ndarray:
+def _newton(steps: np.ndarray, weights: np.ndarray,
+            max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton from u = 0 for the minimizer of L; certified by residual.
+
+    Returns the minimizer and the Hessian of L there.
+    """
+    u = np.zeros(steps.shape[1])
+    for iteration in range(max_iter + 1):
+        base = _value(steps, weights, u)
         e = weights * np.exp(steps @ u)
-        return steps.T @ e
-
-    def hess(u: np.ndarray) -> np.ndarray:
-        e = weights * np.exp(steps @ u)
-        return (steps * e[:, None]).T @ steps
-
-    return value, grad, hess
-
-
-def _newton(value, grad, hess, u0: np.ndarray, max_iter: int = 200) -> np.ndarray:
-    """Damped Newton for the strictly convex coercive L; certified by residual."""
-    u = np.asarray(u0, dtype=float)
-    for _ in range(max_iter):
-        g = grad(u)
-        if np.linalg.norm(g) <= GRAD_TOL * max(value(u), 1e-300):
-            return u
-        h = hess(u)
+        g = steps.T @ e
+        h = (steps * e[:, None]).T @ steps
+        if np.linalg.norm(g) <= GRAD_TOL * max(base, 1e-300):
+            return u, h
+        if iteration == max_iter:
+            break
         try:
             step = np.linalg.solve(h, -g)
         except np.linalg.LinAlgError as exc:
             raise ClassifyError(f"singular Hessian at {u}") from exc
-        base = value(u)
         t = 1.0
         for _ in range(60):
-            candidate = u + t * step
-            if value(candidate) <= base + 1e-12 * abs(base):
+            if _value(steps, weights, u + t * step) <= base + 1e-12 * abs(base):
                 break
             t *= 0.5
         u = u + t * step
-    g = grad(u)
-    if np.linalg.norm(g) <= GRAD_TOL * max(value(u), 1e-300):
-        return u
     raise ClassifyError(f"Newton iteration failed to converge (residual {np.linalg.norm(g)})")
 
 
-def interior_critical_point(model: StepSet) -> tuple[float, float]:
-    """The unique positive critical point (x_s, y_s) of the inventory."""
-    _check_2d(model)
-    value, grad, hess = _log_inventory(model)
-    u = _newton(value, grad, hess, np.zeros(2))
-    return math.exp(u[0]), math.exp(u[1])
+class _Solution(NamedTuple):
+    """The inventory's convex problem, solved once (u, v are log coordinates)."""
+
+    drift: tuple[Fraction, Fraction]
+    log_critical: tuple[float, float]
+    critical_point: tuple[float, float]
+    boundary: tuple[float, float]
+    covariance: float
+    p1: float
+    minimizer: tuple[float, float]
+    rho: float
+    rho_exact: Optional[Fraction]
+    offgrad: float  # relative gradient out of the active edge; 0 off the edges
 
 
-def _inventory_derivatives(model: StepSet, x: float, y: float):
-    sxx = sxy = syy = 0.0
-    for (s1, s2), w in zip(model.steps, model.weights):
-        term = float(w) * x ** s1 * y ** s2
-        sxx += term * s1 * (s1 - 1) / (x * x)
-        syy += term * s2 * (s2 - 1) / (y * y)
-        sxy += term * s1 * s2 / (x * y)
-    return sxx, sxy, syy
+def _solve(model: StepSet) -> _Solution:
+    """Critical point, covariance, edge minimizers and Q-minimizer of one model.
 
+    The Q-minimizer follows the active-set rules of the convex problem: the
+    corner is tested with exact drift signs, the interior with the critical
+    point, and the edges with their one-dimensional minimizers and a KKT test.
+    """
+    if model.dimension != 2:
+        raise ClassifyError("classification is implemented for d = 2 models")
+    if is_singular(model):
+        raise ClassifyError("classification requires a non-singular model")
+    steps = np.array(model.steps, dtype=float)
+    try:
+        weights = np.array([float(w) for w in model.weights])
+    except OverflowError:
+        raise ClassifyError("a weight lies outside the float range") from None
+    dx, dy = drift(model)
 
-def covariance_factor(model: StepSet) -> float:
-    """c = S_xy / sqrt(S_xx S_yy) at the interior critical point."""
-    x, y = interior_critical_point(model)
-    sxx, sxy, syy = _inventory_derivatives(model, x, y)
-    if sxx <= 0 or syy <= 0:
+    u, h = _newton(steps, weights)
+    us, vs = float(u[0]), float(u[1])
+    # edge minimizers: S(x, 1) over x (column 0) and S(1, y) over y (column 1)
+    u1 = float(_newton(steps[:, :1], weights)[0][0])
+    v1 = float(_newton(steps[:, 1:], weights)[0][0])
+    if h[0, 0] <= 0 or h[1, 1] <= 0:
         raise ClassifyError("degenerate Hessian at the critical point")
-    return sxy / math.sqrt(sxx * syy)
-
-
-def p1_exponent(model: StepSet) -> float:
-    """p1 = pi / arccos(-c); the class exponents are simple expressions in p1."""
-    c = covariance_factor(model)
+    c = float(h[0, 1]) / math.sqrt(h[0, 0] * h[1, 1])
     if not -1.0 < c < 1.0:
         raise ClassifyError(f"covariance factor {c} outside (-1, 1)")
-    return math.pi / math.acos(-c)
 
-
-def _edge_minimizer(model: StepSet, axis: int) -> float:
-    """Minimize S along x=1 (axis=1 frees y) or y=1 (axis=0 frees x); returns log coord."""
-    steps = np.array(model.steps, dtype=float)[:, axis]
-    weights = np.array([float(w) for w in model.weights])
-
-    def value(t): return float(np.dot(weights, np.exp(steps * t)))
-    def grad(t): return float(np.dot(weights * np.exp(steps * t), steps))
-    def hess(t): return float(np.dot(weights * np.exp(steps * t), steps * steps))
-
-    t = 0.0
-    for _ in range(200):
-        g = grad(t)
-        if abs(g) <= GRAD_TOL * max(value(t), 1e-300):
-            return t
-        step = -g / hess(t)
-        base = value(t)
-        scale = 1.0
-        for _ in range(60):
-            if value(t + scale * step) <= base + 1e-12 * abs(base):
-                break
-            scale *= 0.5
-        t += scale * step
-    if abs(grad(t)) <= GRAD_TOL * max(value(t), 1e-300):
-        return t
-    raise ClassifyError("1-d minimization failed to converge")
-
-
-def boundary_minimizers(model: StepSet) -> tuple[float, float]:
-    """(x1, y1): the unconstrained minimizers of S(x, 1) over x and S(1, y) over y."""
-    _check_2d(model)
-    return math.exp(_edge_minimizer(model, 0)), math.exp(_edge_minimizer(model, 1))
-
-
-def minimize_on_Q(model: StepSet) -> tuple[float, float, float]:
-    """The unique minimizer of the inventory on Q = {x >= 1, y >= 1} and its value.
-
-    Active-set resolution on the convex log-substituted problem: the corner is
-    tested with exact drift signs, the interior with the critical point, and
-    the edges with their one-dimensional minimizers.
-    """
-    _check_2d(model)
-    value, grad, hess = _log_inventory(model)
-    dx, dy = drift(model)
+    rho_exact, offgrad = None, 0.0
     if dx >= 0 and dy >= 0:
-        return 1.0, 1.0, float(sum(model.weights))
-    u = _newton(value, grad, hess, np.zeros(2))
-    us, vs = float(u[0]), float(u[1])
-    if us >= -EQ_TOL and vs >= -EQ_TOL:
-        us, vs = max(us, 0.0), max(vs, 0.0)
-        return math.exp(us), math.exp(vs), value(np.array([us, vs]))
-    candidates = []
-    if dy < 0:
-        v1 = _edge_minimizer(model, 1)
-        if v1 >= -EQ_TOL:
-            point = np.array([0.0, max(v1, 0.0)])
-            if grad(point)[0] >= -KKT_TOL * value(point):
-                candidates.append(point)
-    if dx < 0:
-        u1 = _edge_minimizer(model, 0)
-        if u1 >= -EQ_TOL:
-            point = np.array([max(u1, 0.0), 0.0])
-            if grad(point)[1] >= -KKT_TOL * value(point):
-                candidates.append(point)
-    if not candidates:
-        raise ClassifyError("no KKT point found on the boundary of Q")
-    best = min(candidates, key=value)
-    return math.exp(best[0]), math.exp(best[1]), value(best)
+        q = np.zeros(2)
+        rho_exact = sum(model.weights)
+        rho = float(rho_exact)
+    elif us >= -EQ_TOL and vs >= -EQ_TOL:
+        q = np.array([max(us, 0.0), max(vs, 0.0)])
+        rho = _value(steps, weights, q)
+    else:
+        candidates = []
+        for axis, t, free_drift in ((0, v1, dy), (1, u1, dx)):
+            # the edge of Q where coordinate `axis` is 1; KKT: S must not decrease into Q
+            if free_drift < 0 and t >= -EQ_TOL:
+                point = np.zeros(2)
+                point[1 - axis] = max(t, 0.0)
+                off = _grad(steps, weights, point)[axis]
+                if off >= -KKT_TOL * _value(steps, weights, point):
+                    candidates.append(point)
+        if not candidates:
+            raise ClassifyError("no KKT point found on the boundary of Q")
+        q = min(candidates, key=lambda p: _value(steps, weights, p))
+        rho = _value(steps, weights, q)
+        active = 0 if math.exp(q[0]) <= 1.0 + EQ_TOL else 1
+        offgrad = float(_grad(steps, weights, q)[active]) / rho
+    return _Solution(
+        drift=(dx, dy), log_critical=(us, vs),
+        critical_point=(math.exp(us), math.exp(vs)),
+        boundary=(math.exp(u1), math.exp(v1)),
+        covariance=c, p1=math.pi / math.acos(-c),
+        minimizer=(math.exp(q[0]), math.exp(q[1])), rho=rho, rho_exact=rho_exact,
+        offgrad=offgrad)
 
 
 @dataclass(frozen=True)
@@ -234,33 +197,22 @@ def classify(model: StepSet, *, on_ambiguity: str = "raise") -> Classification:
     """
     if on_ambiguity not in ("raise", "report"):
         raise ValueError("on_ambiguity must be 'raise' or 'report'")
-    _check_2d(model)
-    value, grad, hess = _log_inventory(model)
-    dx, dy = drift(model)
-    xs, ys = interior_critical_point(model)
-    us, vs = math.log(xs), math.log(ys)
-    x1, y1 = boundary_minimizers(model)
-    c = covariance_factor(model)
-    p1 = p1_exponent(model)
+    s = _solve(model)
+    dx, dy = s.drift
+    us, vs = s.log_critical
+    p1 = s.p1
     ambiguities: list[str] = []
 
     def band(name: str, quantity: float) -> None:
         if EQ_TOL <= abs(quantity) <= AMBIG_TOL:
             ambiguities.append(f"{name} = {quantity:.3e} lies in the ambiguity band")
 
-    weight_sum = sum(model.weights)
     if dx >= 0 and dy >= 0:
         # corner cell; gradient signs at (1,1) are the exact drift components
         zeros = (dx == 0) + (dy == 0)
         family = ("free", "axial", "balanced")[zeros]
         alpha = {"free": 0.0, "axial": 0.5, "balanced": p1 / 2.0}[family]
         alpha_exact = {"free": Fraction(0), "axial": Fraction(1, 2), "balanced": None}[family]
-        result = Classification(
-            family=family, rho=float(weight_sum), alpha=alpha,
-            critical_point=(xs, ys), minimizer=(1.0, 1.0), boundary=(x1, y1),
-            covariance=c, p1=p1, drift=(dx, dy),
-            rho_exact=weight_sum, alpha_exact=alpha_exact,
-            ambiguities=tuple(ambiguities))
     else:
         band("log x_s", us)
         band("log y_s", vs)
@@ -268,32 +220,21 @@ def classify(model: StepSet, *, on_ambiguity: str = "raise") -> Classification:
             interior = us > EQ_TOL and vs > EQ_TOL
             family = "reluctant" if interior else "transitional"
             alpha = p1 + 1.0 if interior else p1 / 2.0 + 1.0
-            rho = value(np.array([max(us, 0.0), max(vs, 0.0)]))
-            minimizer = (math.exp(max(us, 0.0)), math.exp(max(vs, 0.0)))
+            alpha_exact = None
         else:
             family = "directed"
             alpha = 1.5
-            mx, my, rho = minimize_on_Q(model)
-            minimizer = (mx, my)
-            band("off-edge gradient", _directed_offgrad(model, grad, value, minimizer))
-        result = Classification(
-            family=family, rho=rho, alpha=alpha,
-            critical_point=(xs, ys), minimizer=minimizer, boundary=(x1, y1),
-            covariance=c, p1=p1, drift=(dx, dy),
-            alpha_exact=Fraction(3, 2) if family == "directed" else None,
-            ambiguities=tuple(ambiguities))
+            alpha_exact = Fraction(3, 2)
+            band("off-edge gradient", s.offgrad)
+    result = Classification(
+        family=family, rho=s.rho, alpha=alpha,
+        critical_point=s.critical_point, minimizer=s.minimizer, boundary=s.boundary,
+        covariance=s.covariance, p1=p1, drift=(dx, dy),
+        rho_exact=s.rho_exact, alpha_exact=alpha_exact,
+        ambiguities=tuple(ambiguities))
     if result.ambiguities and on_ambiguity == "raise":
         raise AmbiguousClassError("; ".join(result.ambiguities), result)
     return result
-
-
-def _directed_offgrad(model: StepSet, grad, value, minimizer) -> float:
-    # relative size of the gradient component pointing out of the active edge
-    u = np.array([math.log(minimizer[0]), math.log(minimizer[1])])
-    g = grad(u)
-    v = value(u)
-    active = 0 if minimizer[0] <= 1.0 + EQ_TOL else 1
-    return float(g[active]) / v
 
 
 def drift_diagram(model_factory, a_values: Sequence[Fraction],
@@ -306,11 +247,8 @@ def drift_diagram(model_factory, a_values: Sequence[Fraction],
     rows = []
     for a in a_values:
         for b in b_values:
-            model = model_factory(a, b)
-            dx, dy = drift(model)
-            try:
-                family = classify(model).family
-            except AmbiguousClassError:
-                family = "ambiguous"
+            result = classify(model_factory(a, b), on_ambiguity="report")
+            dx, dy = result.drift
+            family = "ambiguous" if result.ambiguities else result.family
             rows.append({"a": a, "b": b, "dx": dx, "dy": dy, "class": family})
     return rows

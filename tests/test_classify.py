@@ -6,15 +6,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from orthantwalks import (AmbiguousClassError, ClassifyError, boundary_minimizers,
-                          builtin_model, central_weights, classify,
-                          covariance_factor, drift, drift_diagram,
-                          interior_critical_point, inventory_eval, make_stepset,
-                          minimize_on_Q, p1_exponent)
+from orthantwalks import (AmbiguousClassError, ClassifyError, builtin_model,
+                          central_weights, classify, drift, drift_diagram,
+                          inventory_eval, is_singular, make_stepset)
 from orthantwalks.gb import gb_classify
 from tests.conftest import CLASS_REPS
 
 SQRT2_HALF = math.sqrt(2) / 2
+
+
+def solved(model):
+    """The classification of a model with any band hits reported, not raised."""
+    return classify(model, on_ambiguity="report")
 
 
 def grid_minimum(model, lo=0.02, hi=4.0, steps=260):
@@ -33,24 +36,24 @@ def grid_minimum(model, lo=0.02, hi=4.0, steps=260):
 class TestCriticalPoint:
     @pytest.mark.parametrize("a,b", [(1, 1), (2, 3), (F(1, 2), F(1, 2)), (3, 2)])
     def test_gb_inverse_weights(self, a, b):
-        xs, ys = interior_critical_point(builtin_model("gb", a, b))
+        xs, ys = solved(builtin_model("gb", a, b)).critical_point
         assert xs == pytest.approx(1 / float(a), rel=1e-12)
         assert ys == pytest.approx(1 / float(b), rel=1e-12)
 
     def test_tandem_uniform(self):
-        xs, ys = interior_critical_point(builtin_model("tandem", 1, 1))
+        xs, ys = solved(builtin_model("tandem", 1, 1)).critical_point
         assert (xs, ys) == (pytest.approx(1.0, abs=1e-12), pytest.approx(1.0, abs=1e-12))
 
     def test_tandem_against_grid_search(self):
         model = builtin_model("tandem", F(3, 2), F(4, 5))
-        xs, ys = interior_critical_point(model)
+        xs, ys = solved(model).critical_point
         (gx, gy), _ = grid_minimum(model)
         assert xs == pytest.approx(gx, abs=0.05)
         assert ys == pytest.approx(gy, abs=0.05)
 
     def test_gradient_residual(self):
         model = builtin_model("gessel", F(5, 4), F(2, 3))
-        xs, ys = interior_critical_point(model)
+        xs, ys = solved(model).critical_point
         h = 1e-6
         val = inventory_eval(model, (xs, ys))
         gx = (inventory_eval(model, (xs + h, ys)) - inventory_eval(model, (xs - h, ys))) / (2 * h)
@@ -59,16 +62,17 @@ class TestCriticalPoint:
 
     def test_singular_rejected(self):
         with pytest.raises(ClassifyError):
-            interior_critical_point(make_stepset([(1, 0), (0, 1)], [1, 1]))
+            classify(make_stepset([(1, 0), (0, 1)], [1, 1]))
 
 
 class TestCovariance:
     @pytest.mark.parametrize("a,b", [(1, 1), (2, 3), (F(1, 2), F(5, 7)), (4, 4)])
     def test_gb_constant(self, a, b):
-        assert covariance_factor(builtin_model("gb", a, b)) == pytest.approx(-SQRT2_HALF, abs=1e-12)
+        covariance = solved(builtin_model("gb", a, b)).covariance
+        assert covariance == pytest.approx(-SQRT2_HALF, abs=1e-12)
 
     def test_gb_p1_is_four(self):
-        assert p1_exponent(builtin_model("gb", 2, 3)) == pytest.approx(4.0, abs=1e-9)
+        assert solved(builtin_model("gb", 2, 3)).p1 == pytest.approx(4.0, abs=1e-9)
 
     @pytest.mark.parametrize("name", ["gb", "tandem", "gessel", "simple"])
     def test_invariant_under_equivalent_weightings(self, name):
@@ -80,35 +84,92 @@ class TestCovariance:
             b = F(rng.randrange(1, 40), rng.randrange(1, 40))
             beta = F(rng.randrange(1, 9), rng.randrange(1, 9))
             model = make_stepset(steps, central_weights(steps, (a, b), beta=beta))
-            values.append(covariance_factor(model))
+            values.append(solved(model).covariance)
         spread = max(values) - min(values)
         assert spread <= 1e-10
 
 
+KING = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if (i, j) != (0, 0)]
+
+
+def king_models(count, seed=5):
+    """Seeded non-singular subsets of the king steps with rational weights."""
+    rng = random.Random(seed)
+    models = []
+    while len(models) < count:
+        steps = rng.sample(KING, rng.randrange(3, 9))
+        weights = [F(rng.randrange(1, 10), rng.randrange(1, 10)) for _ in steps]
+        model = make_stepset(steps, weights)
+        if not is_singular(model):
+            models.append(model)
+    return models
+
+
+def x_space_covariance(model, x, y):
+    """S_xy / sqrt(S_xx S_yy) from the second derivatives of S in x and y."""
+    sxx = sxy = syy = 0.0
+    for (s1, s2), w in zip(model.steps, model.weights):
+        term = float(w) * x ** s1 * y ** s2
+        sxx += term * s1 * (s1 - 1) / (x * x)
+        syy += term * s2 * (s2 - 1) / (y * y)
+        sxy += term * s1 * s2 / (x * y)
+    return sxy / math.sqrt(sxx * syy)
+
+
+ORACLE_MODELS = king_models(50) + [
+    builtin_model(name, a, b) for name in ("gb", "tandem", "gessel", "simple")
+    for a, b in [(1, 1), (F(3, 2), F(2, 3)), (F(1, 3), F(5, 2))]]
+
+
+class TestCovarianceOracle:
+    """The log-Hessian covariance and the Q-minimizer against x-space formulas."""
+
+    @pytest.mark.parametrize("model", ORACLE_MODELS)
+    def test_covariance_minimizer_and_rho(self, model):
+        result = solved(model)
+        want = x_space_covariance(model, *result.critical_point)
+        assert result.covariance == pytest.approx(want, abs=1e-10)
+        x, y = result.minimizer
+        assert x >= 1.0 and y >= 1.0
+        assert result.rho == pytest.approx(inventory_eval(model, (x, y)), rel=1e-12)
+
+    def test_skewed_king_set_against_high_precision(self):
+        # reference: the Hessian ratio at the critical point solved to 50 digits
+        model = make_stepset([(0, -1), (-1, -1), (1, 1), (0, 1)],
+                             [24, F(4, 5), F(5, 28), 29])
+        assert solved(model).covariance == pytest.approx(0.1188459126253145954, rel=1e-14)
+
+
+def minimize_on_q(model):
+    """(x, y, S(x, y)) at the minimizer of the inventory on Q."""
+    result = solved(model)
+    return (*result.minimizer, result.rho)
+
+
 class TestMinimizeOnQ:
     def test_reluctant_interior(self):
-        x, y, val = minimize_on_Q(builtin_model("gb", F(1, 2), F(1, 2)))
+        x, y, val = minimize_on_q(builtin_model("gb", F(1, 2), F(1, 2)))
         assert (x, y) == (pytest.approx(2.0, rel=1e-10), pytest.approx(2.0, rel=1e-10))
         assert val == pytest.approx(4.0, rel=1e-12)
 
     def test_free_corner(self):
-        x, y, val = minimize_on_Q(builtin_model("gb", 2, 3))
+        x, y, val = minimize_on_q(builtin_model("gb", 2, 3))
         assert (x, y) == (1.0, 1.0)
         assert val == pytest.approx(14 / 3, rel=1e-12)
 
     def test_balanced_corner(self):
-        x, y, val = minimize_on_Q(builtin_model("gb", 1, 1))
+        x, y, val = minimize_on_q(builtin_model("gb", 1, 1))
         assert (x, y, val) == (1.0, 1.0, 4.0)
 
     def test_directed_edge(self):
-        x, y, val = minimize_on_Q(builtin_model("gb", 3, 2))
+        x, y, val = minimize_on_q(builtin_model("gb", 3, 2))
         assert x == pytest.approx(1.0, abs=1e-12)
         assert y == pytest.approx(1.5, rel=1e-10)
         assert val == pytest.approx(16 / 3, rel=1e-10)
 
     def test_against_constrained_grid_search(self):
         model = builtin_model("tandem", F(1, 3), F(2, 5))
-        _, _, val = minimize_on_Q(model)
+        _, _, val = minimize_on_q(model)
         best = math.inf
         for i in range(400):
             for j in range(400):
@@ -119,18 +180,18 @@ class TestMinimizeOnQ:
 
 class TestBoundaryMinimizers:
     def test_gb_32(self):
-        x1, y1 = boundary_minimizers(builtin_model("gb", 3, 2))
+        x1, y1 = solved(builtin_model("gb", 3, 2)).boundary
         assert x1 == pytest.approx(math.sqrt(2) / 3, rel=1e-10)
         assert y1 == pytest.approx(1.5, rel=1e-10)
 
     def test_balanced_symmetric(self):
-        x1, y1 = boundary_minimizers(builtin_model("gb", 1, 1))
+        x1, y1 = solved(builtin_model("gb", 1, 1)).boundary
         assert x1 == pytest.approx(1.0, abs=1e-10)
         assert y1 == pytest.approx(1.0, abs=1e-10)
 
     def test_tandem_grid_refinement(self):
         model = builtin_model("tandem", 1, 1)
-        x1, y1 = boundary_minimizers(model)
+        x1, y1 = solved(model).boundary
         xs = [0.2 + k / 500 for k in range(2000)]
         gx = min(xs, key=lambda x: inventory_eval(model, (x, 1.0)))
         gy = min(xs, key=lambda y: inventory_eval(model, (1.0, y)))
@@ -183,6 +244,10 @@ class TestClassify:
         result = classify(model, on_ambiguity="report")
         assert result.ambiguities
         assert result.family == "directed"
+
+    def test_weight_beyond_float_range_rejected(self):
+        with pytest.raises(ClassifyError, match="float range"):
+            classify(builtin_model("gb", 10 ** 400, 1))
 
     def test_non_2d_rejected(self):
         model = make_stepset([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),

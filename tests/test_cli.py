@@ -151,6 +151,16 @@ class TestClassifyAndDiagram:
         assert payload["class"] == "reluctant"
         assert payload["p1"] == pytest.approx(4.0, abs=1e-9)
 
+    def test_weight_beyond_float_range_is_an_error(self, capsys):
+        code, _, err = run_cli(capsys, "classify", "--model", "gb",
+                               "--a", str(10 ** 400), "--b", "1")
+        assert code == 2
+        assert err.startswith("error:") and "float range" in err
+        code, _, err = run_cli(capsys, "diagram", "--model", "gb",
+                               "--a-range", "1e400:1e400:1", "--b-range", "1:1:1")
+        assert code == 2
+        assert err.startswith("error:") and "float range" in err
+
     def test_diagram_csv(self, capsys):
         code, out, _ = run_cli(capsys, "diagram", "--model", "tandem",
                                "--a-range", "1/2:2:1/2", "--b-range", "1/2:2:1/2",
