@@ -60,7 +60,7 @@ def _grad(steps: np.ndarray, weights: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _newton(steps: np.ndarray, weights: np.ndarray,
-            max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
+            max_iter: int) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton from u = 0 for the minimizer of L; certified by residual.
 
     Returns the minimizer and the Hessian of L there.
@@ -120,12 +120,15 @@ def _solve(model: StepSet) -> _Solution:
     except OverflowError:
         raise ClassifyError("a weight lies outside the float range") from None
     dx, dy = drift(model)
+    # far from the minimizer a damped step moves about one unit of log scale
+    spread = max(abs(math.log(w.numerator) - math.log(w.denominator)) for w in model.weights)
+    max_iter = 200 + math.ceil(2 * spread)
 
-    u, h = _newton(steps, weights)
+    u, h = _newton(steps, weights, max_iter)
     us, vs = float(u[0]), float(u[1])
     # edge minimizers: S(x, 1) over x (column 0) and S(1, y) over y (column 1)
-    u1 = float(_newton(steps[:, :1], weights)[0][0])
-    v1 = float(_newton(steps[:, 1:], weights)[0][0])
+    u1 = float(_newton(steps[:, :1], weights, max_iter)[0][0])
+    v1 = float(_newton(steps[:, 1:], weights, max_iter)[0][0])
     if h[0, 0] <= 0 or h[1, 1] <= 0:
         raise ClassifyError("degenerate Hessian at the critical point")
     c = float(h[0, 1]) / math.sqrt(h[0, 0] * h[1, 1])

@@ -396,7 +396,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except (StepSetError, NotCentralError, SingularModelError, ClassifyError,
-            AmbiguousClassError, ValueError, OSError) as exc:
+            AmbiguousClassError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -16,8 +16,9 @@ orthant, with origin `lo`.  Only the array's dtype depends on the mode:
 Both modes record per-layer totals and the tracked endpoints while building.
 Exact tables keep every layer.  Scaled tables keep a checkpoint every
 isqrt(n_max) layers when sampling is requested (keep_layers) and none
-otherwise; a layer between checkpoints is replayed from the one below it, and
-the replayed block is cached for the backward pass of the sampler.
+otherwise; a layer between checkpoints is replayed from the one below it over
+the backward cone of the cell asked for, the cells that can still reach it
+(Frigo & Strumpen, "Cache oblivious stencil computations", ICS 2005).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .stepset import StepSet, StepSetError, Vector
 
 Count = Union[int, Fraction, XFloat]
 Window = tuple[tuple[int, ...], tuple[int, ...]]
+Block = tuple[np.ndarray, int, Window]  # cells of one layer over a box, with its exponent
 
 DEFAULT_GUARD = 50_000_000
 BRUTE_FORCE_GUARD = 10 ** 8
@@ -84,13 +86,12 @@ def _integerized_weights(model: StepSet) -> tuple[list[int], int]:
     return [int(w * scale) for w in model.weights], scale
 
 
-def _windows(steps: Sequence[Vector], start: Vector, n_max: int) -> list[Window]:
-    """The window (lo, hi) of every layer: the orthant part of the box n steps can reach."""
-    d = len(start)
-    pos = [max(0, *(s[k] for s in steps)) for k in range(d)]
-    neg = [max(0, *(-s[k] for s in steps)) for k in range(d)]
-    return [(tuple(max(0, c - n * b) for c, b in zip(start, neg)),
-             tuple(c + n * a for c, a in zip(start, pos))) for n in range(n_max + 1)]
+def _cell(block: Block, point: Vector):
+    """Raw entry of `block` at `point`, 0 outside its box."""
+    arr, _, (lo, hi) = block
+    if len(point) == len(lo) and all(l <= c <= h for c, l, h in zip(point, lo, hi)):
+        return arr[tuple(c - l for c, l in zip(point, lo))]
+    return 0
 
 
 class WalkTable:
@@ -117,7 +118,14 @@ class WalkTable:
         self.n_max = n_max
         self.mode = mode
         self.guard = guard
-        self._windows = _windows(model.steps, self.start, n_max)
+        # how far one step moves up (pos) and down (neg) along each axis
+        d = model.dimension
+        self._pos = tuple(max(0, *(s[k] for s in model.steps)) for k in range(d))
+        self._neg = tuple(max(0, *(-s[k] for s in model.steps)) for k in range(d))
+        # layer n's window: the orthant part of the box n steps can reach
+        self._windows: list[Window] = [
+            (tuple(max(0, c - n * b) for c, b in zip(self.start, self._neg)),
+             tuple(c + n * a for c, a in zip(self.start, self._pos))) for n in range(n_max + 1)]
         # layers n with n % stride == 0 (and the last) are kept; stride 0 keeps none
         if mode == "exact":
             self._weights, self._scale = _integerized_weights(model)
@@ -128,8 +136,8 @@ class WalkTable:
         cells = [math.prod(h - l + 1 for l, h in zip(lo, hi)) for lo, hi in self._windows]
         held = sum(c for n, c in enumerate(cells) if self._keeps(n))
         if mode == "scaled":
-            # the build's two working layers and one replayed block
-            held += (2 + max(self._stride - 1, 0)) * max(cells)
+            # two working layers, of the build or of a replay
+            held += 2 * max(cells)
         if held > guard:
             raise ResourceGuardError(
                 f"{mode} table of {held} cells exceeds guard of {guard}")
@@ -144,52 +152,62 @@ class WalkTable:
                       dtype=object if self.mode == "exact" else float)
         exp = 0
         self._totals: list[tuple] = []
-        self._kept: dict[int, tuple[np.ndarray, int]] = {}
-        self._cache: dict[int, tuple[np.ndarray, int]] = {}
+        self._kept: dict[int, Block] = {}
         for n in range(self.n_max + 1):
             if n:
-                arr, exp = self._next(arr, exp, n)
+                arr = _advance_layer(arr, self.model.steps, self._weights,
+                                     self._windows[n - 1], self._windows[n])
+            if self.mode == "scaled":
+                peak = float(arr.max())
+                if not math.isfinite(peak):
+                    raise OverflowError(f"scaled layer {n} left the float64 range")
+                if peak > _NORM_LIMIT:
+                    arr *= 2.0 ** -_NORM_SHIFT
+                    exp += _NORM_SHIFT
+                elif 0.0 < peak < 1.0 / _NORM_LIMIT:
+                    arr *= 2.0 ** _NORM_SHIFT
+                    exp -= _NORM_SHIFT
+            block = (arr, exp, self._windows[n])
             self._totals.append((arr.sum(), exp))
             for p, series in self._tracked.items():
-                series.append((self._cell(n, arr, p), exp))
+                series.append((_cell(block, p), exp))
             if self._keeps(n):
-                self._kept[n] = (arr, exp)
+                self._kept[n] = block
 
-    def _next(self, arr: np.ndarray, exp: int, n: int) -> tuple[np.ndarray, int]:
-        """Layer n from layer n - 1, renormalized in scaled mode."""
-        arr = _advance_layer(arr, self.model.steps, self._weights,
-                             self._windows[n - 1], self._windows[n])
-        if self.mode == "scaled":
-            peak = float(arr.max())
-            if peak > _NORM_LIMIT:
-                arr *= 2.0 ** -_NORM_SHIFT
-                exp += _NORM_SHIFT
-            elif 0.0 < peak < 1.0 / _NORM_LIMIT:
-                arr *= 2.0 ** _NORM_SHIFT
-                exp -= _NORM_SHIFT
-        return arr, exp
+    def _cone(self, point: Vector, m: int, j: int) -> Window:
+        """The cells of layer j's window from which `point` can be reached at layer m."""
+        (lo, hi), k = self._windows[j], m - j
+        return (tuple(max(l, c - k * a) for l, c, a in zip(lo, point, self._pos)),
+                tuple(min(h, c + k * b) for h, c, b in zip(hi, point, self._neg)))
 
-    def _block(self, n: int) -> tuple[np.ndarray, int]:
-        """Layer n over its window: kept, or replayed from the checkpoint below it."""
-        if n in self._kept:
-            return self._kept[n]
+    def _replay(self, n: int,
+                cone: Optional[tuple[Vector, int]] = None) -> Iterator[tuple[int, Block]]:
+        """Yield (j, layer j) from the highest kept layer j <= n up to layer n.
+
+        The kept layer comes whole.  Replayed layers cover the backward cone
+        of `point` at layer m when cone = (point, m), else their windows; a
+        cone cell sums the build's terms in the build's order and takes the
+        build's recorded exponent, so it equals the build's bit for bit.
+        """
         if not self._kept:
             raise ValueError("scaled table was built without keep_layers=True")
-        if n not in self._cache:
-            base = n - n % self._stride
-            arr, exp = self._kept[base]
-            self._cache = {}
-            for m in range(base + 1, n + 1):
-                arr, exp = self._next(arr, exp, m)
-                self._cache[m] = (arr, exp)
-        return self._cache[n]
+        base = n if n in self._kept else n - n % self._stride
+        yield base, self._kept[base]
+        arr, exp, src = self._kept[base]
+        for j in range(base + 1, n + 1):
+            dst = self._cone(*cone, j) if cone else self._windows[j]
+            arr = _advance_layer(arr, self.model.steps, self._weights, src, dst)
+            if self._totals[j][1] != exp:
+                arr *= 2.0 ** (exp - self._totals[j][1])
+                exp = self._totals[j][1]
+            yield j, (arr, exp, dst)
+            src = dst
 
-    def _cell(self, n: int, arr: np.ndarray, point: Vector):
-        """Raw entry of layer n at `point`, 0 outside the window."""
-        lo, hi = self._windows[n]
-        if len(point) == len(lo) and all(l <= c <= h for c, l, h in zip(point, lo, hi)):
-            return arr[tuple(c - l for c, l in zip(point, lo))]
-        return 0
+    def _block(self, n: int, cone: Optional[tuple[Vector, int]] = None) -> Block:
+        """Layer n, kept or replayed over `cone` (holding no earlier layer)."""
+        for _, block in self._replay(n, cone):
+            pass
+        return block
 
     def _value(self, raw, exp: int, n: int) -> Count:
         if self.mode == "scaled":
@@ -216,15 +234,17 @@ class WalkTable:
         if not self._kept:
             raise ValueError(
                 f"endpoint {end} was not tracked; pass track=[{end}] to count_walks")
-        arr, exp = self._block(n)
-        return self._value(self._cell(n, arr, end), exp, n)
+        if len(end) != len(self.start) or self._cone(end, n, n) != (end, end):
+            return self._value(0, 0, n)  # outside layer n's window, the cone is empty
+        block = self._block(n, (end, n))
+        return self._value(_cell(block, end), block[1], n)
 
     def layer(self, n: int) -> dict[Vector, Union[int, Fraction]]:
         """Endpoint -> count map of the nonzero entries of layer n (exact mode only)."""
         self._check_n(n)
         if self.mode != "exact":
             raise ValueError("full layers are only materialized in exact mode")
-        arr, _ = self._block(n)
+        arr, _, _ = self._block(n)
         nonzero = np.nonzero(arr)
         points = zip(*((idx + l).tolist() for idx, l in zip(nonzero, self._windows[n][0])))
         return {p: self._value(c, 0, n) for p, c in zip(points, arr[nonzero].tolist())}
@@ -292,25 +312,30 @@ def sample_walk(table: WalkTable, n: int, seed: int) -> Walk:
     """Draw a length-n walk with probability proportional to its weight product.
 
     Backward sampling on the counting table: pick the endpoint from layer n,
-    then repeatedly pick the previous point.  Exact tables draw with
-    `randrange` over integer cumulative weights, so every choice is exact;
-    scaled tables draw from float64 cumulative weights with relative bias
-    below n * 2**-50.
+    then repeatedly pick the previous point.  Kept layers are read whole; a
+    layer n that is not kept is replayed whole for the first pick, and each
+    stretch between checkpoints is replayed once, over the backward cone of
+    the walk's point above it.  Exact tables draw with `randrange` over
+    integer cumulative weights, so every choice is exact; scaled tables draw
+    from float64 cumulative weights with relative bias below n * 2**-50.
     """
     table._check_n(n)
     rng = random.Random(seed)
-    arr, _ = table._block(n)
+    arr, _, (lo, _) = table._block(n)
     cells = np.flatnonzero(arr)
     flat = cells[_pick(rng, arr.ravel()[cells].tolist())]
-    current = tuple(int(c) + l for c, l in
-                    zip(np.unravel_index(flat, arr.shape), table._windows[n][0]))
+    current = tuple(int(c) + l for c, l in zip(np.unravel_index(flat, arr.shape), lo))
     steps_taken: list[Vector] = []
+    segment: dict[int, Block] = {}
     for m in range(n, 0, -1):
-        arr, _ = table._block(m - 1)
+        block = table._kept.get(m - 1) or segment.get(m - 1)
+        if block is None:
+            segment = dict(table._replay(m - 1, (current, m)))
+            block = segment[m - 1]
         candidates, masses = [], []
         for s, w in zip(table.model.steps, table._weights):
             prev = tuple(c - d for c, d in zip(current, s))
-            mass = table._cell(m - 1, arr, prev)
+            mass = _cell(block, prev)
             if mass > 0:
                 candidates.append((prev, s))
                 masses.append(w * mass)

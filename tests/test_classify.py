@@ -249,6 +249,13 @@ class TestClassify:
         with pytest.raises(ClassifyError, match="float range"):
             classify(builtin_model("gb", 10 ** 400, 1))
 
+    @pytest.mark.parametrize("a,family", [(10 ** 90, "directed"), (10 ** 150, "directed"),
+                                          (F(1, 10 ** 90), "transitional")],
+                             ids=["1e90", "1e150", "1e-90"])
+    def test_far_critical_point(self, a, family):
+        # 200 damped Newton steps of about one log unit each do not reach these
+        assert classify(builtin_model("gb", a, 1)).family == family == gb_classify(a, 1).family
+
     def test_non_2d_rejected(self):
         model = make_stepset([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
                               (0, 0, 1), (0, 0, -1)], [1] * 6)

@@ -81,6 +81,12 @@ class TestCount:
         assert code == 3
         assert "guard" in err
 
+    def test_scaled_overflow_is_an_error(self, capsys):
+        code, _, err = run_cli(capsys, "count", "--model", "gb", "--a", str(10 ** 200),
+                               "--mode", "scaled", "--n", "6")
+        assert code == 2
+        assert err.startswith("error:") and "float64 range" in err
+
     def test_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "count", "--n", "3")
         assert code == 2

@@ -179,6 +179,57 @@ class TestScaledMode:
         with pytest.raises(ResourceGuardError):
             count_walks(model, (0, 0), 10, guard=505)
 
+    def test_scaled_guard_counts_checkpoints_and_two_layers(self):
+        # GB to n=16 keeps layers 0, 4, 8, 12, 16 (565 cells) and works in
+        # two layers of the largest window (2 * 289 cells)
+        model = builtin_model("gb", 1, 1)
+        table = count_walks(model, (0, 0), 16, "scaled", keep_layers=True, guard=1143)
+        assert float(table.total(16)) == 34763300
+        with pytest.raises(ResourceGuardError):
+            count_walks(model, (0, 0), 16, "scaled", keep_layers=True, guard=1142)
+
+    def test_non_finite_layer_raises(self):
+        with pytest.raises(OverflowError):
+            count_walks(builtin_model("gb", 10 ** 200, 1), (0, 0), 6, "scaled")
+
+
+CONE_CASES = [
+    ("gb n=400", builtin_model("gb", 1, 1), (0, 0), 400),  # renormalizes at n=261
+    ("gb(2/3,5/7) from (3,2)", builtin_model("gb", F(2, 3), F(5, 7)), (3, 2), 120),
+    ("tandem(5/7,2) from (1,4)", builtin_model("tandem", F(5, 7), 2), (1, 4), 120),
+    ("3d five steps from (1,0,2)", make_stepset(THREE_D[:5], [1, 2, F(1, 3), 1, 5]), (1, 0, 2), 40),
+]
+
+
+class TestConeReplay:
+    """Layers between checkpoints are replayed over the backward cone of a cell only."""
+
+    @pytest.mark.parametrize("name,model,start,n_max", CONE_CASES, ids=[c[0] for c in CONE_CASES])
+    def test_endpoint_bitwise_equals_tracked(self, name, model, start, n_max):
+        hi = [c + n_max * max(s[k] for s in model.steps) for k, c in enumerate(start)]
+        points = list(itertools.product(*[sorted({0, c + 3, h // 3, h + 1})
+                                          for c, h in zip(start, hi)]))
+        points.append((-1,) + start[1:])
+        tracked = count_walks(model, start, n_max, "scaled", track=points)
+        kept = count_walks(model, start, n_max, "scaled", keep_layers=True)
+        inside = 0
+        for n in range(n_max + 1):
+            for p in points:
+                got, want = kept.endpoint(p, n), tracked.endpoint(p, n)
+                assert (got.man, got.exp) == (want.man, want.exp), (p, n)
+                inside += not want.is_zero()
+        assert inside > n_max
+
+    @pytest.mark.parametrize("name,model,start,n_max", CONE_CASES, ids=[c[0] for c in CONE_CASES])
+    def test_walks_do_not_depend_on_checkpoints(self, name, model, start, n_max):
+        # n is no checkpoint of the longer table and the last layer of the shorter one
+        n = n_max * 5 // 6 + 1
+        assert n % math.isqrt(n_max)
+        longer = count_walks(model, start, n_max, "scaled", keep_layers=True)
+        shorter = count_walks(model, start, n, "scaled", keep_layers=True)
+        for seed in range(5):
+            assert sample_walk(longer, n, seed) == sample_walk(shorter, n, seed), seed
+
 
 class TestMonotonicity:
     @pytest.mark.parametrize("name", ["gb", "tandem", "gessel", "simple"])
