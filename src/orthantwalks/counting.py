@@ -1,8 +1,11 @@
 """Counting tables for weighted walks confined to the nonnegative orthant.
 
-One transfer kernel builds every table.  Layer n lives in a dense array over
-its window: the box that n steps from the start can reach, clipped to the
-orthant, with origin `lo`.  Only the array's dtype depends on the mode:
+One transfer kernel builds every table.  Steps agree modulo m_k = gcd_s(s_k -
+s0_k) on axis k, so layer n lies in the coset start + n*s0 (mod m), in a dense
+array over its window with index a at the point lo + m*a: one step's reach from
+layer n-1's window, clipped to the orthant and the coset, less its all-zero
+faces (exact zeros, or scaled cells already lost to underflow), so kept cells
+are computed as over the whole box.  Only the array's dtype depends on the mode:
 
 * exact mode: object arrays of Python ints.  Rational weights are cleared to
   integers by the common denominator L, so layer n stores L**n times the true
@@ -61,20 +64,11 @@ class Walk:
 
     @property
     def end(self) -> Vector:
-        pos = list(self.start)
-        for s in self.steps:
-            for k, c in enumerate(s):
-                pos[k] += c
-        return tuple(pos)
+        return self.points()[-1]
 
     def points(self) -> list[Vector]:
-        out = [self.start]
-        pos = list(self.start)
-        for s in self.steps:
-            for k, c in enumerate(s):
-                pos[k] += c
-            out.append(tuple(pos))
-        return out
+        return list(itertools.accumulate(
+            self.steps, lambda p, s: tuple(a + b for a, b in zip(p, s)), initial=self.start))
 
     def stays_in_orthant(self) -> bool:
         return all(min(p) >= 0 for p in self.points())
@@ -84,14 +78,6 @@ def _integerized_weights(model: StepSet) -> tuple[list[int], int]:
     denominators = [w.denominator for w in model.weights]
     scale = math.lcm(*denominators)
     return [int(w * scale) for w in model.weights], scale
-
-
-def _cell(block: Block, point: Vector):
-    """Raw entry of `block` at `point`, 0 outside its box."""
-    arr, _, (lo, hi) = block
-    if len(point) == len(lo) and all(l <= c <= h for c, l, h in zip(point, lo, hi)):
-        return arr[tuple(c - l for c, l in zip(point, lo))]
-    return 0
 
 
 class WalkTable:
@@ -122,10 +108,8 @@ class WalkTable:
         d = model.dimension
         self._pos = tuple(max(0, *(s[k] for s in model.steps)) for k in range(d))
         self._neg = tuple(max(0, *(-s[k] for s in model.steps)) for k in range(d))
-        # layer n's window: the orthant part of the box n steps can reach
-        self._windows: list[Window] = [
-            (tuple(max(0, c - n * b) for c, b in zip(self.start, self._neg)),
-             tuple(c + n * a for c, a in zip(self.start, self._pos))) for n in range(n_max + 1)]
+        self._lattice = tuple(math.gcd(*(c - col[0] for c in col)) or 1
+                              for col in zip(*model.steps))
         # layers n with n % stride == 0 (and the last) are kept; stride 0 keeps none
         if mode == "exact":
             self._weights, self._scale = _integerized_weights(model)
@@ -133,7 +117,10 @@ class WalkTable:
         else:
             self._weights, self._scale = [float(w) for w in model.weights], 1
             self._stride = max(1, math.isqrt(n_max)) if keep_layers else 0
-        cells = [math.prod(h - l + 1 for l, h in zip(lo, hi)) for lo, hi in self._windows]
+        # the guard counts the windows of a build that drops no zero faces
+        windows = itertools.accumulate(range(1, n_max + 1), self._reach,
+                                       initial=(self.start, self.start))
+        cells = [math.prod(_shape(w, self._lattice)) for w in windows]
         held = sum(c for n, c in enumerate(cells) if self._keeps(n))
         if mode == "scaled":
             # two working layers, of the build or of a replay
@@ -147,18 +134,35 @@ class WalkTable:
     def _keeps(self, n: int) -> bool:
         return bool(self._stride) and (n % self._stride == 0 or n == self.n_max)
 
+    def _align(self, lo: Vector, hi: Vector, n: int) -> Window:
+        """The box [lo, hi] shrunk on every axis to the lattice points of layer n."""
+        coset = [c + n * s for c, s in zip(self.start, self.model.steps[0])]
+        return (tuple(l + (r - l) % m for l, r, m in zip(lo, coset, self._lattice)),
+                tuple(h - (h - r) % m for h, r, m in zip(hi, coset, self._lattice)))
+
+    def _reach(self, window: Window, n: int) -> Window:
+        """Layer n's window: what one step from layer n-1's `window` can reach."""
+        lo, hi = window
+        return self._align(tuple(max(0, l - b) for l, b in zip(lo, self._neg)),
+                           tuple(h + a for h, a in zip(hi, self._pos)), n)
+
+    @np.errstate(over="ignore", invalid="ignore")  # the finite check reports an inf
     def _build(self) -> None:
         arr = np.ones((1,) * self.model.dimension,
                       dtype=object if self.mode == "exact" else float)
         exp = 0
+        self._windows: list[Window] = [(self.start, self.start)]
         self._totals: list[tuple] = []
         self._kept: dict[int, Block] = {}
         for n in range(self.n_max + 1):
             if n:
+                window = self._reach(self._windows[-1], n)
                 arr = _advance_layer(arr, self.model.steps, self._weights,
-                                     self._windows[n - 1], self._windows[n])
+                                     self._windows[-1], window, self._lattice)
+                arr, window = self._trim(arr, window)
+                self._windows.append(window)
             if self.mode == "scaled":
-                peak = float(arr.max())
+                peak = float(arr.max(initial=0.0))
                 if not math.isfinite(peak):
                     raise OverflowError(f"scaled layer {n} left the float64 range")
                 if peak > _NORM_LIMIT:
@@ -170,15 +174,34 @@ class WalkTable:
             block = (arr, exp, self._windows[n])
             self._totals.append((arr.sum(), exp))
             for p, series in self._tracked.items():
-                series.append((_cell(block, p), exp))
+                series.append((self._cell(block, p), exp))
             if self._keeps(n):
                 self._kept[n] = block
+
+    def _trim(self, arr: np.ndarray, window: Window) -> tuple[np.ndarray, Window]:
+        """Drop the all-zero faces of `arr`, keeping at least one cell per axis."""
+        lo, hi = list(window[0]), list(window[1])
+        for k, m in enumerate(self._lattice):
+            face = (slice(None),) * k
+            while arr.shape[k] > 1 and not arr[face + (0,)].any():
+                arr, lo[k] = arr[face + (slice(1, None),)], lo[k] + m
+            while arr.shape[k] > 1 and not arr[face + (-1,)].any():
+                arr, hi[k] = arr[face + (slice(-1),)], hi[k] - m
+        return arr, (tuple(lo), tuple(hi))
+
+    def _cell(self, block: Block, point: Vector):
+        """Raw entry of `block` at `point`, 0 off its window's lattice points."""
+        arr, _, (lo, hi) = block
+        if len(point) == len(lo) and all(l <= c <= h and (c - l) % m == 0 for c, l, h, m
+                                         in zip(point, lo, hi, self._lattice)):
+            return arr[tuple((c - l) // m for c, l, m in zip(point, lo, self._lattice))]
+        return 0
 
     def _cone(self, point: Vector, m: int, j: int) -> Window:
         """The cells of layer j's window from which `point` can be reached at layer m."""
         (lo, hi), k = self._windows[j], m - j
-        return (tuple(max(l, c - k * a) for l, c, a in zip(lo, point, self._pos)),
-                tuple(min(h, c + k * b) for h, c, b in zip(hi, point, self._neg)))
+        return self._align(tuple(max(l, c - k * a) for l, c, a in zip(lo, point, self._pos)),
+                           tuple(min(h, c + k * b) for h, c, b in zip(hi, point, self._neg)), j)
 
     def _replay(self, n: int,
                 cone: Optional[tuple[Vector, int]] = None) -> Iterator[tuple[int, Block]]:
@@ -196,7 +219,7 @@ class WalkTable:
         arr, exp, src = self._kept[base]
         for j in range(base + 1, n + 1):
             dst = self._cone(*cone, j) if cone else self._windows[j]
-            arr = _advance_layer(arr, self.model.steps, self._weights, src, dst)
+            arr = _advance_layer(arr, self.model.steps, self._weights, src, dst, self._lattice)
             if self._totals[j][1] != exp:
                 arr *= 2.0 ** (exp - self._totals[j][1])
                 exp = self._totals[j][1]
@@ -237,36 +260,42 @@ class WalkTable:
         if len(end) != len(self.start) or self._cone(end, n, n) != (end, end):
             return self._value(0, 0, n)  # outside layer n's window, the cone is empty
         block = self._block(n, (end, n))
-        return self._value(_cell(block, end), block[1], n)
+        return self._value(self._cell(block, end), block[1], n)
 
     def layer(self, n: int) -> dict[Vector, Union[int, Fraction]]:
         """Endpoint -> count map of the nonzero entries of layer n (exact mode only)."""
         self._check_n(n)
         if self.mode != "exact":
             raise ValueError("full layers are only materialized in exact mode")
-        arr, _, _ = self._block(n)
+        arr, _, (lo, _) = self._block(n)
         nonzero = np.nonzero(arr)
-        points = zip(*((idx + l).tolist() for idx, l in zip(nonzero, self._windows[n][0])))
+        points = zip(*((m * i + l).tolist() for i, l, m in zip(nonzero, lo, self._lattice)))
         return {p: self._value(c, 0, n) for p, c in zip(points, arr[nonzero].tolist())}
 
 
-def _advance_layer(arr: np.ndarray, steps, weights, src: Window, dst: Window) -> np.ndarray:
+def _shape(window: Window, lattice: Vector) -> list[int]:
+    """Array shape of a window whose corners lie on the same lattice coset."""
+    return [max(0, (h - l) // m + 1) for l, h, m in zip(*window, lattice)]
+
+
+def _advance_layer(arr: np.ndarray, steps, weights, src: Window, dst: Window,
+                   lattice: Vector) -> np.ndarray:
     """One transfer step of the orthant-restricted recurrence on windowed arrays.
 
     Cell p of the new layer (window dst) collects w_s times cell p - s of the
     old one (window src) for every step s, in step order; the result has the
-    dtype of `arr`.
+    dtype of `arr`.  Both windows lie on their cosets, so slice bounds divide by m exactly.
     """
     (slo, shi), (dlo, dhi) = src, dst
-    new = np.zeros([h - l + 1 for l, h in zip(dlo, dhi)], dtype=arr.dtype)
+    new = np.zeros(_shape(dst, lattice), dtype=arr.dtype)
     for s, w in zip(steps, weights):
         into, out_of = [], []
-        for k, c in enumerate(s):
+        for k, (c, m) in enumerate(zip(s, lattice)):
             a, b = max(dlo[k], slo[k] + c), min(dhi[k], shi[k] + c)
             if a > b:
                 break
-            into.append(slice(a - dlo[k], b - dlo[k] + 1))
-            out_of.append(slice(a - c - slo[k], b - c - slo[k] + 1))
+            into.append(slice((a - dlo[k]) // m, (b - dlo[k]) // m + 1))
+            out_of.append(slice((a - c - slo[k]) // m, (b - c - slo[k]) // m + 1))
         else:
             part = arr[tuple(out_of)]
             new[tuple(into)] += part if w == 1 else w * part
@@ -324,7 +353,8 @@ def sample_walk(table: WalkTable, n: int, seed: int) -> Walk:
     arr, _, (lo, _) = table._block(n)
     cells = np.flatnonzero(arr)
     flat = cells[_pick(rng, arr.ravel()[cells].tolist())]
-    current = tuple(int(c) + l for c, l in zip(np.unravel_index(flat, arr.shape), lo))
+    current = tuple(m * int(c) + l for c, l, m
+                    in zip(np.unravel_index(flat, arr.shape), lo, table._lattice))
     steps_taken: list[Vector] = []
     segment: dict[int, Block] = {}
     for m in range(n, 0, -1):
@@ -335,7 +365,7 @@ def sample_walk(table: WalkTable, n: int, seed: int) -> Walk:
         candidates, masses = [], []
         for s, w in zip(table.model.steps, table._weights):
             prev = tuple(c - d for c, d in zip(current, s))
-            mass = _cell(block, prev)
+            mass = table._cell(block, prev)
             if mass > 0:
                 candidates.append((prev, s))
                 masses.append(w * mass)

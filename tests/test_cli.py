@@ -1,6 +1,7 @@
 """Command-line interface: subcommand behavior, determinism, exit codes."""
 
 import json
+import warnings
 
 import pytest
 
@@ -82,8 +83,10 @@ class TestCount:
         assert "guard" in err
 
     def test_scaled_overflow_is_an_error(self, capsys):
-        code, _, err = run_cli(capsys, "count", "--model", "gb", "--a", str(10 ** 200),
-                               "--mode", "scaled", "--n", "6")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, "count", "--model", "gb", "--a", str(10 ** 200),
+                                   "--mode", "scaled", "--n", "6")
         assert code == 2
         assert err.startswith("error:") and "float64 range" in err
 

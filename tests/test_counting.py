@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from collections import Counter
 from fractions import Fraction as F
 
@@ -42,7 +43,22 @@ def offset_cases():
     ]
 
 
-ORACLE_CASES = [(name, model, (0, 0), 6) for name, model in all_models()] + offset_cases()
+# step sets whose steps lie on a lattice coarser than Z^d along some axis,
+# with the per-axis spacing (gcd of the step differences) each one has
+STRIDED_CASES = [
+    ("stride (2,2) from (1,3)", make_stepset(((2, 0), (-2, 2), (0, -2), (2, -2)), [1, 2, F(1, 3), 1]),
+     (1, 3), 6, (2, 2)),
+    ("stride (2,2) odd steps from (1,1)", make_stepset(((3, 1), (-1, 3), (1, -1), (3, -1)), [1] * 4),
+     (1, 1), 6, (2, 2)),
+    ("stride (3,1) from (2,1)", make_stepset(((3, 0), (0, 1), (-3, -1)), [1, F(1, 2), 3]),
+     (2, 1), 8, (3, 1)),
+    ("3d stride (1,1,3) from (0,1,2)",
+     make_stepset(((1, 0, 1), (0, 1, -2), (-1, -1, 1), (0, 0, -2)), [2, 1, 1, F(1, 2)]),
+     (0, 1, 2), 5, (1, 1, 3)),
+]
+
+ORACLE_CASES = ([(name, model, (0, 0), 6) for name, model in all_models()] + offset_cases()
+                + [case[:4] for case in STRIDED_CASES])
 
 
 class TestOracle:
@@ -172,25 +188,75 @@ class TestScaledMode:
                         guard=1000)
 
     def test_exact_guard_counts_window_cells(self):
-        # GB layer n has the window [0, n]^2, so n <= 10 holds 506 cells,
-        # of which 91 are nonzero
+        # GB layer n has the window [0, n]^2 on the rows i = n (mod 2), which
+        # is (n // 2 + 1) * (n + 1) cells, so n <= 10 holds 271 cells, of
+        # which 91 are nonzero
         model = builtin_model("gb", 1, 1)
-        assert count_walks(model, (0, 0), 10, guard=506).total(10) == 19404
+        assert count_walks(model, (0, 0), 10, guard=271).total(10) == 19404
         with pytest.raises(ResourceGuardError):
-            count_walks(model, (0, 0), 10, guard=505)
+            count_walks(model, (0, 0), 10, guard=270)
 
     def test_scaled_guard_counts_checkpoints_and_two_layers(self):
-        # GB to n=16 keeps layers 0, 4, 8, 12, 16 (565 cells) and works in
-        # two layers of the largest window (2 * 289 cells)
+        # GB to n=16 keeps layers 0, 4, 8, 12, 16 (305 cells) and works in
+        # two layers of the largest window (2 * 153 cells)
         model = builtin_model("gb", 1, 1)
-        table = count_walks(model, (0, 0), 16, "scaled", keep_layers=True, guard=1143)
+        table = count_walks(model, (0, 0), 16, "scaled", keep_layers=True, guard=611)
         assert float(table.total(16)) == 34763300
         with pytest.raises(ResourceGuardError):
-            count_walks(model, (0, 0), 16, "scaled", keep_layers=True, guard=1142)
+            count_walks(model, (0, 0), 16, "scaled", keep_layers=True, guard=610)
 
     def test_non_finite_layer_raises(self):
-        with pytest.raises(OverflowError):
-            count_walks(builtin_model("gb", 10 ** 200, 1), (0, 0), 6, "scaled")
+        # the OverflowError is the only report: numpy prints no warning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                count_walks(builtin_model("gb", 10 ** 200, 1), (0, 0), 6, "scaled")
+
+
+class TestStepLattice:
+    """Layer windows hold only the lattice points of the layer's coset."""
+
+    @pytest.mark.parametrize("name,model,start,n_max,lattice", STRIDED_CASES,
+                             ids=[case[0] for case in STRIDED_CASES])
+    def test_endpoints_on_and_off_the_lattice(self, name, model, start, n_max, lattice):
+        exact = count_walks(model, start, n_max)
+        kept = count_walks(model, start, n_max, "scaled", keep_layers=True)
+        assert exact._lattice == lattice
+        pos = [max(s[k] for s in model.steps) for k in range(len(start))]
+        neg = [max(-s[k] for s in model.steps) for k in range(len(start))]
+        for n in range(n_max + 1):
+            want = brute_force_count(model, start, n)
+            # every point of the box n steps can reach, and one more on each side
+            box = [range(c - n * b - 1, c + n * a + 2) for c, a, b in zip(start, pos, neg)]
+            for p in itertools.product(*box):
+                count = want.get(p, 0)
+                assert exact.endpoint(p, n) == count, (p, n)
+                got = kept.endpoint(p, n)
+                if count == 0:
+                    assert got.is_zero(), (p, n)
+                else:
+                    assert float(got) == pytest.approx(float(count), rel=1e-12), (p, n)
+
+    def test_layers_without_walks(self):
+        # every step lowers the first coordinate by an odd amount, so from the
+        # origin no layer after the first has a window cell in the orthant
+        model = make_stepset([(-1, 1), (-3, -1)], [1, 1])
+        for mode in ("exact", "scaled"):
+            table = count_walks(model, (0, 0), 5, mode, keep_layers=True)
+            assert [float(table.total(n)) for n in range(6)] == [1, 0, 0, 0, 0, 0]
+            assert all(float(table.endpoint(p, n)) == 0
+                       for n in range(1, 6) for p in [(0, 0), (1, 1), (0, 2)])
+            with pytest.raises(ValueError):
+                sample_walk(table, 3, seed=0)
+
+    @pytest.mark.parametrize("name,model,start,n_max,lattice", STRIDED_CASES,
+                             ids=[case[0] for case in STRIDED_CASES])
+    def test_walks_end_on_the_lattice(self, name, model, start, n_max, lattice):
+        exact = count_walks(model, start, n_max)
+        support = brute_force_count(model, start, n_max)
+        for seed in range(10):
+            walk = sample_walk(exact, n_max, seed)
+            assert walk.stays_in_orthant() and walk.end in support
 
 
 CONE_CASES = [
@@ -198,6 +264,11 @@ CONE_CASES = [
     ("gb(2/3,5/7) from (3,2)", builtin_model("gb", F(2, 3), F(5, 7)), (3, 2), 120),
     ("tandem(5/7,2) from (1,4)", builtin_model("tandem", F(5, 7), 2), (1, 4), 120),
     ("3d five steps from (1,0,2)", make_stepset(THREE_D[:5], [1, 2, F(1, 3), 1, 5]), (1, 0, 2), 40),
+    ("stride (2,2) odd steps from (1,1)",
+     make_stepset(((3, 1), (-1, 3), (1, -1), (3, -1)), [F(1, 3), 1, 3, F(1, 2)]), (1, 1), 60),
+    ("stride (3,1) from (1,1)", make_stepset(((3, 0), (0, 1), (-3, -1)), [1, F(1, 2), 3]), (1, 1), 40),
+    ("3d stride (1,1,3) from (1,2,1)",
+     make_stepset(((1, 0, 1), (0, 1, -2), (-1, -1, 1), (0, 0, -2)), [2, 1, 1, F(1, 2)]), (1, 2, 1), 60),
 ]
 
 

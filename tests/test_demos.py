@@ -1,7 +1,4 @@
-"""The demo scripts run to completion against the current API.
-
-demos/01 is left out: its scaled n=2000 run takes about a minute.
-"""
+"""The demo scripts run to completion against the current API."""
 
 import os
 import subprocess
@@ -11,7 +8,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = ["02_central_weightings.py", "03_gb_asymptotics.py",
+DEMOS = ["01_counting_walks.py", "02_central_weightings.py", "03_gb_asymptotics.py",
          "04_universality_diagram.py", "05_conjecture_checker.py"]
 
 
