@@ -40,9 +40,10 @@ for n in (100, 200, 400):
 assert exc.endpoint((0, 0), 151).is_zero()
 
 # ----------------------------------------------------------------------
-# V is discretely rho-harmonic; with rational inputs the check is exact
+# V is discretely rho-harmonic; the check is exact for every weighting,
+# since rho and V lie in Q(sqrt(b))
 
-for a, b in [(1, 1), (2, 3), (F(1, 2), F(1, 2)), (1, 4)]:
+for a, b in [(1, 1), (2, 3), (F(1, 2), F(1, 2)), (1, 4), (1, 2)]:
     assert check_harmonicity(GBParams(a, b), 15)
 print("\nrho-harmonicity of V verified exactly on a 15x15 grid")
 
@@ -53,4 +54,5 @@ print("\ncritical points for (a,b)=(2,3); the contributing one carries rho:")
 contributing = gb_contributing(2, 3)
 for point in gb_critical_points(2, 3):
     marker = "  <-- contributes" if point.label in contributing else ""
-    print(f"  {point.label:5s} at {point.xy}  growth {point.growth}{marker}")
+    x, y = point.xy
+    print(f"  {point.label:5s} at ({x}, {y})  growth {point.growth}{marker}")

@@ -26,7 +26,7 @@ from .central import (NotCentralError, SingularModelError, are_equivalent,
 from .classify import AmbiguousClassError, ClassifyError, classify, drift_diagram
 from .conjecture import conjecture2_nullspace
 from .counting import DEFAULT_GUARD, ResourceGuardError, count_walks, sample_walk
-from .gb import (GBParams, check_harmonicity, gb_classify, gb_contributing,
+from .gb import (GBParams, Surd, check_harmonicity, gb_classify, gb_contributing,
                  gb_critical_points, gb_estimate, gb_kappa_V)
 from .stepset import (StepSet, StepSetError, as_fraction, builtin_model, drift,
                       stepset_from_json)
@@ -44,8 +44,8 @@ class _CliError(Exception):
 def _jsonify(value):
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, float):
-        return float(f"{value:.15g}")
+    if isinstance(value, (float, Surd)):
+        return float(f"{float(value):.15g}")
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -69,8 +69,8 @@ def _emit(payload, fmt: str, csv_rows=None, csv_header=None) -> None:
 def _csv_cell(x):
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, float):
-        return f"{x:.15g}"
+    if isinstance(x, (float, Surd)):
+        return f"{float(x):.15g}"
     return x
 
 

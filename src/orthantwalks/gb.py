@@ -7,30 +7,146 @@ critical exponent, and the per-class constant kappa and harmonic function V,
 and evaluates the resulting estimate kappa * V * rho**n * n**-alpha.
 
 Values of V may depend on the parity of n + i; they are handled as an
-(even, odd) pair throughout.  Formulas are evaluated in exact rational
-arithmetic whenever the inputs (including sqrt(b) where it appears) are
-rational, so the harmonicity identity can be checked with zero residual.
+(even, odd) pair throughout.  The weights are converted once to Fractions (a
+float by its exact binary value); rho, V and the critical points are then
+exact in Q(sqrt(b)), as a Fraction or a Surd p + q*sqrt(b), so harmonicity is
+decided with zero residual for every weighting.  Only kappa (pi, sqrt 2,
+sqrt a) and the final log2 of the estimates are floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import total_ordering
 from fractions import Fraction
 from typing import Optional, Union
 
 from .stepset import StepSet, builtin_model
 from .xfloat import XFloat
 
-Number = Union[int, Fraction, float]
+Real = Union[int, Fraction, float]
+Exact = Union[Fraction, "Surd"]
 
-GB_FAMILIES = ("balanced", "free", "reluctant", "directed", "axial", "transitional")
+
+def _weights(a: Real, b: Real) -> tuple[Fraction, Fraction]:
+    """a and b as exact Fractions; both must be finite and positive."""
+    try:
+        a, b = Fraction(a), Fraction(b)
+    except (ValueError, OverflowError):
+        raise ValueError("weights a, b must be finite") from None
+    if a <= 0 or b <= 0:
+        raise ValueError("weights a, b must be positive")
+    return a, b
 
 
-def _exact(value: Number) -> Optional[Fraction]:
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    return None
+def _log2(x: Fraction) -> float:
+    # exact split keeps precision for huge numerators/denominators
+    return math.log2(x.numerator) - math.log2(x.denominator)
+
+
+@total_ordering
+class Surd:
+    """p + q*sqrt(b) in Q(sqrt(b)), for Fractions p, q != 0 and a non-square b > 0.
+
+    Operands are Surds over the same b, ints or Fractions; a result with q = 0
+    comes back as a Fraction, so a Surd is never rational.  Order is exact.
+    """
+
+    __slots__ = ("p", "q", "b")
+
+    def __init__(self, p: Fraction, q: Fraction, b: Fraction):
+        self.p, self.q, self.b = p, q, b
+
+    def _parts(self, other) -> tuple:
+        if isinstance(other, Surd) and other.b == self.b:
+            return other.p, other.q
+        if isinstance(other, (int, Fraction)):
+            return other, 0
+        raise TypeError(f"unsupported operand for {self!r}: {other!r}")
+
+    def _new(self, p: Fraction, q: Fraction) -> Union[Fraction, Surd]:
+        return p if q == 0 else Surd(p, q, self.b)
+
+    def __add__(self, other):
+        p, q = self._parts(other)
+        return self._new(self.p + p, self.q + q)
+
+    __radd__ = __add__
+    def __neg__(self) -> Surd:
+        return Surd(-self.p, -self.q, self.b)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        p, q = self._parts(other)
+        return self._new(self.p * p + self.q * q * self.b, self.p * q + self.q * p)
+
+    __rmul__ = __mul__
+    def _inverse(self) -> Surd:
+        # 1/(p + q sqrt b) = (p - q sqrt b)/(p**2 - q**2 b); the norm is nonzero
+        norm = self.p * self.p - self.q * self.q * self.b
+        return Surd(self.p / norm, -self.q / norm, self.b)
+
+    def __truediv__(self, other):
+        return self * (other._inverse() if isinstance(other, Surd) else Fraction(1) / other)
+
+    def __rtruediv__(self, other):
+        return self._inverse() * other
+
+    def __pow__(self, n: int):
+        base = self if n >= 0 else self._inverse()
+        return math.prod([base] * abs(n), start=Fraction(1))
+
+    def _sign(self, other=0) -> int:
+        # the sign of self - other: that of the larger of p and q sqrt(b) in size
+        p, q = self._parts(other)
+        p, q = self.p - p, self.q - q
+        sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+        if sp * sq >= 0:
+            return sp or sq
+        return sp if p * p > q * q * self.b else sq
+
+    def __eq__(self, other):
+        return (isinstance(other, Surd)
+                and (self.p, self.q, self.b) == (other.p, other.q, other.b))
+
+    def __hash__(self):
+        return hash((self.p, self.q, self.b))
+
+    def __lt__(self, other):
+        return self._sign(other) < 0
+
+    def __abs__(self) -> Surd:
+        return -self if self._sign() < 0 else self
+
+    def __float__(self) -> float:
+        p, q, root = self.p, self.q, math.sqrt(self.b)
+        if p * q >= 0:
+            return float(p) + float(q) * root
+        # opposite signs: (p**2 - q**2 b)/(p - q sqrt b) adds terms of one sign
+        return float(p * p - q * q * self.b) / (float(p) - float(q) * root)
+
+    @staticmethod
+    def log2(x: Union[Fraction, Surd]) -> float:
+        """log2 of a positive Fraction or Surd, free of cancellation and overflow."""
+        if not isinstance(x, Surd):
+            return _log2(x)
+        # log2(|p| + |q| sqrt b) from the log2 of each term
+        total = _log2(abs(x.q)) + _log2(x.b) / 2
+        if x.p:
+            lp = _log2(abs(x.p))
+            total = max(lp, total) + math.log1p(2.0 ** -abs(lp - total)) / math.log(2)
+        if x.p * x.q >= 0:
+            return total
+        return _log2(abs(x.p * x.p - x.q * x.q * x.b)) - total
+
+    def __repr__(self) -> str:
+        return f"Surd({self.p} {'-' if self.q < 0 else '+'} {abs(self.q)}*sqrt({self.b}))"
 
 
 def sqrt_exact(value: Fraction) -> Optional[Fraction]:
@@ -42,34 +158,41 @@ def sqrt_exact(value: Fraction) -> Optional[Fraction]:
     return None
 
 
+def _root(b: Fraction) -> Exact:
+    # sqrt(b): a Fraction when b is a square, else the generator of Q(sqrt(b))
+    root = sqrt_exact(b)
+    return root if root is not None else Surd(Fraction(0), Fraction(1), b)
+
+
 @dataclass(frozen=True)
 class GBParams:
-    """Weight parameters and starting point of a GB walk."""
+    """Weight parameters and starting point of a GB walk; a, b are kept as Fractions."""
 
-    a: Number
-    b: Number
+    a: Real
+    b: Real
     i: int = 0
     j: int = 0
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("weights a, b must be positive")
+        a, b = _weights(self.a, self.b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
         if self.i < 0 or self.j < 0:
             raise ValueError("start point must lie in the quarter plane")
 
     def model(self) -> StepSet:
-        return builtin_model("gb", Fraction(self.a), Fraction(self.b))
+        return builtin_model("gb", self.a, self.b)
 
 
 @dataclass(frozen=True)
 class GBClassification:
     label: str        # one of the nine sub-case labels
     family: str       # one of the six universality classes
-    rho: Number
+    rho: Exact
     alpha: Fraction
 
 
-def gb_classify(a: Number, b: Number) -> GBClassification:
+def gb_classify(a: Real, b: Real) -> GBClassification:
     """Resolve the universality class of the weighting (a, b).
 
     Conditions are checked in the order balanced, axial-1, axial-2, free,
@@ -77,18 +200,17 @@ def gb_classify(a: Number, b: Number) -> GBClassification:
     partition the positive quadrant, with sqrt(b) comparisons rewritten as
     exact comparisons against b.
     """
-    if a <= 0 or b <= 0:
-        raise ValueError("weights a, b must be positive")
+    a, b = _weights(a, b)
     if a == 1 and b == 1:
         return GBClassification("balanced", "balanced", Fraction(4), Fraction(2))
     if a == b and a > 1:
         return GBClassification("axial1", "axial", _e12(a), Fraction(1, 2))
     if b == a * a and a > 1:
-        return GBClassification("axial2", "axial", _e13(a, b), Fraction(1, 2))
+        return GBClassification("axial2", "axial", _e13(b), Fraction(1, 2))
     if b < a * a and a < b:
         return GBClassification("free", "free", _e123(a, b), Fraction(0))
     if b > 1 and b > a * a:
-        return GBClassification("directed1", "directed", _e13(a, b), Fraction(3, 2))
+        return GBClassification("directed1", "directed", _e13(b), Fraction(3, 2))
     if a > 1 and a > b:
         return GBClassification("directed2", "directed", _e12(a), Fraction(3, 2))
     if a == 1 and b < 1:
@@ -100,144 +222,80 @@ def gb_classify(a: Number, b: Number) -> GBClassification:
     raise AssertionError(f"class conditions failed to match (a, b) = ({a}, {b})")
 
 
-def _e12(a: Number) -> Number:
-    return (1 + a) ** 2 / _as_div(a)
+def _e12(a: Fraction) -> Fraction:
+    return (1 + a) ** 2 / a
 
 
-def _e13(a: Number, b: Number) -> Number:
-    # 2(b+1)/sqrt(b); exact when b is a perfect square (in particular b = a**2)
-    eb = _exact(b)
-    if eb is not None:
-        if _exact(a) is not None and eb == Fraction(a) ** 2:
-            return 2 * (eb + 1) / Fraction(a)
-        root = sqrt_exact(eb)
-        if root is not None:
-            return 2 * (eb + 1) / root
-    return 2.0 * (float(b) + 1.0) / math.sqrt(float(b))
+def _e13(b: Fraction) -> Exact:
+    return 2 * (b + 1) / _root(b)
 
 
-def _e123(a: Number, b: Number) -> Number:
-    return (1 + b) * (a * a + b) / _as_div(a * b)
+def _e123(a: Fraction, b: Fraction) -> Fraction:
+    return (1 + b) * (a * a + b) / (a * b)
 
 
-def _as_div(x: Number) -> Number:
-    return Fraction(x) if isinstance(x, int) else x
+def gb_kappa_V(params: GBParams) -> tuple[float, Exact, Exact]:
+    """(kappa, V_even, V_odd) at the start: V_even applies when n + i is even.
 
-
-def _numbers(params: GBParams) -> tuple[Number, Number, Optional[Number]]:
-    """(a, b, sqrt_b) with everything exact when possible, floats otherwise."""
-    a, b = params.a, params.b
-    ea, eb = _exact(a), _exact(b)
-    if ea is not None and eb is not None:
-        rb = sqrt_exact(eb)
-        if rb is not None:
-            return ea, eb, rb
-        return ea, eb, None
-    return float(a), float(b), math.sqrt(float(b))
-
-
-def gb_kappa_V(params: GBParams) -> tuple[float, Number, Number]:
-    """(kappa, V_even, V_odd) at the starting point of params.
-
-    V_even is the harmonic value when n + i is even, V_odd when odd; classes
-    without a parity term return them equal.  kappa is always a float (it
-    involves pi); V is exact whenever a, b and any needed sqrt(b) are rational.
+    Classes without a parity term return equal values.  kappa is a float (it
+    involves pi); V is exact, a Fraction or a Surd.
     """
-    label = gb_classify(params.a, params.b).label
-    a, b, rb = _numbers(params)
-    i, j = params.i, params.j
-    if label in ("directed1",) and rb is None:
-        a, b, rb = float(params.a), float(params.b), math.sqrt(float(params.b))
-    if label == "axial2" and rb is None:
-        # b = a**2 exactly, so the root is a itself
-        rb = a
-    return _KAPPA_V[label](a, b, rb, i, j)
+    a, b = params.a, params.b
+    label = gb_classify(a, b).label
+    return (_KAPPA[label](a, b), *_V[label](a, b, _root(b), params.i, params.j))
 
 
-def _poly(i: int, j: int) -> int:
-    # the degree-4 polynomial common to several classes
-    return (j + 1) * (i + 1) * (i + 3 + 2 * j) * (i + 2 + j)
+def _v_free(a, b, rb, i, j):
+    first = (a ** (2 * (1 + j)) - 1) * (a ** (2 * (2 + i + j)) - b ** (2 * (2 + i + j)))
+    second = (a ** (2 * (2 + i + j)) - 1) * (a ** (2 * (1 + j)) - b ** (2 * (1 + j)))
+    v = (first / b ** (i + 1) - second) / (a ** (4 + 2 * i + 2 * j) * b ** (2 + 2 * j))
+    return v, v
 
 
-def _kv_balanced(a, b, rb, i, j):
-    v = Fraction((i + 1) * (j + 1) * (i + j + 2) * (i + 2 * j + 3), 6)
-    return 8.0 / math.pi, v, v
+def _parity_pair(base, plus, minus):
+    # V^[n] = base * (plus + (-1)**(n+i) * minus), as the (even, odd) pair
+    return base * (plus + minus), base * (plus - minus)
 
 
-def _kv_free(a, b, rb, i, j):
-    one = Fraction(1) if isinstance(a, Fraction) else 1.0
-    a4 = a ** (4 + 2 * i + 2 * j)
-    b2 = b ** (2 + 2 * j)
-    first = (a ** (2 * (1 + j)) - one) * (a ** (2 * (2 + i + j)) - b ** (2 * (2 + i + j)))
-    second = (a ** (2 * (2 + i + j)) - one) * (a ** (2 * (1 + j)) - b ** (2 * (1 + j)))
-    v = (first / b ** (i + 1) - second) / (a4 * b2)
-    return 1.0, v, v
+# (V_even, V_odd) at (i, j), exact in Q(sqrt(b)); rb is sqrt(b) from _root
+_V = {
+    "balanced": lambda a, b, rb, i, j: (universal_harmonic(i, j),) * 2,
+    "free": _v_free,
+    "reluctant": lambda a, b, rb, i, j: _parity_pair(
+        6 * universal_harmonic(i, j) / (a ** i * b ** j),
+        (a * a * b * b + a * a * b - 4 * a * b + b + 1) / (a - 1) ** 4,
+        (a * a * b * b + a * a * b + 4 * a * b + b + 1) / (a + 1) ** 4),
+    "directed1": lambda a, b, rb, i, j: _parity_pair(
+        (b ** (3 + i + 2 * j) * (1 + i)
+         + (b ** (1 + j) - b ** (2 + i + j)) * (3 + i + 2 * j) - i - 1)
+        / (a ** i * rb ** i * b ** (2 * j)),
+        1 / (rb - a) ** 2, 1 / (rb + a) ** 2),
+    "directed2": lambda a, b, rb, i, j: (
+        (2 + i + j) * (a ** (-2 - j) - a ** j) * b ** (-j) * a ** (-1 - i)
+        + (1 + j) * (1 - a ** (-4 - 2 * i - 2 * j)) * b ** (-j) * a ** j,) * 2,
+    "axial1": lambda a, b, rb, i, j: (
+        (j + 1) * (1 - b ** (-2 * (2 + i + j)))
+        + b ** (-i - 1) * (i + 2 + j) * (b ** (-2 * (1 + j)) - 1),) * 2,
+    "axial2": lambda a, b, rb, i, j: (
+        (a ** 6 - a ** (-2 * i - 4 * j)) * (1 + i)
+        + (a ** (2 - 2 * i - 2 * j) - a ** (4 - 2 * j)) * (3 + i + 2 * j),) * 2,
+    "transitional1": lambda a, b, rb, i, j: (6 * universal_harmonic(i, j) / b ** j,) * 2,
+    "transitional2": lambda a, b, rb, i, j: _parity_pair(
+        6 * universal_harmonic(i, j) / a ** i, 1 / (1 - a) ** 2, 1 / (1 + a) ** 2),
+}
 
-
-def _kv_reluctant(a, b, rb, i, j):
-    base = _poly(i, j) / (a ** i * b ** j)
-    even_part = (a * a * b * b + a * a * b - 4 * a * b + b + 1) / (a - 1) ** 4
-    odd_part = (a * a * b * b + a * a * b + 4 * a * b + b + 1) / (a + 1) ** 4
-    kappa = 64.0 / (math.pi * float(b - 1) ** 4)
-    return kappa, base * (even_part + odd_part), base * (even_part - odd_part)
-
-
-def _kv_directed1(a, b, rb, i, j):
-    numer = (b ** (3 + i + 2 * j) * (1 + i)
-             + (b ** (1 + j) - b ** (2 + i + j)) * (3 + i + 2 * j) - i - 1)
-    base = numer / (a ** i * rb ** i * b ** (2 * j))
-    plus = 1 / ((rb - a) ** 2 if isinstance(a, Fraction) else float(rb - a) ** 2)
-    minus = 1 / ((rb + a) ** 2 if isinstance(a, Fraction) else float(rb + a) ** 2)
-    kappa = math.sqrt(2.0) / (math.sqrt(math.pi) * float(b) ** 2)
-    return kappa, base * (plus + minus), base * (plus - minus)
-
-
-def _kv_directed2(a, b, rb, i, j):
-    v = ((2 + i + j) * (a ** (-2 - j) - a ** j) * b ** (-j) * a ** (-1 - i)
-         + (1 + j) * (1 - a ** (-4 - 2 * i - 2 * j)) * b ** (-j) * a ** j)
-    kappa = (float(a) + 1.0) ** 3 * math.sqrt(float(a)) / (
-        2.0 * math.sqrt(math.pi) * float(a - b) ** 2)
-    return kappa, v, v
-
-
-def _kv_axial1(a, b, rb, i, j):
-    v = ((j + 1) * (1 - b ** (-2 * (2 + i + j)))
-         + b ** (-i - 1) * (i + 2 + j) * (b ** (-2 * (1 + j)) - 1))
-    kappa = (float(b) + 1.0) / math.sqrt(float(b) * math.pi)
-    return kappa, v, v
-
-
-def _kv_axial2(a, b, rb, i, j):
-    v = ((a ** 6 - a ** (-2 * i - 4 * j)) * (1 + i)
-         + (a ** (2 - 2 * i - 2 * j) - a ** (4 - 2 * j)) * (3 + i + 2 * j))
-    kappa = math.sqrt(2.0) / (float(a) ** 6 * math.sqrt(math.pi))
-    return kappa, v, v
-
-
-def _kv_transitional1(a, b, rb, i, j):
-    v = _poly(i, j) * b ** (-j)
-    kappa = 16.0 / (3.0 * math.pi * float(1 - b) ** 2)
-    return kappa, v, v
-
-
-def _kv_transitional2(a, b, rb, i, j):
-    base = _poly(i, j) * a ** (-i)
-    plus = 1 / (1 - a) ** 2
-    minus = 1 / (1 + a) ** 2
-    kappa = 8.0 / (3.0 * math.pi)
-    return kappa, base * (plus + minus), base * (plus - minus)
-
-
-_KAPPA_V = {
-    "balanced": _kv_balanced,
-    "free": _kv_free,
-    "reluctant": _kv_reluctant,
-    "directed1": _kv_directed1,
-    "directed2": _kv_directed2,
-    "axial1": _kv_axial1,
-    "axial2": _kv_axial2,
-    "transitional1": _kv_transitional1,
-    "transitional2": _kv_transitional2,
+# kappa, the one float factor of each class's leading term
+_KAPPA = {
+    "balanced": lambda a, b: 8.0 / math.pi,
+    "free": lambda a, b: 1.0,
+    "reluctant": lambda a, b: 64.0 / (math.pi * float(b - 1) ** 4),
+    "directed1": lambda a, b: math.sqrt(2.0) / (math.sqrt(math.pi) * float(b) ** 2),
+    "directed2": lambda a, b: (float(a) + 1.0) ** 3 * math.sqrt(float(a)) / (
+        2.0 * math.sqrt(math.pi) * float(a - b) ** 2),
+    "axial1": lambda a, b: (float(b) + 1.0) / math.sqrt(float(b) * math.pi),
+    "axial2": lambda a, b: math.sqrt(2.0) / (float(a) ** 6 * math.sqrt(math.pi)),
+    "transitional1": lambda a, b: 16.0 / (3.0 * math.pi * float(1 - b) ** 2),
+    "transitional2": lambda a, b: 8.0 / (3.0 * math.pi),
 }
 
 
@@ -247,10 +305,9 @@ def universal_harmonic(i: int, j: int) -> Fraction:
 
 
 def gb_estimate(params: GBParams, n: int) -> XFloat:
-    """The leading-term estimate kappa * V^[n](i,j) * rho**n / n**alpha.
+    """The leading-term estimate kappa * V^[n](i,j) * rho**n / n**alpha as an XFloat.
 
-    Evaluated in log2 space so that rho**n survives any n; returns an
-    extended-range float.
+    Evaluated in log2 space so that rho**n survives any n.
     """
     if n < 1:
         raise ValueError("estimates require n >= 1")
@@ -261,36 +318,29 @@ def gb_estimate(params: GBParams, n: int) -> XFloat:
         return XFloat(0.0)
     if v < 0:
         raise ValueError("harmonic value must be nonnegative")
-    log2 = (math.log2(kappa) + _log2(v)
-            + n * _log2(cls.rho) - float(cls.alpha) * math.log2(n))
+    log2 = (math.log2(kappa) + Surd.log2(v)
+            + n * Surd.log2(cls.rho) - float(cls.alpha) * math.log2(n))
     return XFloat.exp2(log2)
 
 
-def _log2(x: Number) -> float:
-    if isinstance(x, Fraction):
-        # exact split keeps precision for huge numerators/denominators
-        return math.log2(x.numerator) - math.log2(x.denominator)
-    return math.log2(x)
+def _excursion_factor(params: GBParams) -> Fraction:
+    # the excursion constant times pi: 128 (j+1)(1+i)(3+i+2j)(2+i+j) / (a**i b**j)
+    i, j = params.i, params.j
+    return (128 * (j + 1) * (1 + i) * (3 + i + 2 * j) * (2 + i + j)
+            / (params.a ** i * params.b ** j))
 
 
 def gb_excursion_estimate(params: GBParams, n: int) -> XFloat:
     """Leading term of the excursion count from (i, j) back to the origin.
 
-    Zero when n + i is odd; otherwise
-    4**n / n**5 * 128 (j+1)(1+i)(3+i+2j)(2+i+j) / (a**i b**j pi).
+    Zero when n + i is odd; otherwise 4**n / n**5 * _excursion_factor / pi.
     """
     if n < 1:
         raise ValueError("estimates require n >= 1")
     if (n + params.i) % 2 == 1:
         return XFloat(0.0)
-    return XFloat.exp2(math.log2(excursion_constant(params)) + 2.0 * n - 5.0 * math.log2(n))
-
-
-def excursion_constant(params: GBParams) -> float:
-    """The constant multiplying 4**n/n**5 in the even-parity excursion term."""
-    i, j = params.i, params.j
-    return 128.0 * (j + 1) * (1 + i) * (3 + i + 2 * j) * (2 + i + j) / (
-        float(params.a) ** i * float(params.b) ** j * math.pi)
+    return XFloat.exp2(_log2(_excursion_factor(params)) - math.log2(math.pi)
+                       + 2.0 * n - 5.0 * math.log2(n))
 
 
 def check_harmonicity(params: GBParams, grid_size: int) -> bool:
@@ -298,110 +348,56 @@ def check_harmonicity(params: GBParams, grid_size: int) -> bool:
 
     V is extended by zero outside the quarter plane.  In parity-dependent
     classes the check couples the two parity values (the recurrence swaps
-    them, since every GB step flips the parity of i).  Exact rational inputs
-    give an exact check; floats are compared at relative tolerance 1e-10.
+    them, since every GB step flips the parity of i).  Both sides are exact
+    in Q(sqrt(b)), so the identity is decided with no tolerance.
     """
-    cls = gb_classify(params.a, params.b)
-    a, b, rb = _numbers(GBParams(params.a, params.b))
-    exact = isinstance(a, Fraction) and (
-        cls.label not in ("directed1", "axial2") or isinstance(rb, Fraction))
-    if not exact:
-        a, b = float(params.a), float(params.b)
-        rb = math.sqrt(b)
-    rho = cls.rho
-    if not exact:
-        rho = float(rho)
+    a, b = params.a, params.b
+    cls = gb_classify(a, b)
+    v_of, rb = _V[cls.label], _root(b)
+    # (V when n+i is even, V when odd) on the grid and one step beyond it
+    values = {(i, j): v_of(a, b, rb, i, j)
+              for i in range(grid_size + 2) for j in range(grid_size + 2)}
     weights = ((1, 0, a), (-1, 0, 1 / a), (-1, 1, b / a), (1, -1, a / b))
-    cache: dict[tuple[int, int], tuple[Number, Number]] = {}
 
-    def v_pair(i: int, j: int) -> tuple[Number, Number]:
-        # (value when n+i even, value when n+i odd); zero outside the quadrant
-        if i < 0 or j < 0:
-            return 0, 0
-        if (i, j) not in cache:
-            _, ve, vo = _KAPPA_V[cls.label](a, b, rb, i, j)
-            cache[(i, j)] = (ve, vo)
-        return cache[(i, j)]
+    def w_layer(parity: int, i: int, j: int) -> Exact:
+        # V^[n](i, j) for n of the given parity; zero outside the quarter plane
+        return values.get((i, j), (0, 0))[(parity + i) % 2]
 
-    def w_layer(parity: int, i: int, j: int) -> Number:
-        # V^[n](i, j) for n of the given parity
-        ve, vo = v_pair(i, j)
-        return ve if (parity + i) % 2 == 0 else vo
-
-    for i in range(grid_size + 1):
-        for j in range(grid_size + 1):
-            for parity in (0, 1):
-                lhs = rho * w_layer(1 - parity, i, j)
-                rhs = sum(w * w_layer(parity, i + dx, j + dy)
-                          for dx, dy, w in weights)
-                if exact:
-                    if lhs != rhs:
-                        return False
-                elif abs(lhs - rhs) > 1e-10 * max(abs(lhs), abs(rhs), 1e-300):
-                    return False
-    return True
+    return all(cls.rho * w_layer(1 - parity, i, j)
+               == sum(w * w_layer(parity, i + dx, j + dy) for dx, dy, w in weights)
+               for i in range(grid_size + 1) for j in range(grid_size + 1)
+               for parity in (0, 1))
 
 
 @dataclass(frozen=True)
 class CriticalPoint:
     label: str
     stratum: str
-    xy: tuple[Number, Number]
-    t: Number
-    growth: Number
+    xy: tuple[Exact, Exact]
+    t: Exact
+    growth: Exact
 
 
-def _gb_inventory_signed(a: Number, b: Number, x: Number, y: Number) -> Number:
-    # the weighted Laurent polynomial, evaluated off the positive quadrant too
-    return a * x + 1 / (a * x) + b * y / (a * x) + a * x / (b * y)
-
-
-def gb_critical_points(a: Number, b: Number) -> list[CriticalPoint]:
+def gb_critical_points(a: Real, b: Real) -> list[CriticalPoint]:
     """The critical points of the singular variety by stratum, with growths.
 
-    Six points across the four strata that can carry them; each entry also
-    records t = 1/(x y S(1/x, 1/y)).  Exact rationals wherever possible,
-    floats where sqrt(b) is irrational.
+    Six points across the four strata that can carry them, each with
+    t = 1/(x y S(1/x, 1/y)); all values are exact in Q(sqrt(b)).
     """
-    if a <= 0 or b <= 0:
-        raise ValueError("weights a, b must be positive")
-    ea, eb = _exact(a), _exact(b)
-    if ea is not None and eb is not None:
-        a, b = ea, eb
-        rb = sqrt_exact(eb)
-        if rb is None:
-            rb = math.sqrt(float(eb))
-    else:
-        a, b = float(a), float(b)
-        rb = math.sqrt(b)
-    out = []
-
-    def entry(label, stratum, x, y, growth):
-        if isinstance(x, float) or isinstance(y, float) or isinstance(a, float):
-            xf, yf = float(x), float(y)
-            s_val = _gb_inventory_signed(float(a), float(b), 1.0 / xf, 1.0 / yf)
-            t = 1.0 / (xf * yf * s_val)
-        else:
-            s_val = _gb_inventory_signed(a, b, 1 / Fraction(x), 1 / Fraction(y))
-            t = 1 / (Fraction(x) * Fraction(y) * s_val)
-        out.append(CriticalPoint(label, stratum, (x, y), t, growth))
-
-    e1 = Fraction(4) if isinstance(a, Fraction) else 4.0
-    entry("c1+", "V1", a, b, e1)
-    entry("c1-", "V1", -a, b, e1)
-    entry("c12", "V12", 1 if isinstance(a, Fraction) else 1.0, b / a, _e12(a))
-    e13 = _e13(a, b)
-    entry("c13+", "V13", a / rb, 1 if isinstance(rb, Fraction) else 1.0, e13)
-    entry("c13-", "V13", -a / rb, 1 if isinstance(rb, Fraction) else 1.0, e13)
-    entry("c123", "V123", 1 if isinstance(a, Fraction) else 1.0,
-          1 if isinstance(a, Fraction) else 1.0, _e123(a, b))
-    return out
+    a, b = _weights(a, b)
+    one, four, x13, e13 = Fraction(1), Fraction(4), a / _root(b), _e13(b)
+    points = (("c1+", "V1", a, b, four), ("c1-", "V1", -a, b, four),
+              ("c12", "V12", one, b / a, _e12(a)),
+              ("c13+", "V13", x13, one, e13), ("c13-", "V13", -x13, one, e13),
+              ("c123", "V123", one, one, _e123(a, b)))
+    # S(1/x, 1/y) = sign(x) * growth at each of the six points
+    return [CriticalPoint(label, stratum, (x, y), 1 / (abs(x) * y * growth), growth)
+            for label, stratum, x, y, growth in points]
 
 
-def gb_contributing(a: Number, b: Number) -> frozenset[str]:
+def gb_contributing(a: Real, b: Real) -> frozenset[str]:
     """Labels of the contributing critical points for the weighting (a, b)."""
-    if a <= 0 or b <= 0:
-        raise ValueError("weights a, b must be positive")
+    a, b = _weights(a, b)
     labels = set()
     if a <= 1 and b <= 1:
         labels.update({"c1+", "c1-"})

@@ -18,11 +18,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .counting import count_walks
+from .counting import DEFAULT_GUARD, count_walks
 from .gb import GBParams, gb_estimate, gb_excursion_estimate
 from .xfloat import XFloat
 
 FIT_MIN_N = 50
+ORIGIN = (0, 0)
 NOISE_FLOOR = 1e-11
 
 
@@ -75,58 +76,45 @@ def _ratio(count: XFloat, estimate: XFloat) -> Optional[float]:
 
 
 def validate_totals(params: GBParams, n_max: int, tolerance: float,
-                    guard: int = 0) -> ValidationReport:
+                    guard: int = DEFAULT_GUARD) -> ValidationReport:
     """Compare total confined-walk counts against kappa * V * rho**n / n**alpha."""
-    if n_max < 50:
-        raise ValueError("validation needs n_max >= 50 to clear the transient regime")
-    kwargs = {"guard": guard} if guard else {}
-    table = count_walks(params.model(), (params.i, params.j), n_max,
-                        mode="scaled", **kwargs)
-    ns, ratios = [], []
-    for n in range(1, n_max + 1):
-        r = _ratio(table.total(n), gb_estimate(params, n))
-        if r is not None:
-            ns.append(n)
-            ratios.append(r)
-    final = ratios[-1]
-    slope = _fit_slope(ns, [abs(r - 1.0) for r in ratios])
-    passed = abs(final - 1.0) <= tolerance and (slope is None or slope <= -0.8)
-    return ValidationReport(params=params, what="totals", n_max=n_max,
-                            tolerance=tolerance, ns=tuple(ns), ratios=tuple(ratios),
-                            final_ratio=final, error_slope=slope, passed=passed)
+    return _validate(params, "totals", n_max, tolerance, guard)
 
 
 def validate_excursions(params: GBParams, n_max: int, tolerance: float,
-                        guard: int = 0) -> ValidationReport:
+                        guard: int = DEFAULT_GUARD) -> ValidationReport:
     """Compare excursion counts to the origin against their closed-form leading term.
 
     Odd-parity lengths must give exactly zero on both sides; they are checked
     and excluded from the ratio sequence.
     """
+    return _validate(params, "excursions", n_max, tolerance, guard)
+
+
+def _validate(params: GBParams, what: str, n_max: int, tolerance: float,
+              guard: int) -> ValidationReport:
     if n_max < 50:
         raise ValueError("validation needs n_max >= 50 to clear the transient regime")
-    origin = (0, 0)
-    kwargs = {"guard": guard} if guard else {}
-    table = count_walks(params.model(), (params.i, params.j), n_max,
-                        mode="scaled", track=[origin], **kwargs)
+    excursions = what == "excursions"
+    table = count_walks(params.model(), (params.i, params.j), n_max, mode="scaled",
+                        track=[ORIGIN] if excursions else (), guard=guard)
     ns, ratios = [], []
-    last_even = None
     for n in range(1, n_max + 1):
-        count = table.endpoint(origin, n)
-        estimate = gb_excursion_estimate(params, n)
-        if (n + params.i) % 2 == 1:
-            if not (count.is_zero() and estimate.is_zero()):
-                raise AssertionError(f"parity violation at n={n}")
-            continue
+        if not excursions:
+            count, estimate = table.total(n), gb_estimate(params, n)
+        else:
+            count, estimate = table.endpoint(ORIGIN, n), gb_excursion_estimate(params, n)
+            if (n + params.i) % 2 == 1:
+                if not (count.is_zero() and estimate.is_zero()):
+                    raise AssertionError(f"parity violation at n={n}")
+                continue
         r = _ratio(count, estimate)
         if r is not None:
             ns.append(n)
             ratios.append(r)
-            last_even = r
+    final = ratios[-1] if ratios else math.nan
     slope = _fit_slope(ns, [abs(r - 1.0) for r in ratios])
-    passed = (last_even is not None and abs(last_even - 1.0) <= tolerance
-              and (slope is None or slope <= -0.8))
-    return ValidationReport(params=params, what="excursions", n_max=n_max,
+    passed = abs(final - 1.0) <= tolerance and (slope is None or slope <= -0.8)
+    return ValidationReport(params=params, what=what, n_max=n_max,
                             tolerance=tolerance, ns=tuple(ns), ratios=tuple(ratios),
-                            final_ratio=last_even if last_even is not None else math.nan,
-                            error_slope=slope, passed=passed)
+                            final_ratio=final, error_slope=slope, passed=passed)

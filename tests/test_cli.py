@@ -49,6 +49,22 @@ class TestGBCommands:
         code, out, _ = run_cli(capsys, "gb", "contributing", "--a", "2", "--b", "3")
         assert json.loads(out) == {"contributing": ["c123"]}
 
+    def test_irrational_sqrt_b_values(self, capsys):
+        # directed-1 with b = 2: exact rationals print as "p/q", values in
+        # Q(sqrt 2) \ Q as floats with 15 significant digits
+        code, out, _ = run_cli(capsys, "gb", "critical", "--a", "1", "--b", "2")
+        points = {p["label"]: p for p in json.loads(out)["points"]}
+        assert points["c13+"]["t"] == "1/3" and points["c13+"]["y"] == "1"
+        assert points["c13+"]["x"] == 0.707106781186548
+        assert points["c13-"]["growth"] == 4.24264068711929
+        assert points["c12"]["x"] == "1"
+        code, out, _ = run_cli(capsys, "gb", "estimate", "--a", "1", "--b", "2",
+                               "--i", "1", "--j", "1", "--emit", "json")
+        assert json.loads(out)["V_odd"] == "54"
+        code, out, _ = run_cli(capsys, "gb", "critical", "--a", "1", "--b", "2",
+                               "--emit", "csv")
+        assert "c13+,V13,0.707106781186548,1,1/3,4.24264068711929" in out.splitlines()
+
 
 class TestCount:
     def test_gb_totals(self, capsys):

@@ -1,6 +1,8 @@
 """Closed-form GB asymptotics: classes, harmonic values, estimates, critical points."""
 
+import dataclasses
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -9,8 +11,71 @@ from orthantwalks import (GBParams, check_harmonicity,
                           gb_classify, gb_contributing, gb_critical_points,
                           gb_estimate, gb_excursion_estimate, gb_kappa_V,
                           universal_harmonic)
-from orthantwalks.gb import excursion_constant, sqrt_exact
+from orthantwalks import gb
+from orthantwalks.gb import Surd, sqrt_exact
 from tests.conftest import CLASS_REPS
+
+ROOT2 = Surd(F(0), F(1), F(2))
+
+
+def inventory_signed(a, b, x, y):
+    # the weighted Laurent polynomial S, evaluated off the positive quadrant too
+    return a * x + 1 / (a * x) + b * y / (a * x) + a * x / (b * y)
+
+
+ENTRY_POINTS = {
+    "GBParams": GBParams,
+    "gb_classify": gb_classify,
+    "gb_critical_points": gb_critical_points,
+    "gb_contributing": gb_contributing,
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_non_finite_weight_rejected(entry, value):
+    for a, b in [(value, 1), (1, value)]:
+        with pytest.raises(ValueError):
+            ENTRY_POINTS[entry](a, b)
+
+
+def test_float_weights_taken_at_exact_value():
+    params = GBParams(0.1, 2.5)
+    assert (params.a, params.b) == (F(0.1), F(5, 2)) and type(params.a) is F
+    assert gb_classify(0.5, 0.5) == gb_classify(F(1, 2), F(1, 2))
+
+
+class TestSurd:
+    def test_rational_results_collapse(self):
+        assert ROOT2 * ROOT2 == 2 and type(ROOT2 * ROOT2) is F
+        assert ROOT2 ** -2 == F(1, 2) and type(ROOT2 ** 0) is F
+        assert (1 + ROOT2) - ROOT2 == 1
+        x, y = F(3, 7) - 2 * ROOT2, 5 + ROOT2 / 3
+        assert x / y * y == x and y / x * x == y
+        assert hash(ROOT2 + 1) == hash(1 + ROOT2)
+
+    def test_order_is_exact(self):
+        # Pell numbers: (1 + sqrt 2)**40 = p + q sqrt 2 with p**2 - 2 q**2 = 1
+        big = (1 + ROOT2) ** 40
+        tiny = big.p - big.q * ROOT2          # (sqrt 2 - 1)**40, about 5e-16
+        assert 0 < tiny < F(1, 10 ** 15)
+        assert F(141421356, 10 ** 8) < ROOT2 < F(141421357, 10 ** 8)
+        assert -ROOT2 < 0 <= tiny <= tiny and abs(-ROOT2) == ROOT2
+
+    def test_float_and_log2_do_not_cancel(self):
+        big = (1 + ROOT2) ** 40
+        tiny = big.p - big.q * ROOT2
+        expected = (math.sqrt(2) - 1) ** 40
+        assert float(tiny) == pytest.approx(expected, rel=1e-12)
+        assert Surd.log2(tiny) == pytest.approx(40 * math.log2(math.sqrt(2) - 1), rel=1e-13)
+        huge = F(10) ** 400 * ROOT2                 # beyond the float range
+        assert Surd.log2(huge) == pytest.approx(400 * math.log2(10) + 0.5, rel=1e-15)
+
+    def test_mixed_fields_rejected(self):
+        with pytest.raises(TypeError):
+            ROOT2 + Surd(F(0), F(1), F(3))
+        with pytest.raises(TypeError):
+            ROOT2 * 1.5
 
 
 class TestClassify:
@@ -47,7 +112,8 @@ class TestClassify:
     def test_irrational_rho_float_path(self):
         cls = gb_classify(1.0, 2.0)
         assert cls.label == "directed1"
-        assert cls.rho == pytest.approx(2 * 3 / math.sqrt(2))
+        assert cls.rho == 3 * ROOT2 and cls.rho * cls.rho == 18
+        assert float(cls.rho) == pytest.approx(2 * 3 / math.sqrt(2))
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
@@ -121,7 +187,17 @@ class TestEstimates:
         assert not gb_excursion_estimate(GBParams(2, 3, 1, 1), 101).is_zero()
 
     def test_excursion_constant_11_23(self):
-        assert excursion_constant(GBParams(2, 3, 1, 1)) == pytest.approx(2048 / math.pi)
+        # 128 (j+1)(1+i)(3+i+2j)(2+i+j) / (a**i b**j pi) = 2048/pi at (1, 1), weights (2, 3)
+        est = gb_excursion_estimate(GBParams(2, 3, 1, 1), 101)
+        assert float(est) == pytest.approx(2048 / math.pi * 4.0 ** 101 / 101 ** 5, rel=1e-12)
+
+    @pytest.mark.parametrize("a,sign", [(F(1, 10 ** 200), 1), (10 ** 200, -1)])
+    def test_excursion_extreme_weights(self, a, sign):
+        # the factor 128*1*3*5*4 / a**2 lies far outside the float range
+        est = gb_excursion_estimate(GBParams(a, 1, 2, 0), 100)
+        expected = (math.log2(7680) + sign * 400 * math.log2(10) - math.log2(math.pi)
+                    + 200 - 5 * math.log2(100))
+        assert est.log2() == pytest.approx(expected, rel=1e-12)
 
 
 class TestHarmonicity:
@@ -135,18 +211,41 @@ class TestHarmonicity:
         assert check_harmonicity(GBParams(a, b), 12)
 
     def test_float_path(self):
+        # float weights are taken at their exact value: (1, 5/2) is directed-1 with
+        # an irrational sqrt(b), checked exactly
+        assert gb_classify(1.0, 2.5).label == "directed1"
         assert check_harmonicity(GBParams(1.0, 2.5), 6)
 
-    def test_detects_wrong_rho(self):
-        # a perturbed weighting is not rho-harmonic for the stored V
-        from orthantwalks.gb import _KAPPA_V
-        params = GBParams(1, 1)
-        rho_v = _KAPPA_V["balanced"](F(1), F(1), F(1), 0, 0)
-        assert rho_v[1] == 1
-        # direct falsification: the balanced V under rho=5 fails immediately
-        lhs = 5 * universal_harmonic(0, 0)
-        rhs = universal_harmonic(1, 0)
-        assert lhs != rhs
+    def test_detects_wrong_rho(self, monkeypatch):
+        # rho off by 1e-30 breaks the identity; a 1e-10 float tolerance could not see it
+        classify = gb.gb_classify
+
+        def perturbed(a, b):
+            cls = classify(a, b)
+            return dataclasses.replace(cls, rho=cls.rho + F(1, 10 ** 30))
+
+        for a, b in [(1, 1), (1, 2)]:
+            assert check_harmonicity(GBParams(a, b), 6)
+            with monkeypatch.context() as patch:
+                patch.setattr(gb, "gb_classify", perturbed)
+                assert not check_harmonicity(GBParams(a, b), 6), (a, b)
+
+    def test_exact_for_irrational_sqrt_b(self):
+        # seeded rational directed-1 weightings whose sqrt(b) is irrational
+        rng = random.Random(2016)
+        checked = 0
+        while checked < 6:
+            a = F(rng.randint(1, 9), rng.randint(1, 9))
+            b = F(rng.randint(1, 40), rng.randint(1, 9))
+            if b > 1 and b > a * a and sqrt_exact(b) is None:
+                cls = gb_classify(a, b)
+                assert cls.label == "directed1" and isinstance(cls.rho, Surd)
+                assert check_harmonicity(GBParams(a, b), 10), (a, b)
+                checked += 1
+
+    def test_extreme_weights(self):
+        # directed-2 with weights far beyond the float range; kappa is never computed
+        assert check_harmonicity(GBParams(10 ** 200, 10 ** 100), 3)
 
 
 class TestUniversalLimit:
@@ -234,12 +333,17 @@ class TestContributing:
         rho = gb_classify(a, b).rho
         points = {p.label: p for p in gb_critical_points(a, b)}
         growths = {points[lbl].growth for lbl in gb_contributing(a, b)}
-        assert len(growths) == 1
-        growth = growths.pop()
-        if isinstance(rho, F) and isinstance(growth, F):
-            assert rho == growth
-        else:
-            assert float(rho) == pytest.approx(float(growth), rel=1e-12)
+        assert growths == {rho}
+
+    @pytest.mark.parametrize("a", [F(1, 3), F(3, 4), 1, F(3, 2), 2, 3])
+    @pytest.mark.parametrize("b", [F(1, 4), F(2, 3), 1, 2, F(7, 2), 5])
+    def test_inventory_at_critical_points(self, a, b):
+        # S(1/x, 1/y) = sign(x) * growth, so t = 1/(x y S(1/x, 1/y)) = 1/(|x| y growth)
+        for p in gb_critical_points(a, b):
+            x, y = p.xy
+            s_val = inventory_signed(a, b, 1 / x, 1 / y)
+            assert s_val == (1 if x > 0 else -1) * p.growth, p.label
+            assert p.t == 1 / (x * y * s_val), p.label
 
 
 class TestSqrtExact:
