@@ -10,8 +10,10 @@ Values of V may depend on the parity of n + i; they are handled as an
 (even, odd) pair throughout.  The weights are converted once to Fractions (a
 float by its exact binary value); rho, V and the critical points are then
 exact in Q(sqrt(b)), as a Fraction or a Surd p + q*sqrt(b), so harmonicity is
-decided with zero residual for every weighting.  Only kappa (pi, sqrt 2,
-sqrt a) and the final log2 of the estimates are floats.
+decided with zero residual for every weighting.  kappa is sqrt(K) / pi**e
+with K exact; estimates take log2 kappa from K, so they stay finite in log2
+space for any weights.  Only kappa itself and the final log2 of the
+estimates are floats.
 """
 
 from __future__ import annotations
@@ -41,8 +43,12 @@ def _weights(a: Real, b: Real) -> tuple[Fraction, Fraction]:
 
 
 def _log2(x: Fraction) -> float:
-    # exact split keeps precision for huge numerators/denominators
-    return math.log2(x.numerator) - math.log2(x.denominator)
+    # x = 2**e * m with m in (1/2, 2) rounded once: log2(p) - log2(q) would
+    # cancel for the large p, q of a float weight's exact binary value
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    m = (x.numerator / (x.denominator << e) if e >= 0
+         else (x.numerator << -e) / x.denominator)
+    return e + math.log2(m)
 
 
 @total_ordering
@@ -238,11 +244,14 @@ def gb_kappa_V(params: GBParams) -> tuple[float, Exact, Exact]:
     """(kappa, V_even, V_odd) at the start: V_even applies when n + i is even.
 
     Classes without a parity term return equal values.  kappa is a float (it
-    involves pi); V is exact, a Fraction or a Surd.
+    involves pi), which overflows for extreme weights; gb_estimate uses its
+    log2.  V is exact, a Fraction or a Surd.
     """
     a, b = params.a, params.b
     label = gb_classify(a, b).label
-    return (_KAPPA[label](a, b), *_V[label](a, b, _root(b), params.i, params.j))
+    k, e = _KAPPA[label]
+    kappa = math.sqrt(float(k(a, b))) / math.pi ** e
+    return (kappa, *_V[label](a, b, _root(b), params.i, params.j))
 
 
 def _v_free(a, b, rb, i, j):
@@ -284,19 +293,24 @@ _V = {
         6 * universal_harmonic(i, j) / a ** i, 1 / (1 - a) ** 2, 1 / (1 + a) ** 2),
 }
 
-# kappa, the one float factor of each class's leading term
+# kappa = sqrt(K) / pi**e per class, with K exact: (K(a, b), e)
 _KAPPA = {
-    "balanced": lambda a, b: 8.0 / math.pi,
-    "free": lambda a, b: 1.0,
-    "reluctant": lambda a, b: 64.0 / (math.pi * float(b - 1) ** 4),
-    "directed1": lambda a, b: math.sqrt(2.0) / (math.sqrt(math.pi) * float(b) ** 2),
-    "directed2": lambda a, b: (float(a) + 1.0) ** 3 * math.sqrt(float(a)) / (
-        2.0 * math.sqrt(math.pi) * float(a - b) ** 2),
-    "axial1": lambda a, b: (float(b) + 1.0) / math.sqrt(float(b) * math.pi),
-    "axial2": lambda a, b: math.sqrt(2.0) / (float(a) ** 6 * math.sqrt(math.pi)),
-    "transitional1": lambda a, b: 16.0 / (3.0 * math.pi * float(1 - b) ** 2),
-    "transitional2": lambda a, b: 8.0 / (3.0 * math.pi),
+    "balanced": (lambda a, b: Fraction(64), 1.0),
+    "free": (lambda a, b: Fraction(1), 0.0),
+    "reluctant": (lambda a, b: 4096 / (b - 1) ** 8, 1.0),
+    "directed1": (lambda a, b: 2 / b ** 4, 0.5),
+    "directed2": (lambda a, b: (a + 1) ** 6 * a / (4 * (a - b) ** 4), 0.5),
+    "axial1": (lambda a, b: (b + 1) ** 2 / b, 0.5),
+    "axial2": (lambda a, b: 2 / a ** 12, 0.5),
+    "transitional1": (lambda a, b: Fraction(256, 9) / (1 - b) ** 4, 1.0),
+    "transitional2": (lambda a, b: Fraction(64, 9), 1.0),
 }
+
+
+def _log2_kappa(label: str, a: Fraction, b: Fraction) -> float:
+    """log2 kappa from the exact K, finite for any weights."""
+    k, e = _KAPPA[label]
+    return _log2(k(a, b)) / 2 - e * math.log2(math.pi)
 
 
 def universal_harmonic(i: int, j: int) -> Fraction:
@@ -311,14 +325,14 @@ def gb_estimate(params: GBParams, n: int) -> XFloat:
     """
     if n < 1:
         raise ValueError("estimates require n >= 1")
-    cls = gb_classify(params.a, params.b)
-    kappa, v_even, v_odd = gb_kappa_V(params)
-    v = v_even if (n + params.i) % 2 == 0 else v_odd
+    a, b = params.a, params.b
+    cls = gb_classify(a, b)
+    v = _V[cls.label](a, b, _root(b), params.i, params.j)[(n + params.i) % 2]
     if v == 0:
         return XFloat(0.0)
     if v < 0:
         raise ValueError("harmonic value must be nonnegative")
-    log2 = (math.log2(kappa) + Surd.log2(v)
+    log2 = (_log2_kappa(cls.label, a, b) + Surd.log2(v)
             + n * Surd.log2(cls.rho) - float(cls.alpha) * math.log2(n))
     return XFloat.exp2(log2)
 

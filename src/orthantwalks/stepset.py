@@ -126,10 +126,14 @@ def central_weights(steps: Iterable[Sequence[int]],
         raise StepSetError("central weighting parameters must be positive")
     out = []
     for s in steps:
-        w = beta
+        # integer numerator and denominator, reduced once per weight
+        num, den = beta.numerator, beta.denominator
         for x, c in zip(alphas, s):
-            w *= x ** c
-        out.append(w)
+            if c > 0:
+                num, den = num * x.numerator ** c, den * x.denominator ** c
+            elif c < 0:
+                num, den = num * x.denominator ** -c, den * x.numerator ** -c
+        out.append(Fraction(num, den))
     return out
 
 
@@ -195,11 +199,11 @@ def parse_stepset(text: str) -> StepSet:
 
 def drift(model: StepSet) -> tuple[Fraction, ...]:
     """The weighted vector sum of the steps, component-exact."""
-    total = [Fraction(0)] * model.dimension
-    for s, w in zip(model.steps, model.weights):
-        for k, c in enumerate(s):
-            total[k] += w * c
-    return tuple(total)
+    # integer numerators over the common denominator: one reduction per component
+    den = math.lcm(*(w.denominator for w in model.weights))
+    nums = [w.numerator * (den // w.denominator) for w in model.weights]
+    return tuple(Fraction(sum(n * c for n, c in zip(nums, column)), den)
+                 for column in zip(*model.steps))
 
 
 def inventory_eval(model: StepSet, point: Sequence) -> Union[Fraction, float]:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from orthantwalks import (AmbiguousClassError, ClassifyError, builtin_model,
                           central_weights, classify, drift, drift_diagram,
                           inventory_eval, is_singular, make_stepset)
+from orthantwalks.classify import _BATCH, _solve
 from orthantwalks.gb import gb_classify
 from tests.conftest import CLASS_REPS
 
@@ -256,6 +258,21 @@ class TestClassify:
         # 200 damped Newton steps of about one log unit each do not reach these
         assert classify(builtin_model("gb", a, 1)).family == family == gb_classify(a, 1).family
 
+    def test_extreme_weights_without_float_warnings(self):
+        # the gradient residual is tested relative to S, so no square of S can overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(-300, 301, 5):
+                a = F(10) ** k
+                assert classify(builtin_model("gb", a, 1)).family == gb_classify(a, 1).family, k
+
+    def test_inventory_beyond_float_range_rejected(self):
+        # every weight is a float, but S(1, 1) = 2 * 10**308 + ... is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ClassifyError, match="float range"):
+                classify(builtin_model("gb", F(10) ** 308, 1))
+
     def test_non_2d_rejected(self):
         model = make_stepset([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
                               (0, 0, 1), (0, 0, -1)], [1] * 6)
@@ -285,3 +302,85 @@ class TestRegionGeometry:
         assert cell[(1, 1)]["class"] == "balanced"
         assert cell[(F(1, 2), F(1, 2))]["class"] == "reluctant"
         assert cell[(1, 1)]["dx"] == 0 and cell[(1, 1)]["dy"] == 0
+
+
+def seeded_values(rng, count):
+    return sorted({F(rng.randrange(1, 40), rng.randrange(1, 16)) for _ in range(count)})
+
+
+def classify_row(model, a, b):
+    """The diagram row of one cell, built from a batch of one."""
+    result = classify(model, on_ambiguity="report")
+    dx, dy = result.drift
+    family = "ambiguous" if result.ambiguities else result.family
+    return {"a": a, "b": b, "dx": dx, "dy": dy, "class": family}
+
+
+def grid_rows(factory, a_values, b_values):
+    return [classify_row(factory(a, b), a, b) for a in a_values for b in b_values]
+
+
+NOT_2D = make_stepset([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+                      [1] * 6)
+SINGULAR = make_stepset([(1, 0), (0, 1)], [1, 1])
+
+
+class TestDiagramBatch:
+    """drift_diagram solves its grid in batches; every row equals a batch of one."""
+
+    @pytest.mark.parametrize("name,size", [("tandem", 17), ("gb", 9), ("gessel", 9),
+                                           ("simple", 9)])
+    def test_rows_equal_classify(self, name, size):
+        rng = random.Random(sum(map(ord, name)))
+        a_values, b_values = seeded_values(rng, size), seeded_values(rng, size)
+        factory = lambda a, b: builtin_model(name, a, b)
+        rows = drift_diagram(factory, a_values, b_values)
+        assert rows == grid_rows(factory, a_values, b_values)
+
+    def test_ambiguous_cell(self):
+        a_values, b_values = [F(1, 2), 1 + F(5, 10 ** 8), 2], [F(1, 3), 2, 3]
+        factory = lambda a, b: builtin_model("gb", a, b)
+        rows = drift_diagram(factory, a_values, b_values)
+        assert rows == grid_rows(factory, a_values, b_values)
+        cell = {(r["a"], r["b"]): r["class"] for r in rows}
+        assert cell[(1 + F(5, 10 ** 8), 2)] == "ambiguous"
+
+    def test_alternating_step_sets(self):
+        values = [F(k, 7) for k in range(1, 19)]
+        factory = lambda a, b: builtin_model("tandem" if (7 * (a + b)) % 2 else "gessel", a, b)
+        rows = drift_diagram(factory, values, values)
+        assert {len(factory(a, b).steps) for a, b in [(values[0], values[0]),
+                                                       (values[0], values[1])]} == {3, 4}
+        assert len(rows) == len(values) ** 2 > _BATCH
+        assert rows == grid_rows(factory, values, values)
+
+    def test_batch_of_one_matches_its_batch(self):
+        # far critical points need more iterations than their batch-mates' caps allow
+        models = king_models(40, seed=13) + [
+            builtin_model(name, a, b) for name in ("gb", "tandem", "gessel", "simple")
+            for a, b in [(1, 1), (F(3, 2), F(2, 3)), (F(1, 3), 2), (10 ** 150, 1)]] + [
+            builtin_model("gb", F(1, 10 ** 90), 1)]
+        assert list(_solve(models)) == [next(_solve([model])) for model in models]
+
+    @pytest.mark.parametrize("bad,message", [
+        (SINGULAR, "non-singular"), (NOT_2D, "d = 2"),
+        (builtin_model("gb", 10 ** 400, 1), "float range")], ids=["singular", "not-2d", "float"])
+    def test_first_failing_cell_raises(self, bad, message):
+        # the bad cell lies in the second batch, and a cell failing differently follows it
+        values = [F(k, 3) for k in range(1, 21)]
+        first, later = (values[15], values[4]), (values[17], values[1])
+        other = NOT_2D if bad is not NOT_2D else SINGULAR
+        calls = []
+
+        def factory(a, b):
+            calls.append((a, b))
+            return bad if (a, b) == first else other if (a, b) == later else builtin_model(
+                "tandem", a, b)
+
+        with pytest.raises(ClassifyError) as caught:
+            drift_diagram(factory, values, values)
+        with pytest.raises(ClassifyError) as alone:
+            classify(bad)
+        assert message in str(caught.value)
+        assert str(caught.value) == str(alone.value)
+        assert calls[-1] == first

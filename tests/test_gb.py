@@ -199,6 +199,14 @@ class TestEstimates:
                     + 200 - 5 * math.log2(100))
         assert est.log2() == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("b", [1, 10 ** 100], ids=["1", "1e100"])
+    def test_directed2_extreme_weights(self, b):
+        # kappa ~ a**1.5 / (2 sqrt(pi)), V ~ 1, rho ~ a at a = 10**200: float(a) overflows
+        est = gb_estimate(GBParams(10 ** 200, b), 10)
+        expected = (11.5 * 200 * math.log2(10) - 1 - math.log2(math.pi) / 2
+                    - 1.5 * math.log2(10))
+        assert est.log2() == pytest.approx(expected, rel=1e-12)
+
 
 class TestHarmonicity:
     def test_balanced_corner_identity(self):
