@@ -14,7 +14,11 @@ are computed as over the whole box.  Only the array's dtype depends on the mode:
   Powers of two are exact in binary floating point, so the renormalization
   (the one step only scaled mode takes) adds no rounding error; per-layer
   relative error is bounded by (|S|+2) ulp and hence by n * 2**-50 after n
-  layers.
+  layers.  A layer the table does not keep is written into one of two
+  buffers in turn, both sized once to the largest window, so the build
+  allocates no layer it drops.  One sum per layer gives the total and the
+  range check: entries are nonnegative, so max <= sum <= cells * max, and
+  only a sum outside [cells * 2**-499, 2**500] needs the maximum.
 
 Both modes record per-layer totals and the tracked endpoints while building.
 Exact tables keep every layer.  Scaled tables keep a checkpoint every
@@ -48,6 +52,7 @@ BRUTE_FORCE_GUARD = 10 ** 8
 
 # renormalize a scaled layer when its maximum leaves [2**-500, 2**500]
 _NORM_LIMIT = 2.0 ** 500
+_NORM_FLOOR = 2.0 ** -499  # twice 1 / _NORM_LIMIT, per cell
 _NORM_SHIFT = 512
 
 
@@ -121,10 +126,11 @@ class WalkTable:
         windows = itertools.accumulate(range(1, n_max + 1), self._reach,
                                        initial=(self.start, self.start))
         cells = [math.prod(_shape(w, self._lattice)) for w in windows]
+        self._largest = max(cells)
         held = sum(c for n, c in enumerate(cells) if self._keeps(n))
         if mode == "scaled":
             # two working layers, of the build or of a replay
-            held += 2 * max(cells)
+            held += 2 * self._largest
         if held > guard:
             raise ResourceGuardError(
                 f"{mode} table of {held} cells exceeds guard of {guard}")
@@ -148,9 +154,11 @@ class WalkTable:
 
     @np.errstate(over="ignore", invalid="ignore")  # the finite check reports an inf
     def _build(self) -> None:
-        arr = np.ones((1,) * self.model.dimension,
-                      dtype=object if self.mode == "exact" else float)
+        scaled = self.mode == "scaled"
+        arr = np.ones((1,) * self.model.dimension, dtype=float if scaled else object)
         exp = 0
+        # scaled layers that are not kept alternate between two buffers
+        buffers = [np.empty(self._largest) for _ in range(2)] if scaled else []
         self._windows: list[Window] = [(self.start, self.start)]
         self._totals: list[tuple] = []
         self._kept: dict[int, Block] = {}
@@ -158,10 +166,13 @@ class WalkTable:
             if n:
                 window = self._reach(self._windows[-1], n)
                 arr = _advance_layer(arr, self.model.steps, self._weights,
-                                     self._windows[-1], window, self._lattice)
+                                     self._windows[-1], window, self._lattice,
+                                     None if self._keeps(n) else buffers[n % 2])
                 arr, window = self._trim(arr, window)
                 self._windows.append(window)
-            if self.mode == "scaled":
+            total = arr.sum()
+            # max <= computed sum <= 2 * cells * max, so a sum in range clears the max
+            if scaled and not arr.size * _NORM_FLOOR <= total <= _NORM_LIMIT:
                 peak = float(arr.max(initial=0.0))
                 if not math.isfinite(peak):
                     raise OverflowError(f"scaled layer {n} left the float64 range")
@@ -171,8 +182,9 @@ class WalkTable:
                 elif 0.0 < peak < 1.0 / _NORM_LIMIT:
                     arr *= 2.0 ** _NORM_SHIFT
                     exp -= _NORM_SHIFT
+                total = arr.sum()
             block = (arr, exp, self._windows[n])
-            self._totals.append((arr.sum(), exp))
+            self._totals.append((total, exp))
             for p, series in self._tracked.items():
                 series.append((self._cell(block, p), exp))
             if self._keeps(n):
@@ -279,15 +291,22 @@ def _shape(window: Window, lattice: Vector) -> list[int]:
 
 
 def _advance_layer(arr: np.ndarray, steps, weights, src: Window, dst: Window,
-                   lattice: Vector) -> np.ndarray:
+                   lattice: Vector, out: Optional[np.ndarray] = None) -> np.ndarray:
     """One transfer step of the orthant-restricted recurrence on windowed arrays.
 
     Cell p of the new layer (window dst) collects w_s times cell p - s of the
     old one (window src) for every step s, in step order; the result has the
     dtype of `arr`.  Both windows lie on their cosets, so slice bounds divide by m exactly.
+    The result is a new array, or a zeroed prefix of the flat buffer `out`
+    (not `arr`'s), reshaped.
     """
     (slo, shi), (dlo, dhi) = src, dst
-    new = np.zeros(_shape(dst, lattice), dtype=arr.dtype)
+    shape = _shape(dst, lattice)
+    if out is None:
+        new = np.zeros(shape, dtype=arr.dtype)
+    else:
+        new = out[:math.prod(shape)].reshape(shape)
+        new.fill(0.0)
     for s, w in zip(steps, weights):
         into, out_of = [], []
         for k, (c, m) in enumerate(zip(s, lattice)):

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import total_ordering
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .stepset import StepSet, builtin_model
 from .xfloat import XFloat
@@ -240,17 +240,24 @@ def _e123(a: Fraction, b: Fraction) -> Fraction:
     return (1 + b) * (a * a + b) / (a * b)
 
 
-def gb_kappa_V(params: GBParams) -> tuple[float, Exact, Exact]:
+def gb_kappa_V(params: GBParams) -> tuple[Optional[float], Exact, Exact]:
     """(kappa, V_even, V_odd) at the start: V_even applies when n + i is even.
 
     Classes without a parity term return equal values.  kappa is a float (it
-    involves pi), which overflows for extreme weights; gb_estimate uses its
-    log2.  V is exact, a Fraction or a Surd.
+    involves pi), or None where it leaves the float range; gb_estimate uses
+    its log2.  V is exact, a Fraction or a Surd.
     """
     a, b = params.a, params.b
     label = gb_classify(a, b).label
     k, e = _KAPPA[label]
-    kappa = math.sqrt(float(k(a, b))) / math.pi ** e
+    # sqrt(K) = sqrt(K / 4**s) * 2**s, with K / 4**s in [1/4, 4) and no
+    # rounding from the power of two, so an in-range kappa is not changed
+    big_k = k(a, b)
+    s = (big_k.numerator.bit_length() - big_k.denominator.bit_length()) // 2
+    try:  # out of range: an OverflowError, or an underflow to 0
+        kappa = math.ldexp(math.sqrt(big_k / Fraction(4) ** s) / math.pi ** e, s) or None
+    except OverflowError:
+        kappa = None
     return (kappa, *_V[label](a, b, _root(b), params.i, params.j))
 
 
@@ -323,18 +330,30 @@ def gb_estimate(params: GBParams, n: int) -> XFloat:
 
     Evaluated in log2 space so that rho**n survives any n.
     """
-    if n < 1:
-        raise ValueError("estimates require n >= 1")
+    return _estimator(params)(n)
+
+
+def _estimator(params: GBParams) -> Callable[[int], XFloat]:
+    """n -> gb_estimate(params, n), with the class, V, kappa and rho taken once."""
     a, b = params.a, params.b
     cls = gb_classify(a, b)
-    v = _V[cls.label](a, b, _root(b), params.i, params.j)[(n + params.i) % 2]
-    if v == 0:
-        return XFloat(0.0)
-    if v < 0:
-        raise ValueError("harmonic value must be nonnegative")
-    log2 = (_log2_kappa(cls.label, a, b) + Surd.log2(v)
-            + n * Surd.log2(cls.rho) - float(cls.alpha) * math.log2(n))
-    return XFloat.exp2(log2)
+    vs = _V[cls.label](a, b, _root(b), params.i, params.j)
+    log2_v = [Surd.log2(v) if v > 0 else None for v in vs]
+    log2_kappa, log2_rho = _log2_kappa(cls.label, a, b), Surd.log2(cls.rho)
+    alpha = float(cls.alpha)
+
+    def estimate(n: int) -> XFloat:
+        if n < 1:
+            raise ValueError("estimates require n >= 1")
+        parity = (n + params.i) % 2
+        if vs[parity] == 0:
+            return XFloat(0.0)
+        if vs[parity] < 0:
+            raise ValueError("harmonic value must be nonnegative")
+        return XFloat.exp2(log2_kappa + log2_v[parity] + n * log2_rho
+                           - alpha * math.log2(n))
+
+    return estimate
 
 
 def _excursion_factor(params: GBParams) -> Fraction:

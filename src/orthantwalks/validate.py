@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .counting import DEFAULT_GUARD, count_walks
-from .gb import GBParams, gb_estimate, gb_excursion_estimate
+from .gb import GBParams, _estimator, gb_excursion_estimate
 from .xfloat import XFloat
 
 FIT_MIN_N = 50
@@ -98,10 +98,11 @@ def _validate(params: GBParams, what: str, n_max: int, tolerance: float,
     excursions = what == "excursions"
     table = count_walks(params.model(), (params.i, params.j), n_max, mode="scaled",
                         track=[ORIGIN] if excursions else (), guard=guard)
+    total_estimate = _estimator(params)  # class, V, kappa and rho once per run
     ns, ratios = [], []
     for n in range(1, n_max + 1):
         if not excursions:
-            count, estimate = table.total(n), gb_estimate(params, n)
+            count, estimate = table.total(n), total_estimate(n)
         else:
             count, estimate = table.endpoint(ORIGIN, n), gb_excursion_estimate(params, n)
             if (n + params.i) % 2 == 1:

@@ -1,6 +1,7 @@
 """Command-line interface: subcommand behavior, determinism, exit codes."""
 
 import json
+import math
 import warnings
 
 import pytest
@@ -35,6 +36,18 @@ class TestGBCommands:
         payload = json.loads(out)
         assert payload["kappa"] == pytest.approx(8 / 3.14159265358979, rel=1e-10)
         assert payload["mantissa"] >= 1.0 and isinstance(payload["exponent2"], int)
+
+    @pytest.mark.parametrize("exponent,kappa", [(200, 2.82094791773878e+299), (300, None)])
+    def test_estimate_beyond_float_weights(self, capsys, exponent, kappa):
+        # K of the directed-2 class is about a**3 / 4, far beyond a float
+        code, out, err = run_cli(capsys, "gb", "estimate", "--a", str(10 ** exponent),
+                                 "--b", "1", "--n", "10")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["kappa"] == kappa
+        expected = (11.5 * exponent * math.log2(10) - 1 - math.log2(math.pi) / 2
+                    - 1.5 * math.log2(10))
+        assert payload["log2"] == pytest.approx(expected, rel=1e-12)
 
     def test_harmonic_pass_and_grid(self, capsys):
         code, out, _ = run_cli(capsys, "gb", "harmonic", "--a", "1", "--b", "4",

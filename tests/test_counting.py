@@ -2,10 +2,15 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from orthantwalks import (ResourceGuardError, StepSetError, brute_force_count,
@@ -300,6 +305,63 @@ class TestConeReplay:
         shorter = count_walks(model, start, n, "scaled", keep_layers=True)
         for seed in range(5):
             assert sample_walk(longer, n, seed) == sample_walk(shorter, n, seed), seed
+
+
+class TestLayerBuffers:
+    """Scaled builds write the layers they do not keep into two reused buffers."""
+
+    POINTS = [(0, 0), (1, 0), (3, 2), (7, 4)]
+
+    @staticmethod
+    def answers(table, n_max):
+        totals = [table.total(n) for n in range(n_max + 1)]
+        ends = [table.endpoint(p, n) for p in TestLayerBuffers.POINTS for n in (n_max // 2, n_max)]
+        walks = [sample_walk(table, n, seed) for n in (n_max, n_max - 7) for seed in range(3)]
+        return [(x.man, x.exp) for x in totals + ends], walks
+
+    def test_a_later_build_leaves_a_table_alone(self):
+        model = builtin_model("gb", 2, 3)
+        first = count_walks(model, (0, 0), 120, "scaled", keep_layers=True)
+        count_walks(builtin_model("tandem", 1, 1), (0, 0), 150, "scaled", keep_layers=True)
+        alone = count_walks(model, (0, 0), 120, "scaled", keep_layers=True)
+        assert self.answers(first, 120) == self.answers(alone, 120)
+
+    @pytest.mark.parametrize("name", ["gb", "tandem", "gessel", "simple"])
+    def test_checkpoints_share_no_memory(self, name):
+        table = count_walks(builtin_model(name, 2, 3), (0, 0), 100, "scaled", keep_layers=True)
+        blocks = [arr for arr, _, _ in table._kept.values()]
+        assert len(blocks) == 11
+        for x, y in itertools.combinations(blocks, 2):
+            assert not np.shares_memory(x, y)
+
+    @pytest.mark.parametrize("name", ["gb", "tandem", "gessel", "simple"])
+    def test_streamed_equals_kept(self, name):
+        model = builtin_model(name, F(1, 3), 5)
+        streamed, kept = (count_walks(model, (1, 2), 150, "scaled", track=self.POINTS,
+                                      keep_layers=keep) for keep in (False, True))
+        for n in range(151):
+            for x, y in [(streamed.total(n), kept.total(n))] + [
+                    (streamed.endpoint(p, n), kept.endpoint(p, n)) for p in self.POINTS]:
+                assert (x.man, x.exp) == (y.man, y.exp), n
+
+    def test_first_build_faults_few_pages(self):
+        # allocating every layer afresh faults about 250,000 pages in this
+        # build, the two reused buffers about 1,000
+        pytest.importorskip("resource")
+        script = (
+            "import resource\n"
+            "from orthantwalks import builtin_model, count_walks\n"
+            "model = builtin_model('gb', 1, 1)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "count_walks(model, (0, 0), 1000, 'scaled', track=[(0, 0)])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) < 50_000
 
 
 class TestMonotonicity:

@@ -142,6 +142,21 @@ class TestKappaV:
         assert v_even == v_odd == F(5, 72)
 
     @pytest.mark.parametrize("label,a,b", CLASS_REPS)
+    def test_kappa_is_the_float_formula_in_range(self, label, a, b):
+        k, e = gb._KAPPA[label]
+        kappa, _, _ = gb_kappa_V(GBParams(a, b))
+        assert kappa == math.sqrt(float(k(F(a), F(b)))) / math.pi ** e
+
+    @pytest.mark.parametrize("a,b,want", [
+        (10 ** 200, 1, 10 ** 300 / (2 * math.sqrt(math.pi))),    # K ~ a**3 / 4 overflows
+        (10 ** 30, 10 ** 60, math.sqrt(2) * 1e-180 / math.sqrt(math.pi)),  # K = 2 / a**12 underflows
+        (10 ** 300, 1, None), (10 ** 60, 10 ** 120, None),     # kappa itself out of range
+    ], ids=["directed2-1e200", "axial2-1e30", "directed2-1e300", "axial2-1e60"])
+    def test_kappa_beyond_float_k(self, a, b, want):
+        kappa, _, _ = gb_kappa_V(GBParams(a, b))
+        assert kappa == (None if want is None else pytest.approx(want, rel=1e-12))
+
+    @pytest.mark.parametrize("label,a,b", CLASS_REPS)
     def test_parity_dependence_matches_class(self, label, a, b):
         parity_classes = {"reluctant", "directed1", "transitional2"}
         _, v_even, v_odd = gb_kappa_V(GBParams(a, b, 1, 2))

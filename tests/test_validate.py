@@ -5,8 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from orthantwalks import GBParams, validate_excursions, validate_totals
+from orthantwalks import GBParams, gb_estimate, validate_excursions, validate_totals
+from orthantwalks import validate
 from orthantwalks.validate import _fit_slope
+from tests.conftest import CLASS_REPS
 
 
 class TestTotals:
@@ -36,6 +38,28 @@ class TestTotals:
         assert summary["what"] == "totals"
         assert summary["passed"] == report.passed
         assert len(report.ns) == len(report.ratios)
+
+
+class TestEstimateOncePerRun:
+    # the directed-1 weighting (1, 2) has V in Q(sqrt 2); start (1, 2) splits V by parity
+    CASES = [(label, a, b, 0, 0) for label, a, b in CLASS_REPS] + [
+        ("directed1", 1, 2, 0, 0), ("directed1", 1, 2, 1, 2), ("reluctant", F(1, 2), F(1, 3), 1, 2)]
+
+    @pytest.mark.parametrize("label,a,b,i,j", CASES,
+                             ids=[f"{c[0]}({c[1]},{c[2]})-({c[3]},{c[4]})" for c in CASES])
+    def test_hoisted_estimate_equals_gb_estimate(self, monkeypatch, label, a, b, i, j):
+        params, seen, real = GBParams(a, b, i, j), {}, validate._estimator
+
+        def recording(p):
+            estimate = real(p)
+            return lambda n: seen.setdefault(n, estimate(n))
+
+        monkeypatch.setattr(validate, "_estimator", recording)
+        validate_totals(params, 100, 1.0)
+        assert sorted(seen) == list(range(1, 101))
+        for n, got in seen.items():
+            want = gb_estimate(params, n)
+            assert (got.man, got.exp) == (want.man, want.exp), n
 
 
 class TestSlopeInvariant:
