@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Optional, Sequence
 
 from .linalg import EchelonBasis, solve
@@ -185,12 +185,12 @@ class Monomial:
         D-th power.
         """
         denom = lcm(*[q.denominator for q in self.exponents])
-        power = Fraction(1)
-        for w, q in zip(weights, self.exponents):
-            k = int(q * denom)
-            if k:
-                power *= w ** k
-        return _rational_root(power, denom)
+        return _rational_root(self.raised(weights, denom), denom)
+
+    def raised(self, weights: Sequence[Fraction], d: int) -> Fraction:
+        """The monomial to the power d, exact for d a multiple of every exponent denominator."""
+        return prod((w ** int(q * d) for w, q in zip(weights, self.exponents) if q),
+                    start=Fraction(1))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
@@ -222,18 +222,6 @@ def _rational_root(w: Fraction, r: int) -> Optional[Fraction]:
     if num is None or den is None:
         return None
     return Fraction(num, den)
-
-
-def monomial_equals(weights: Sequence[Fraction], exponents: Sequence[Fraction],
-                    target: Fraction) -> bool:
-    """Exact test of prod_s a_s**e_s == target via integerized exponents."""
-    denom = lcm(*[e.denominator for e in exponents]) if exponents else 1
-    lhs = Fraction(1)
-    for w, e in zip(weights, exponents):
-        k = int(e * denom)
-        if k:
-            lhs *= w ** k
-    return lhs == target ** denom
 
 
 @dataclass(frozen=True)
@@ -269,10 +257,15 @@ class CentralDecomposition:
                 mono = mono * (self.alpha[k] ** c)
         return mono.exponents
 
+    @property
+    def denominator(self) -> int:
+        """The lcm D of every exponent denominator: beta**D and alpha_k**D are rational."""
+        return lcm(*(q.denominator for m in (self.beta, *self.alpha) for q in m.exponents))
+
     def verify(self) -> bool:
-        weights = self.model.weights
+        weights, d = self.model.weights, self.denominator
         for s, w in zip(self.model.steps, weights):
-            if not monomial_equals(weights, self.step_exponents(s), w):
+            if Monomial(self.step_exponents(s)).raised(weights, d) != w ** d:
                 return False
         return True
 

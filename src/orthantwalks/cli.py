@@ -7,15 +7,18 @@ Exit codes: 0 success, 1 a requested check failed (validate / gb harmonic /
 central check / central equiv reporting false), 2 usage error, 3 resource
 guard abort.  Reports are deterministic for a fixed argv: exact rationals
 serialize as strings like "14/3", floats are rounded to 15 significant
-digits, JSON keys are sorted, and rows use a canonical order.
+digits (values of Q(sqrt(b)) beyond the float range print exactly, as
+"p+q*sqrt(b)"), JSON keys are sorted, and rows use a canonical order.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -41,37 +44,35 @@ class _CliError(Exception):
         self.code = code
 
 
-def _jsonify(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (float, Surd)):
-        return float(f"{float(value):.15g}")
+def _plain(value, text: bool = False):
+    """`value` as a report writes it, for JSON or, with text, for a CSV cell.
+
+    Floats, and Surds in the float range, round to 15 significant digits (a
+    string when text); Fractions, and Surds beyond it, are exact strings.
+    """
     if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
+        return {str(k): _plain(v, text) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    return value
+        return [_plain(v, text) for v in value]
+    if isinstance(value, (float, Surd)):
+        with contextlib.suppress(OverflowError):  # a Surd beyond the float range
+            x = float(value)
+            if isinstance(value, float) or math.isfinite(x) and x != 0:
+                return f"{x:.15g}" if text else float(f"{x:.15g}")
+    return str(value) if isinstance(value, (Fraction, Surd)) else value
 
 
 def _emit(payload, fmt: str, csv_rows=None, csv_header=None) -> None:
     if fmt == "json":
-        print(json.dumps(_jsonify(payload), sort_keys=True))
+        print(json.dumps(_plain(payload), sort_keys=True))
         return
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if csv_header:
         writer.writerow(csv_header)
     for row in csv_rows if csv_rows is not None else []:
-        writer.writerow([_csv_cell(x) for x in row])
+        writer.writerow(_plain(row, text=True))
     sys.stdout.write(buf.getvalue())
-
-
-def _csv_cell(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, (float, Surd)):
-        return f"{float(x):.15g}"
-    return x
 
 
 def _add_model_options(parser: argparse.ArgumentParser) -> None:
@@ -86,14 +87,17 @@ def _resolve_model(args) -> StepSet:
     if args.json_spec:
         if args.model:
             raise _CliError("pass exactly one of --model and --json")
-        text = args.json_spec
-        if not text.lstrip().startswith("{"):
-            with open(text, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        return stepset_from_json(text)
+        return _read_spec(args.json_spec)
     if not args.model:
         raise _CliError("a model is required: --model NAME or --json PATH")
     return builtin_model(args.model, as_fraction(args.a), as_fraction(args.b))
+
+
+def _read_spec(text: str) -> StepSet:
+    if not text.lstrip().startswith("{"):
+        with open(text, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    return stepset_from_json(text)
 
 
 def _parse_point(text: str) -> tuple[int, ...]:
@@ -179,11 +183,7 @@ def _cmd_central(args) -> int:
         return 0
     # equiv
     if args.json2:
-        text = args.json2
-        if not text.lstrip().startswith("{"):
-            with open(text, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        other = stepset_from_json(text)
+        other = _read_spec(args.json2)
     else:
         other = builtin_model(args.model, as_fraction(args.a2), as_fraction(args.b2))
     equivalent = are_equivalent(model, other)

@@ -33,6 +33,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -371,25 +372,30 @@ def sample_walk(table: WalkTable, n: int, seed: int) -> Walk:
     rng = random.Random(seed)
     arr, _, (lo, _) = table._block(n)
     cells = np.flatnonzero(arr)
-    flat = cells[_pick(rng, arr.ravel()[cells].tolist())]
-    current = tuple(m * int(c) + l for c, l, m
-                    in zip(np.unravel_index(flat, arr.shape), lo, table._lattice))
+    # the walk's point as its index into the array of the layer it is on
+    index = tuple(map(int, np.unravel_index(cells[_pick(rng, arr.ravel()[cells].tolist())],
+                                            arr.shape)))
     steps_taken: list[Vector] = []
     segment: dict[int, Block] = {}
     for m in range(n, 0, -1):
         block = table._kept.get(m - 1) or segment.get(m - 1)
         if block is None:
-            segment = dict(table._replay(m - 1, (current, m)))
+            point = tuple(l + q * c for l, q, c in zip(lo, table._lattice, index))
+            segment = dict(table._replay(m - 1, (point, m)))
             block = segment[m - 1]
+        arr, _, (below, _) = block
+        # point - s on layer m - 1 sits at index - offset, offset = (below + s - lo) / lattice
+        offsets = [[(b + d - l) // q for l, b, d, q in zip(lo, below, s, table._lattice)]
+                   for s in table.model.steps]
         candidates, masses = [], []
-        for s, w in zip(table.model.steps, table._weights):
-            prev = tuple(c - d for c, d in zip(current, s))
-            mass = table._cell(block, prev)
-            if mass > 0:
-                candidates.append((prev, s))
-                masses.append(w * mass)
-        current, step = candidates[_pick(rng, masses)]
+        for s, w, offset in zip(table.model.steps, table._weights, offsets):
+            at = tuple(map(operator.sub, index, offset))
+            if min(at) >= 0 and all(map(operator.lt, at, arr.shape)) and arr[at] > 0:
+                candidates.append((at, s))
+                masses.append(w * arr[at])
+        index, step = candidates[_pick(rng, masses)]
         steps_taken.append(step)
+        lo = below
     return Walk(table.start, tuple(reversed(steps_taken)))
 
 

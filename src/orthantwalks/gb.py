@@ -18,11 +18,14 @@ estimates are floats.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import total_ordering
 from fractions import Fraction
 from typing import Callable, Optional, Union
+
+import numpy as np
 
 from .stepset import StepSet, builtin_model
 from .xfloat import XFloat
@@ -105,8 +108,11 @@ class Surd:
         return self._inverse() * other
 
     def __pow__(self, n: int):
-        base = self if n >= 0 else self._inverse()
-        return math.prod([base] * abs(n), start=Fraction(1))
+        if n < 0:
+            return self._inverse() ** -n
+        # square and multiply; the square may be rational
+        half = (self * self) ** (n // 2) if n > 1 else Fraction(1)
+        return half * self if n % 2 else half
 
     def _sign(self, other=0) -> int:
         # the sign of self - other: that of the larger of p and q sqrt(b) in size
@@ -151,8 +157,12 @@ class Surd:
             return total
         return _log2(abs(x.p * x.p - x.q * x.q * x.b)) - total
 
+    def __str__(self) -> str:
+        sign = "-" if self.q < 0 else "+" if self.p else ""
+        return f"{self.p or ''}{sign}{abs(self.q)}*sqrt({self.b})"
+
     def __repr__(self) -> str:
-        return f"Surd({self.p} {'-' if self.q < 0 else '+'} {abs(self.q)}*sqrt({self.b}))"
+        return f"Surd({self})"
 
 
 def sqrt_exact(value: Fraction) -> Optional[Fraction]:
@@ -258,46 +268,48 @@ def gb_kappa_V(params: GBParams) -> tuple[Optional[float], Exact, Exact]:
         kappa = math.ldexp(math.sqrt(big_k / Fraction(4) ** s) / math.pi ** e, s) or None
     except OverflowError:
         kappa = None
-    return (kappa, *_V[label](a, b, _root(b), params.i, params.j))
+    lam, mu, r, plus, minus = _form(label, a, b)
+    v = lam ** params.i * mu ** params.j * r(params.i, params.j)
+    return kappa, v * (plus + minus), v * (plus - minus)
 
 
-def _v_free(a, b, rb, i, j):
-    first = (a ** (2 * (1 + j)) - 1) * (a ** (2 * (2 + i + j)) - b ** (2 * (2 + i + j)))
-    second = (a ** (2 * (2 + i + j)) - 1) * (a ** (2 * (1 + j)) - b ** (2 * (1 + j)))
-    v = (first / b ** (i + 1) - second) / (a ** (4 + 2 * i + 2 * j) * b ** (2 + 2 * j))
-    return v, v
+def _form(label: str, a: Fraction, b: Fraction) -> tuple:
+    """V as (lam, mu, R, plus, minus), with R rational and read from power tables:
+
+    V^[n](i, j) = lam**i mu**j R(i, j) (plus + (-1)**(n+i) minus), and plus != 0.
+    """
+    return _V[label](a, b, _root(b), functools.cache(a.__pow__), functools.cache(b.__pow__))
 
 
-def _parity_pair(base, plus, minus):
-    # V^[n] = base * (plus + (-1)**(n+i) * minus), as the (even, odd) pair
-    return base * (plus + minus), base * (plus - minus)
+_1 = Fraction(1)
 
-
-# (V_even, V_odd) at (i, j), exact in Q(sqrt(b)); rb is sqrt(b) from _root
+# (lam, mu, R, plus, minus) per class from a, b, sqrt(b) and power tables of a and b
 _V = {
-    "balanced": lambda a, b, rb, i, j: (universal_harmonic(i, j),) * 2,
-    "free": _v_free,
-    "reluctant": lambda a, b, rb, i, j: _parity_pair(
-        6 * universal_harmonic(i, j) / (a ** i * b ** j),
-        (a * a * b * b + a * a * b - 4 * a * b + b + 1) / (a - 1) ** 4,
-        (a * a * b * b + a * a * b + 4 * a * b + b + 1) / (a + 1) ** 4),
-    "directed1": lambda a, b, rb, i, j: _parity_pair(
-        (b ** (3 + i + 2 * j) * (1 + i)
-         + (b ** (1 + j) - b ** (2 + i + j)) * (3 + i + 2 * j) - i - 1)
-        / (a ** i * rb ** i * b ** (2 * j)),
+    "balanced": lambda a, b, rb, pa, pb: (_1, _1, universal_harmonic, _1, 0),
+    "free": lambda a, b, rb, pa, pb: (1 / pa(2), 1 / (pa(2) * pb(2)), lambda i, j: (
+        (pa(2 + 2 * j) - 1) * (pa(4 + 2 * i + 2 * j) - pb(4 + 2 * i + 2 * j)) / pb(i + 1)
+        - (pa(4 + 2 * i + 2 * j) - 1) * (pa(2 + 2 * j) - pb(2 + 2 * j))),
+        1 / (pa(4) * pb(2)), 0),
+    "reluctant": lambda a, b, rb, pa, pb: (
+        1 / a, 1 / b, universal_harmonic,
+        6 * (a * a * b * b + a * a * b - 4 * a * b + b + 1) / (a - 1) ** 4,
+        6 * (a * a * b * b + a * a * b + 4 * a * b + b + 1) / (a + 1) ** 4),
+    # lam = 1 / (a sqrt(b)) takes every sqrt(b) out of R
+    "directed1": lambda a, b, rb, pa, pb: (1 / (a * rb), 1 / pb(2), lambda i, j: (
+        pb(3 + i + 2 * j) * (1 + i) + (pb(1 + j) - pb(2 + i + j)) * (3 + i + 2 * j) - i - 1),
         1 / (rb - a) ** 2, 1 / (rb + a) ** 2),
-    "directed2": lambda a, b, rb, i, j: (
-        (2 + i + j) * (a ** (-2 - j) - a ** j) * b ** (-j) * a ** (-1 - i)
-        + (1 + j) * (1 - a ** (-4 - 2 * i - 2 * j)) * b ** (-j) * a ** j,) * 2,
-    "axial1": lambda a, b, rb, i, j: (
-        (j + 1) * (1 - b ** (-2 * (2 + i + j)))
-        + b ** (-i - 1) * (i + 2 + j) * (b ** (-2 * (1 + j)) - 1),) * 2,
-    "axial2": lambda a, b, rb, i, j: (
-        (a ** 6 - a ** (-2 * i - 4 * j)) * (1 + i)
-        + (a ** (2 - 2 * i - 2 * j) - a ** (4 - 2 * j)) * (3 + i + 2 * j),) * 2,
-    "transitional1": lambda a, b, rb, i, j: (6 * universal_harmonic(i, j) / b ** j,) * 2,
-    "transitional2": lambda a, b, rb, i, j: _parity_pair(
-        6 * universal_harmonic(i, j) / a ** i, 1 / (1 - a) ** 2, 1 / (1 + a) ** 2),
+    "directed2": lambda a, b, rb, pa, pb: (1 / a, 1 / b, lambda i, j: (
+        (2 + i + j) * (pa(-3 - j) - pa(j - 1)) + (1 + j) * (pa(i + j) - pa(-4 - i - j))),
+        _1, 0),
+    "axial1": lambda a, b, rb, pa, pb: (_1, _1, lambda i, j: (
+        (j + 1) * (1 - pb(-4 - 2 * i - 2 * j))
+        + pb(-1 - i) * (i + 2 + j) * (pb(-2 - 2 * j) - 1)), _1, 0),
+    "axial2": lambda a, b, rb, pa, pb: (_1, _1, lambda i, j: (
+        (pa(6) - pa(-2 * i - 4 * j)) * (1 + i)
+        + (pa(2 - 2 * i - 2 * j) - pa(4 - 2 * j)) * (3 + i + 2 * j)), _1, 0),
+    "transitional1": lambda a, b, rb, pa, pb: (_1, 1 / b, universal_harmonic, 6 * _1, 0),
+    "transitional2": lambda a, b, rb, pa, pb: (
+        1 / a, _1, universal_harmonic, 6 / (1 - a) ** 2, 6 / (1 + a) ** 2),
 }
 
 # kappa = sqrt(K) / pi**e per class, with K exact: (K(a, b), e)
@@ -335,11 +347,10 @@ def gb_estimate(params: GBParams, n: int) -> XFloat:
 
 def _estimator(params: GBParams) -> Callable[[int], XFloat]:
     """n -> gb_estimate(params, n), with the class, V, kappa and rho taken once."""
-    a, b = params.a, params.b
-    cls = gb_classify(a, b)
-    vs = _V[cls.label](a, b, _root(b), params.i, params.j)
+    cls = gb_classify(params.a, params.b)
+    _, *vs = gb_kappa_V(params)
     log2_v = [Surd.log2(v) if v > 0 else None for v in vs]
-    log2_kappa, log2_rho = _log2_kappa(cls.label, a, b), Surd.log2(cls.rho)
+    log2_kappa, log2_rho = _log2_kappa(cls.label, params.a, params.b), Surd.log2(cls.rho)
     alpha = float(cls.alpha)
 
     def estimate(n: int) -> XFloat:
@@ -379,27 +390,31 @@ def gb_excursion_estimate(params: GBParams, n: int) -> XFloat:
 def check_harmonicity(params: GBParams, grid_size: int) -> bool:
     """Verify rho * V^[n+1](i,j) = sum_s w_s V^[n]((i,j)+s) on a grid.
 
-    V is extended by zero outside the quarter plane.  In parity-dependent
-    classes the check couples the two parity values (the recurrence swaps
-    them, since every GB step flips the parity of i).  Both sides are exact
-    in Q(sqrt(b)), so the identity is decided with no tolerance.
+    V is extended by zero outside the quarter plane.  A GB step keeps n + i's
+    parity, so both sides share the factor plus +- minus of V (see _form).
+    Divided by it and by lam**i mu**j, the identity is rho R = sum_s w_s
+    lam**dx mu**dy R((i,j)+s), with coefficients rational for the true rho;
+    cleared to integers, it is decided cell by cell with no tolerance.
     """
     a, b = params.a, params.b
     cls = gb_classify(a, b)
-    v_of, rb = _V[cls.label], _root(b)
-    # (V when n+i is even, V when odd) on the grid and one step beyond it
-    values = {(i, j): v_of(a, b, rb, i, j)
-              for i in range(grid_size + 2) for j in range(grid_size + 2)}
-    weights = ((1, 0, a), (-1, 0, 1 / a), (-1, 1, b / a), (1, -1, a / b))
-
-    def w_layer(parity: int, i: int, j: int) -> Exact:
-        # V^[n](i, j) for n of the given parity; zero outside the quarter plane
-        return values.get((i, j), (0, 0))[(parity + i) % 2]
-
-    return all(cls.rho * w_layer(1 - parity, i, j)
-               == sum(w * w_layer(parity, i + dx, j + dy) for dx, dy, w in weights)
-               for i in range(grid_size + 1) for j in range(grid_size + 1)
-               for parity in (0, 1))
+    lam, mu, r, *_ = _form(cls.label, a, b)
+    moves = ((1, 0, a), (-1, 0, 1 / a), (-1, 1, b / a), (1, -1, a / b))
+    coeffs = [cls.rho] + [w * lam ** dx * mu ** dy for dx, dy, w in moves]
+    coeffs = [c / coeffs[1] for c in coeffs]
+    scale = math.lcm(*(c.denominator for c in coeffs if isinstance(c, Fraction)))
+    rho, *weights = [c * scale if isinstance(c, Surd) else (c * scale).numerator
+                     for c in coeffs]
+    # R on [-1, grid_size + 1]**2, zero off the quarter plane, at index (i+1, j+1)
+    size = grid_size + 2
+    values = [r(i, j) for i in range(size) for j in range(size)]
+    den = math.lcm(*(v.denominator for v in values))
+    grid = np.zeros((size + 1, size + 1), dtype=object)
+    grid[1:, 1:] = np.array([v.numerator * (den // v.denominator) for v in values],
+                            dtype=object).reshape(size, size)
+    total = sum(grid[1 + dx:size + dx, 1 + dy:size + dy] * w for (dx, dy, _), w
+                in zip(moves, weights))
+    return bool((grid[1:size, 1:size] * rho == total).all())
 
 
 @dataclass(frozen=True)

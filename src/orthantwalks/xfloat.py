@@ -149,11 +149,3 @@ class XFloat:
             return "XFloat(0)"
         return f"XFloat({self.man!r}*2**{self.exp})"
 
-
-def relative_difference(x: XFloat, y: XFloat) -> float:
-    """|x - y| / max(x, y) for nonnegative x, y; 0 when both are zero."""
-    if x.is_zero() and y.is_zero():
-        return 0.0
-    if x.is_zero() or y.is_zero():
-        return math.inf
-    return 1.0 - (float(x / y) if x < y else float(y / x))

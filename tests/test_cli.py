@@ -3,10 +3,12 @@
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import pytest
 
 from orthantwalks.cli import main
+from orthantwalks.gb import GBParams, Surd, gb_critical_points, gb_kappa_V
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +50,32 @@ class TestGBCommands:
         expected = (11.5 * exponent * math.log2(10) - 1 - math.log2(math.pi) / 2
                     - 1.5 * math.log2(10))
         assert payload["log2"] == pytest.approx(expected, rel=1e-12)
+
+    def test_surds_beyond_float_range_print_exactly(self, capsys):
+        # V of directed-1 at a = 10**-200 is about 10**600, and sqrt(b) of
+        # b = 10**400 + 1 has no float: both print as exact strings
+        a = "1/1" + "0" * 200
+        code, out, err = run_cli(capsys, "gb", "estimate", "--a", a, "--b", "2",
+                                 "--i", "3", "--n", "10")
+        assert code == 0, err
+        payload = json.loads(out)
+        _, v_even, v_odd = gb_kappa_V(GBParams(Fraction(1, 10 ** 200), 2, 3))
+        assert isinstance(v_even, Surd)
+        assert (payload["V_even"], payload["V_odd"]) == (str(v_even), str(v_odd))
+        assert payload["V_even"].endswith("*sqrt(2)")
+        assert isinstance(payload["kappa"], float) and isinstance(payload["log2"], float)
+        b = 10 ** 400 + 1
+        code, out, err = run_cli(capsys, "gb", "critical", "--a", "1", "--b", str(b))
+        assert code == 0, err
+        points = {p["label"]: p for p in json.loads(out)["points"]}
+        exact = {p.label: p for p in gb_critical_points(1, b)}
+        assert points["c13+"]["x"] == str(exact["c13+"].xy[0]) == f"1/{b}*sqrt({b})"
+        assert points["c13-"]["growth"] == str(exact["c13-"].growth)
+        assert points["c1+"]["y"] == str(b) and points["c13+"]["t"] == str(exact["c13+"].t)
+        code, out, err = run_cli(capsys, "gb", "critical", "--a", "1", "--b", str(b),
+                                 "--emit", "csv")
+        assert code == 0, err
+        assert f"c13-,V13,-1/{b}*sqrt({b}),1," in out
 
     def test_harmonic_pass_and_grid(self, capsys):
         code, out, _ = run_cli(capsys, "gb", "harmonic", "--a", "1", "--b", "4",

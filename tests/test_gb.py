@@ -247,11 +247,12 @@ class TestHarmonicity:
             cls = classify(a, b)
             return dataclasses.replace(cls, rho=cls.rho + F(1, 10 ** 30))
 
-        for a, b in [(1, 1), (1, 2)]:
-            assert check_harmonicity(GBParams(a, b), 6)
+        # (1, 2) and (7/5, 11/3) are directed-1 with a non-square b: V has powers of sqrt(b)
+        for a, b in [(1, 1), (1, 2), (F(7, 5), F(11, 3))]:
+            assert check_harmonicity(GBParams(a, b), 30)
             with monkeypatch.context() as patch:
                 patch.setattr(gb, "gb_classify", perturbed)
-                assert not check_harmonicity(GBParams(a, b), 6), (a, b)
+                assert not check_harmonicity(GBParams(a, b), 30), (a, b)
 
     def test_exact_for_irrational_sqrt_b(self):
         # seeded rational directed-1 weightings whose sqrt(b) is irrational

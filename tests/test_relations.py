@@ -1,5 +1,6 @@
 """Exact weighted/unweighted coefficient and excursion relations."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from orthantwalks import (NotCentralError, builtin_model, central_weights,
                           count_walks, make_stepset, solve_central)
 
 LONG_STEP_SET = ((2, 2), (1, 1), (-1, 0), (0, -1))
+FRACTIONAL_STEPS = ((1, 0), (-1, 0), (-1, 1), (1, -1))
 
 
 def test_identity_weighting():
@@ -38,11 +40,24 @@ def test_non_central_rejected():
 
 def test_fractional_exponent_weighting():
     # a weighting whose alpha has non-unit exponent denominators still checks exactly
-    steps = ((1, 0), (-1, 0), (-1, 1), (1, -1))
-    model = make_stepset(steps, central_weights(steps, (F(2), F(9, 4)), beta=F(3)))
+    model = make_stepset(FRACTIONAL_STEPS,
+                         central_weights(FRACTIONAL_STEPS, (F(2), F(9, 4)), beta=F(3)))
     dec = solve_central(model)
     assert check_gf_relation(model, dec, 6)
     assert check_excursion_relation(model, dec, 10)
+
+
+@pytest.mark.parametrize("model", [
+    builtin_model("gb", 2, 3),
+    make_stepset(FRACTIONAL_STEPS, central_weights(FRACTIONAL_STEPS, (F(2), F(9, 4)), beta=F(3))),
+], ids=["gb(2,3)", "fractional-exponents"])
+def test_wrong_beta_rejected(model):
+    # beta replaced by beta * alpha_0: both relations fail on a central model
+    dec = solve_central(model)
+    wrong = dataclasses.replace(dec, beta=dec.beta * dec.alpha[0])
+    assert check_gf_relation(model, dec, 12) and check_excursion_relation(model, dec, 12)
+    assert not check_gf_relation(model, wrong, 12)
+    assert not check_excursion_relation(model, wrong, 12)
 
 
 def test_excursion_relation_beta_one():

@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orthantwalks.xfloat import XFloat, relative_difference
+from orthantwalks.xfloat import XFloat
 
 positive_ints = st.integers(min_value=1, max_value=10 ** 40)
 
@@ -79,11 +79,3 @@ def test_from_fraction():
     assert math.isclose(float(x), 7 / 3, rel_tol=1e-14)
     huge = Fraction(4) ** 2000
     assert math.isclose(XFloat.from_fraction(huge).log2(), 4000.0)
-
-
-def test_relative_difference():
-    a = XFloat(1.0, 100)
-    b = XFloat(1.0 + 1e-6, 100)
-    assert math.isclose(relative_difference(a, b), 1e-6, rel_tol=1e-3)
-    assert relative_difference(XFloat(0.0), XFloat(0.0)) == 0.0
-    assert relative_difference(XFloat(0.0), a) == math.inf
