@@ -48,17 +48,20 @@ def _plain(value, text: bool = False):
     """`value` as a report writes it, for JSON or, with text, for a CSV cell.
 
     Floats, and Surds in the float range, round to 15 significant digits (a
-    string when text); Fractions, and Surds beyond it, are exact strings.
+    string when text); a Surd rounds once, from its exact value.  Fractions,
+    and Surds beyond the float range, are exact strings.
     """
     if isinstance(value, dict):
         return {str(k): _plain(v, text) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v, text) for v in value]
-    if isinstance(value, (float, Surd)):
-        with contextlib.suppress(OverflowError):  # a Surd beyond the float range
-            x = float(value)
-            if isinstance(value, float) or math.isfinite(x) and x != 0:
-                return f"{x:.15g}" if text else float(f"{x:.15g}")
+    if isinstance(value, Surd):
+        with contextlib.suppress(OverflowError):  # beyond the float range
+            if x := float(value):
+                # x has value's leading digit unless both round to a power of ten
+                value = float(round(value, 14 - math.floor(math.log10(abs(x)))))
+    if isinstance(value, float):
+        return f"{value:.15g}" if text else float(f"{value:.15g}")
     return str(value) if isinstance(value, (Fraction, Surd)) else value
 
 
@@ -173,7 +176,7 @@ def _cmd_central(args) -> int:
             "beta": {str(k): q for k, q in enumerate(dec.beta.exponents) if q},
             "alpha_values": list(dec.alpha_values()),
             "beta_value": dec.beta_value(),
-            "alpha_exact": [x if x is not None else None for x in dec.alpha_exact()],
+            "alpha_exact": dec.alpha_exact(),
             "beta_exact": dec.beta_exact(),
         }
         _emit(payload, args.emit,
@@ -276,7 +279,7 @@ def _cmd_conjecture2(args) -> int:
         "cap": args.cap,
         "verified": report.verified,
         "nullity": report.nullity,
-        "basis": [[q for q in vec] for vec in report.basis],
+        "basis": report.basis,
         "N_S": n_s,
     }
     _emit(payload, args.emit,

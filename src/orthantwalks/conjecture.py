@@ -10,6 +10,10 @@ conjecture asserts the system forces mu = 0; this module assembles the
 equations exactly, computes the rational null space in one pass over the
 lengths with an integer echelon basis, and reports the minimal length N_S at
 which the null space first becomes trivial.
+
+The rows of length n are read off layer n-1 of the unweighted counting
+stream as it is built, by the same per-step slices the transfer kernel
+adds up; the pass keeps no table and builds no layer past N_S - 1.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .counting import DEFAULT_GUARD, WalkTable, count_walks
+import numpy as np
+
+from .counting import DEFAULT_GUARD, _lattice, _layers, _reach, _shape, _step_slices
 from .linalg import EchelonBasis
 from .stepset import StepSet
 
@@ -45,32 +51,22 @@ class ConjectureReport:
         return len(self.basis)
 
 
-def _count_table(model: StepSet, n_cap: int, guard: int) -> WalkTable:
-    origin = (0,) * model.dimension
-    return count_walks(model.unweighted(), origin, max(n_cap - 1, 0),
-                       mode="exact", guard=guard)
+def _lengths(model: StepSet, n_cap: int, guard: int) -> Iterator[tuple[int, list[list[int]]]]:
+    """(n, equation rows at length n) for n = 1..n_cap, from the unweighted stream.
 
-
-def _rows_for_length(model: StepSet, table: WalkTable, n: int) -> Iterator[list[int]]:
-    """Equation rows at length n: coefficient of mu_s at endpoint i is w_{i-s}(n-1).
-
-    Only orthant endpoints where some coefficient is nonzero produce a row,
-    matching the finite restriction of the infinite system.
+    The row of endpoint e is layer n-1 at e - s over s in S, by shifted slices,
+    in lexicographic order of e.  Only orthant endpoints with a nonzero row
+    count, matching the finite restriction of the infinite system.
     """
-    layer = table.layer(n - 1)
-    endpoints = set()
-    for point in layer:
-        for s in model.steps:
-            target = tuple(p + c for p, c in zip(point, s))
-            if min(target) >= 0:
-                endpoints.add(target)
-    for endpoint in sorted(endpoints):
-        row = []
-        for s in model.steps:
-            source = tuple(p - c for p, c in zip(endpoint, s))
-            row.append(int(layer.get(source, 0)) if min(source) >= 0 else 0)
-        if any(row):
-            yield row
+    lattice = _lattice(model.steps)
+    origin = (0,) * model.dimension
+    for n, arr, _, window, _ in _layers(model.unweighted(), origin, n_cap - 1, "exact", guard):
+        reach = _reach(model.steps, lattice, window)
+        cells = np.zeros(_shape(reach, lattice) + [model.size], dtype=object)
+        for i, into, out_of in _step_slices(model.steps, window, reach, lattice):
+            cells[into + (i,)] = arr[out_of]
+        rows = cells.reshape(-1, model.size)
+        yield n + 1, rows[(rows != 0).any(axis=1)].tolist()
 
 
 def _nullspace_pass(model: StepSet, n_cap: int,
@@ -80,10 +76,9 @@ def _nullspace_pass(model: StepSet, n_cap: int,
     N_S is the length at which the rank reaches |S|.  The nullity cannot
     fall further, so no more rows are assembled from there on.
     """
-    table = _count_table(model, n_cap, guard)
     basis = EchelonBasis(model.size)
-    for n in range(1, n_cap + 1):
-        for row in _rows_for_length(model, table, n):
+    for n, rows in _lengths(model, n_cap, guard):
+        for row in rows:
             if basis.add(row) and basis.rank == model.size:
                 return basis, n
     return basis, None
@@ -116,8 +111,5 @@ def minimal_refutation_length(model: StepSet, cap: int,
 def residuals(model: StepSet, vector: tuple[Fraction, ...], n_cap: int,
               guard: int = DEFAULT_GUARD) -> list[Fraction]:
     """Substitute a candidate mu into every assembled equation (soundness check)."""
-    table = _count_table(model, n_cap, guard)
-    rows: list[list[int]] = []
-    for n in range(1, n_cap + 1):
-        rows.extend(_rows_for_length(model, table, n))
+    rows = [row for _, rows in _lengths(model, n_cap, guard) for row in rows]
     return [sum(Fraction(c) * q for c, q in zip(row, vector)) for row in rows]

@@ -1,6 +1,12 @@
 """Counting tables for weighted walks confined to the nonnegative orthant.
 
-One transfer kernel builds every table.  Steps agree modulo m_k = gcd_s(s_k -
+Every layer comes out of one stream, `_layers`, the only loop over layers.
+It yields layer n as (n, raw array, exponent, window, raw total) and builds
+layer n+1 only when asked.  `WalkTable` records totals, tracked endpoints and
+kept layers from it; the null-space checker and the relation checks read it
+directly, keep no table, and stop pulling once they have their answer.
+
+One transfer kernel builds every layer.  Steps agree modulo m_k = gcd_s(s_k -
 s0_k) on axis k, so layer n lies in the coset start + n*s0 (mod m), in a dense
 array over its window with index a at the point lo + m*a: one step's reach from
 layer n-1's window, clipped to the orthant and the coset, less its all-zero
@@ -20,7 +26,8 @@ are computed as over the whole box.  Only the array's dtype depends on the mode:
   range check: entries are nonnegative, so max <= sum <= cells * max, and
   only a sum outside [cells * 2**-499, 2**500] needs the maximum.
 
-Both modes record per-layer totals and the tracked endpoints while building.
+A stream holds two layers at a time and raises when they exceed its guard; a
+table checks its guard before the build, over every layer it will hold.
 Exact tables keep every layer.  Scaled tables keep a checkpoint every
 isqrt(n_max) layers when sampling is requested (keep_layers) and none
 otherwise; a layer between checkpoints is replayed from the one below it over
@@ -37,7 +44,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -80,9 +87,11 @@ class Walk:
         return all(min(p) >= 0 for p in self.points())
 
 
-def _integerized_weights(model: StepSet) -> tuple[list[int], int]:
-    denominators = [w.denominator for w in model.weights]
-    scale = math.lcm(*denominators)
+def _kernel_weights(model: StepSet, mode: str) -> tuple[list, int]:
+    """The kernel's weights and their scale L: floats, or in exact mode the integers L*w."""
+    if mode == "scaled":
+        return [float(w) for w in model.weights], 1
+    scale = math.lcm(*(w.denominator for w in model.weights))
     return [int(w * scale) for w in model.weights], scale
 
 
@@ -110,97 +119,40 @@ class WalkTable:
         self.n_max = n_max
         self.mode = mode
         self.guard = guard
-        # how far one step moves up (pos) and down (neg) along each axis
-        d = model.dimension
-        self._pos = tuple(max(0, *(s[k] for s in model.steps)) for k in range(d))
-        self._neg = tuple(max(0, *(-s[k] for s in model.steps)) for k in range(d))
-        self._lattice = tuple(math.gcd(*(c - col[0] for c in col)) or 1
-                              for col in zip(*model.steps))
+        self._lattice = _lattice(model.steps)
+        self._weights, self._scale = _kernel_weights(model, mode)
         # layers n with n % stride == 0 (and the last) are kept; stride 0 keeps none
-        if mode == "exact":
-            self._weights, self._scale = _integerized_weights(model)
-            self._stride = 1
-        else:
-            self._weights, self._scale = [float(w) for w in model.weights], 1
-            self._stride = max(1, math.isqrt(n_max)) if keep_layers else 0
+        self._stride = 1 if mode == "exact" else max(1, math.isqrt(n_max)) if keep_layers else 0
         # the guard counts the windows of a build that drops no zero faces
-        windows = itertools.accumulate(range(1, n_max + 1), self._reach,
-                                       initial=(self.start, self.start))
+        windows = itertools.accumulate(
+            range(n_max), lambda w, _: _reach(model.steps, self._lattice, w),
+            initial=(self.start, self.start))
         cells = [math.prod(_shape(w, self._lattice)) for w in windows]
-        self._largest = max(cells)
+        largest = max(cells)
         held = sum(c for n, c in enumerate(cells) if self._keeps(n))
         if mode == "scaled":
             # two working layers, of the build or of a replay
-            held += 2 * self._largest
+            held += 2 * largest
         if held > guard:
             raise ResourceGuardError(
                 f"{mode} table of {held} cells exceeds guard of {guard}")
         self._tracked: dict[Vector, list[tuple]] = {tuple(p): [] for p in track}
-        self._build()
-
-    def _keeps(self, n: int) -> bool:
-        return bool(self._stride) and (n % self._stride == 0 or n == self.n_max)
-
-    def _align(self, lo: Vector, hi: Vector, n: int) -> Window:
-        """The box [lo, hi] shrunk on every axis to the lattice points of layer n."""
-        coset = [c + n * s for c, s in zip(self.start, self.model.steps[0])]
-        return (tuple(l + (r - l) % m for l, r, m in zip(lo, coset, self._lattice)),
-                tuple(h - (h - r) % m for h, r, m in zip(hi, coset, self._lattice)))
-
-    def _reach(self, window: Window, n: int) -> Window:
-        """Layer n's window: what one step from layer n-1's `window` can reach."""
-        lo, hi = window
-        return self._align(tuple(max(0, l - b) for l, b in zip(lo, self._neg)),
-                           tuple(h + a for h, a in zip(hi, self._pos)), n)
-
-    @np.errstate(over="ignore", invalid="ignore")  # the finite check reports an inf
-    def _build(self) -> None:
-        scaled = self.mode == "scaled"
-        arr = np.ones((1,) * self.model.dimension, dtype=float if scaled else object)
-        exp = 0
+        self._windows, self._totals, self._kept = [], [], {}
         # scaled layers that are not kept alternate between two buffers
-        buffers = [np.empty(self._largest) for _ in range(2)] if scaled else []
-        self._windows: list[Window] = [(self.start, self.start)]
-        self._totals: list[tuple] = []
-        self._kept: dict[int, Block] = {}
-        for n in range(self.n_max + 1):
-            if n:
-                window = self._reach(self._windows[-1], n)
-                arr = _advance_layer(arr, self.model.steps, self._weights,
-                                     self._windows[-1], window, self._lattice,
-                                     None if self._keeps(n) else buffers[n % 2])
-                arr, window = self._trim(arr, window)
-                self._windows.append(window)
-            total = arr.sum()
-            # max <= computed sum <= 2 * cells * max, so a sum in range clears the max
-            if scaled and not arr.size * _NORM_FLOOR <= total <= _NORM_LIMIT:
-                peak = float(arr.max(initial=0.0))
-                if not math.isfinite(peak):
-                    raise OverflowError(f"scaled layer {n} left the float64 range")
-                if peak > _NORM_LIMIT:
-                    arr *= 2.0 ** -_NORM_SHIFT
-                    exp += _NORM_SHIFT
-                elif 0.0 < peak < 1.0 / _NORM_LIMIT:
-                    arr *= 2.0 ** _NORM_SHIFT
-                    exp -= _NORM_SHIFT
-                total = arr.sum()
-            block = (arr, exp, self._windows[n])
+        buffers = [np.empty(largest) for _ in range(2)] if mode == "scaled" else []
+        for n, arr, exp, window, total in _layers(
+                model, self.start, n_max, mode, guard,
+                lambda n: None if self._keeps(n) else buffers[n % 2]):
+            block = (arr, exp, window)
+            self._windows.append(window)
             self._totals.append((total, exp))
             for p, series in self._tracked.items():
                 series.append((self._cell(block, p), exp))
             if self._keeps(n):
                 self._kept[n] = block
 
-    def _trim(self, arr: np.ndarray, window: Window) -> tuple[np.ndarray, Window]:
-        """Drop the all-zero faces of `arr`, keeping at least one cell per axis."""
-        lo, hi = list(window[0]), list(window[1])
-        for k, m in enumerate(self._lattice):
-            face = (slice(None),) * k
-            while arr.shape[k] > 1 and not arr[face + (0,)].any():
-                arr, lo[k] = arr[face + (slice(1, None),)], lo[k] + m
-            while arr.shape[k] > 1 and not arr[face + (-1,)].any():
-                arr, hi[k] = arr[face + (slice(-1),)], hi[k] - m
-        return arr, (tuple(lo), tuple(hi))
+    def _keeps(self, n: int) -> bool:
+        return bool(self._stride) and (n % self._stride == 0 or n == self.n_max)
 
     def _cell(self, block: Block, point: Vector):
         """Raw entry of `block` at `point`, 0 off its window's lattice points."""
@@ -212,9 +164,10 @@ class WalkTable:
 
     def _cone(self, point: Vector, m: int, j: int) -> Window:
         """The cells of layer j's window from which `point` can be reached at layer m."""
-        (lo, hi), k = self._windows[j], m - j
-        return self._align(tuple(max(l, c - k * a) for l, c, a in zip(lo, point, self._pos)),
-                           tuple(min(h, c + k * b) for h, c, b in zip(hi, point, self._neg)), j)
+        (lo, hi), k, cols = self._windows[j], m - j, list(zip(*self.model.steps))
+        return _align(tuple(max(l, c - k * max(0, *s)) for l, c, s in zip(lo, point, cols)),
+                      tuple(min(h, c - k * min(0, *s)) for h, c, s in zip(hi, point, cols)),
+                      lo, self._lattice)
 
     def _replay(self, n: int,
                 cone: Optional[tuple[Vector, int]] = None) -> Iterator[tuple[int, Block]]:
@@ -286,29 +239,90 @@ class WalkTable:
         return {p: self._value(c, 0, n) for p, c in zip(points, arr[nonzero].tolist())}
 
 
+def _layers(model: StepSet, start: Vector, n_max: int, mode: str,
+            guard: int = DEFAULT_GUARD,
+            out: Callable[[int], Optional[np.ndarray]] = lambda n: None) -> Iterator[tuple]:
+    """Layers 0..n_max from `start` as (n, raw array, exponent, window, raw total).
+
+    Raw exact cells are L**n times the weighted counts.  Layer n goes into
+    the flat buffer `out(n)`, or a new array when that is None.  Building it
+    holds layer n-1 and layer n's untrimmed window: more than `guard` cells raise.
+    """
+    weights, _ = _kernel_weights(model, mode)
+    lattice = _lattice(model.steps)
+    arr = np.ones((1,) * model.dimension, dtype=float if mode == "scaled" else object)
+    exp, window = 0, (start, start)
+    for n in range(n_max + 1):
+        with np.errstate(over="ignore", invalid="ignore"):  # the finite check reports an inf
+            if n:
+                reach = _reach(model.steps, lattice, window)
+                held = arr.size + math.prod(_shape(reach, lattice))
+                if held > guard:
+                    raise ResourceGuardError(f"{mode} layers {n - 1} and {n} hold "
+                                             f"{held} cells, over the guard of {guard}")
+                arr = _advance_layer(arr, model.steps, weights, window, reach, lattice, out(n))
+                arr, window = _trim(arr, reach, lattice)
+            total = arr.sum()
+            # max <= computed sum <= 2 * cells * max, so a sum in range clears the max
+            if mode == "scaled" and not arr.size * _NORM_FLOOR <= total <= _NORM_LIMIT:
+                peak = float(arr.max(initial=0.0))
+                if not math.isfinite(peak):
+                    raise OverflowError(f"scaled layer {n} left the float64 range")
+                if peak > _NORM_LIMIT:
+                    arr *= 2.0 ** -_NORM_SHIFT
+                    exp += _NORM_SHIFT
+                elif 0.0 < peak < 1.0 / _NORM_LIMIT:
+                    arr *= 2.0 ** _NORM_SHIFT
+                    exp -= _NORM_SHIFT
+                total = arr.sum()
+        yield n, arr, exp, window, total
+
+
+def _lattice(steps) -> Vector:
+    """Per-axis spacing m_k = gcd_s(s_k - s0_k) of the points one layer can occupy."""
+    return tuple(math.gcd(*(c - col[0] for c in col)) or 1 for col in zip(*steps))
+
+
+def _align(lo: Vector, hi: Vector, coset: Vector, lattice: Vector) -> Window:
+    """The box [lo, hi] shrunk on every axis to the points congruent to `coset`."""
+    return (tuple(l + (r - l) % m for l, r, m in zip(lo, coset, lattice)),
+            tuple(h - (h - r) % m for h, r, m in zip(hi, coset, lattice)))
+
+
+def _reach(steps, lattice: Vector, window: Window) -> Window:
+    """The next layer's window: what one step from `window` reaches in the orthant."""
+    (lo, hi), cols = window, list(zip(*steps))
+    return _align(tuple(max(0, l + min(0, *c)) for l, c in zip(lo, cols)),
+                  tuple(h + max(0, *c) for h, c in zip(hi, cols)),
+                  tuple(l + c for l, c in zip(lo, steps[0])), lattice)
+
+
+def _trim(arr: np.ndarray, window: Window, lattice: Vector) -> tuple[np.ndarray, Window]:
+    """Drop the all-zero faces of `arr`, keeping at least one cell per axis."""
+    lo, hi = list(window[0]), list(window[1])
+    for k, m in enumerate(lattice):
+        face = (slice(None),) * k
+        while arr.shape[k] > 1 and not arr[face + (0,)].any():
+            arr, lo[k] = arr[face + (slice(1, None),)], lo[k] + m
+        while arr.shape[k] > 1 and not arr[face + (-1,)].any():
+            arr, hi[k] = arr[face + (slice(-1),)], hi[k] - m
+    return arr, (tuple(lo), tuple(hi))
+
+
 def _shape(window: Window, lattice: Vector) -> list[int]:
     """Array shape of a window whose corners lie on the same lattice coset."""
     return [max(0, (h - l) // m + 1) for l, h, m in zip(*window, lattice)]
 
 
-def _advance_layer(arr: np.ndarray, steps, weights, src: Window, dst: Window,
-                   lattice: Vector, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """One transfer step of the orthant-restricted recurrence on windowed arrays.
+def _step_slices(steps, src: Window, dst: Window,
+                 lattice: Vector) -> Iterator[tuple[int, tuple, tuple]]:
+    """(i, into, out_of) for each step s_i that takes cells of `src` into `dst`.
 
-    Cell p of the new layer (window dst) collects w_s times cell p - s of the
-    old one (window src) for every step s, in step order; the result has the
-    dtype of `arr`.  Both windows lie on their cosets, so slice bounds divide by m exactly.
-    The result is a new array, or a zeroed prefix of the flat buffer `out`
-    (not `arr`'s), reshaped.
+    The cells p at `into` of an array over dst are the cells p - s_i at
+    `out_of` of one over src.  Windows lie on their cosets: bounds divide exactly.
     """
     (slo, shi), (dlo, dhi) = src, dst
-    shape = _shape(dst, lattice)
-    if out is None:
-        new = np.zeros(shape, dtype=arr.dtype)
-    else:
-        new = out[:math.prod(shape)].reshape(shape)
-        new.fill(0.0)
-    for s, w in zip(steps, weights):
+    for i, s in enumerate(steps):
         into, out_of = [], []
         for k, (c, m) in enumerate(zip(s, lattice)):
             a, b = max(dlo[k], slo[k] + c), min(dhi[k], shi[k] + c)
@@ -317,8 +331,27 @@ def _advance_layer(arr: np.ndarray, steps, weights, src: Window, dst: Window,
             into.append(slice((a - dlo[k]) // m, (b - dlo[k]) // m + 1))
             out_of.append(slice((a - c - slo[k]) // m, (b - c - slo[k]) // m + 1))
         else:
-            part = arr[tuple(out_of)]
-            new[tuple(into)] += part if w == 1 else w * part
+            yield i, tuple(into), tuple(out_of)
+
+
+def _advance_layer(arr: np.ndarray, steps, weights, src: Window, dst: Window,
+                   lattice: Vector, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """One transfer step of the orthant-restricted recurrence on windowed arrays.
+
+    Cell p of the new layer (window dst) collects w_s times cell p - s of the
+    old one (window src) for every step s, in step order; the result has the
+    dtype of `arr`.  The result is a new array, or a zeroed prefix of the flat
+    buffer `out` (not `arr`'s), reshaped.
+    """
+    shape = _shape(dst, lattice)
+    if out is None:
+        new = np.zeros(shape, dtype=arr.dtype)
+    else:
+        new = out[:math.prod(shape)].reshape(shape)
+        new.fill(0.0)
+    for i, into, out_of in _step_slices(steps, src, dst, lattice):
+        part, w = arr[out_of], weights[i]
+        new[into] += part if w == 1 else w * part
     return new
 
 

@@ -136,12 +136,27 @@ class Surd:
     def __abs__(self) -> Surd:
         return -self if self._sign() < 0 else self
 
+    def _floor(self, scale: Fraction) -> int:
+        """floor(x * scale) for a rational scale > 0, from exact integers."""
+        # x scale = (a + c sqrt(r)) / e with r no square, so |c| sqrt(r) lies
+        # strictly between root and root + 1
+        p, q, b = self.p * scale, self.q * scale, self.b
+        a, c = p.numerator * q.denominator * b.denominator, q.numerator * p.denominator
+        e, r = p.denominator * q.denominator * b.denominator, b.numerator * b.denominator
+        root = math.isqrt(c * c * r)
+        return (a + (root if c > 0 else -root - 1)) // e
+
     def __float__(self) -> float:
-        p, q, root = self.p, self.q, math.sqrt(self.b)
-        if p * q >= 0:
-            return float(p) + float(q) * root
-        # opposite signs: (p**2 - q**2 b)/(p - q sqrt b) adds terms of one sign
-        return float(p * p - q * q * self.b) / (float(p) - float(q) * root)
+        # floats near x and the midpoints between them are multiples of 10**-k, and x
+        # is irrational: it rounds as the middle of its cell (N, N + 1) 10**-k does
+        k = max(0, 56 - math.floor(Surd.log2(abs(self))))
+        return float(Fraction(2 * self._floor(Fraction(10) ** k) + 1, 2 * 10 ** k))
+
+    def __round__(self, ndigits: Optional[int] = None):
+        # x 10**d is irrational, never a tie: it rounds to floor(2 x 10**d + 1) // 2
+        scale = Fraction(10) ** (ndigits or 0)
+        n = (self._floor(2 * scale) + 1) // 2
+        return n if ndigits is None else n / scale
 
     @staticmethod
     def log2(x: Union[Fraction, Surd]) -> float:

@@ -14,10 +14,10 @@ comparison is an equality of integers.
 
 from __future__ import annotations
 
-from math import lcm
+import numpy as np
 
 from .central import CentralDecomposition, NotCentralError, is_central
-from .counting import count_walks
+from .counting import _kernel_weights, _lattice, _layers
 from .stepset import StepSet
 
 
@@ -25,10 +25,11 @@ def _relation_holds(model: StepSet, dec: CentralDecomposition, n_max: int,
                     origin_only: bool) -> bool:
     """The relation at every endpoint p, or at the origin only, for n <= n_max.
 
-    The weighted table is built with the weights times their common
-    denominator L, so it holds the integers w = L**n weighted(p, n).  With
-    (L beta)**D = B / B' and alpha_k**D = A_k / A'_k in lowest terms, the
-    relation reads w**D B'**n prod A'_k**p_k == u**D B**n prod A_k**p_k.
+    The weighted and unweighted exact streams are read in lockstep.  The
+    weighted one holds the integers w = L**n weighted(p, n), L the common
+    denominator of the weights.  With (L beta)**D = B / B' and alpha_k**D =
+    A_k / A'_k in lowest terms, the relation reads, cell by cell on the
+    shared window, w**D B'**n prod A'_k**p_k == u**D B**n prod A_k**p_k.
     """
     central, witness = is_central(model)
     if not central:
@@ -36,27 +37,28 @@ def _relation_holds(model: StepSet, dec: CentralDecomposition, n_max: int,
             f"relation check requires a central weighting; violated {witness.describe()}",
             witness)
     origin = (0,) * model.dimension
-    scale = lcm(*(w.denominator for w in model.weights))
-    tables = (count_walks(model.with_weights([w * scale for w in model.weights]),
-                          origin, n_max, mode="exact"),
-              count_walks(model.unweighted(), origin, n_max, mode="exact"))
+    lattice, (_, scale) = _lattice(model.steps), _kernel_weights(model, "exact")
     d = dec.denominator
     beta = (dec.beta.raised(model.weights, d) * scale ** d).as_integer_ratio()
-    top = 0 if origin_only else n_max * max(0, *map(max, model.steps))  # largest p_k
-    powers = [[(num ** p, den ** p) for p in range(top + 1)] for num, den
-              in (alpha.raised(model.weights, d).as_integer_ratio() for alpha in dec.alpha)]
+    alphas = [alpha.raised(model.weights, d).as_integer_ratio() for alpha in dec.alpha]
     beta_n = (1, 1)
-    for n in range(n_max + 1):
-        layer_w, layer_u = ({origin: t.endpoint(origin, n)} if origin_only else t.layer(n)
-                            for t in tables)
-        if layer_w.keys() != layer_u.keys():
+    for (_, w, _, window, _), (_, u, _, other, _) in zip(
+            _layers(model, origin, n_max, "exact"),
+            _layers(model.unweighted(), origin, n_max, "exact")):
+        if window != other:
             return False
-        for p, u in layer_u.items():
-            lhs, rhs = layer_w[p] ** d * beta_n[1], u ** d * beta_n[0]
-            for table, c in zip(powers, p):
-                lhs, rhs = lhs * table[c][1], rhs * table[c][0]
-            if lhs != rhs:
-                return False
+        if origin_only:  # the origin is the first cell of a window that starts there
+            cut = (slice(0, int(window[0] == origin)),) * model.dimension
+            w, u = w[cut], u[cut]
+        lhs, rhs = w ** d * beta_n[1], u ** d * beta_n[0]
+        for k, (l, m, (num, den)) in enumerate(zip(window[0], lattice, alphas)):
+            axis = [1] * model.dimension
+            axis[k] = w.shape[k]
+            p_k = range(l, l + m * w.shape[k], m)
+            lhs = lhs * np.array([den ** p for p in p_k], dtype=object).reshape(axis)
+            rhs = rhs * np.array([num ** p for p in p_k], dtype=object).reshape(axis)
+        if not np.array_equal(lhs, rhs):
+            return False
         beta_n = (beta_n[0] * beta[0], beta_n[1] * beta[1])
     return True
 

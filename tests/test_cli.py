@@ -52,8 +52,9 @@ class TestGBCommands:
         assert payload["log2"] == pytest.approx(expected, rel=1e-12)
 
     def test_surds_beyond_float_range_print_exactly(self, capsys):
-        # V of directed-1 at a = 10**-200 is about 10**600, and sqrt(b) of
-        # b = 10**400 + 1 has no float: both print as exact strings
+        # V of directed-1 at a = 10**-200 is about 10**600 and prints as an exact
+        # string; at b = 10**400 + 1, sqrt(b) has no float but x of c13+, about
+        # 1e-200, does, and the growth 2(b+1)/sqrt(b) is about 2e200
         a = "1/1" + "0" * 200
         code, out, err = run_cli(capsys, "gb", "estimate", "--a", a, "--b", "2",
                                  "--i", "3", "--n", "10")
@@ -69,13 +70,14 @@ class TestGBCommands:
         assert code == 0, err
         points = {p["label"]: p for p in json.loads(out)["points"]}
         exact = {p.label: p for p in gb_critical_points(1, b)}
-        assert points["c13+"]["x"] == str(exact["c13+"].xy[0]) == f"1/{b}*sqrt({b})"
-        assert points["c13-"]["growth"] == str(exact["c13-"].growth)
+        assert isinstance(exact["c13+"].xy[0], Surd)
+        assert points["c13+"]["x"] == float(exact["c13+"].xy[0]) == 1e-200
+        assert points["c13-"]["x"] == -1e-200 and points["c13-"]["growth"] == 2e200
         assert points["c1+"]["y"] == str(b) and points["c13+"]["t"] == str(exact["c13+"].t)
         code, out, err = run_cli(capsys, "gb", "critical", "--a", "1", "--b", str(b),
                                  "--emit", "csv")
         assert code == 0, err
-        assert f"c13-,V13,-1/{b}*sqrt({b}),1," in out
+        assert "c13-,V13,-1e-200,1," in out
 
     def test_harmonic_pass_and_grid(self, capsys):
         code, out, _ = run_cli(capsys, "gb", "harmonic", "--a", "1", "--b", "4",
@@ -136,6 +138,12 @@ class TestCount:
     def test_guard_abort(self, capsys):
         code, _, err = run_cli(capsys, "count", "--model", "gb", "--n", "4000",
                                "--mode", "scaled", "--guard", "1000")
+        assert code == 3
+        assert "guard" in err
+
+    def test_conjecture2_guard_abort(self, capsys):
+        code, _, err = run_cli(capsys, "conjecture2", "--model", "gb", "--cap", "5",
+                               "--guard", "2")
         assert code == 3
         assert "guard" in err
 

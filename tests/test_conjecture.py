@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthantwalks import (builtin_model, conjecture2_nullspace, make_stepset,
-                          minimal_refutation_length)
+from orthantwalks import (ResourceGuardError, builtin_model, conjecture2_nullspace,
+                          make_stepset, minimal_refutation_length)
 from orthantwalks.conjecture import residuals
 from orthantwalks.linalg import EchelonBasis
 
@@ -70,6 +70,20 @@ class TestRefutationLength:
                 steps = list(dict.fromkeys([ones] + extra))
                 model = make_stepset(steps, [1] * len(steps))
                 assert minimal_refutation_length(model, 4) == 2
+
+    def test_checker_stops_at_n_s(self):
+        # the table to n = 399 holds far more than 1,000 cells; the stream stops at N_S
+        model = builtin_model("gb", 1, 1)
+        assert minimal_refutation_length(model, 400, guard=1000) == 3
+        report = conjecture2_nullspace(model, 400, guard=1000)
+        assert report.nullity == 0 and report.refutation_length == 3
+
+    def test_guard_holds_for_the_stream(self):
+        # N_S = 3 needs GB's layer 2, built from layer 1 (1 cell) into a window of 4
+        model = builtin_model("gb", 1, 1)
+        assert minimal_refutation_length(model, 400, guard=5) == 3
+        with pytest.raises(ResourceGuardError):
+            minimal_refutation_length(model, 400, guard=4)
 
     def test_absent_when_cap_too_small(self):
         assert minimal_refutation_length(builtin_model("gb", 1, 1), 2) is None

@@ -71,6 +71,32 @@ class TestSurd:
         huge = F(10) ** 400 * ROOT2                 # beyond the float range
         assert Surd.log2(huge) == pytest.approx(400 * math.log2(10) + 0.5, rel=1e-15)
 
+    @pytest.mark.parametrize("x", [
+        ROOT2, -ROOT2 / 7, F(3, 7) - 2 * ROOT2, (1 + ROOT2) ** 40,
+        (ROOT2 - 1) ** 40,                                           # p, q cancel to 5e-16
+        Surd(F(0), F(1, 10 ** 200), F(2)),
+        Surd(F(1, 10 ** 310), F(1, 10 ** 310), F(3)),               # subnormal
+        Surd(F(0), F(1, 10 ** 400 + 1), F(10 ** 400 + 1)),          # b beyond float
+        Surd(F(10 ** 300), F(-1), F(10 ** 599)),
+        Surd(F(-10 ** 17 - 1), F(10 ** 8), F(10 ** 18 + 1)),        # cancelling terms
+        Surd(F(7, 3), F(22, 9), F(5, 11)),
+    ], ids=lambda x: str(x)[:24])
+    def test_float_is_correctly_rounded(self, x):
+        f = float(x)
+        assert math.isfinite(f) and f != 0
+        down, up = (F(math.nextafter(f, t)) for t in (-math.inf, math.inf))
+        assert (F(f) + down) / 2 < x < (F(f) + up) / 2
+
+    def test_float_beyond_range_raises(self):
+        with pytest.raises(OverflowError):
+            float(F(10) ** 400 * ROOT2)
+        assert float(F(1, 10) ** 400 * ROOT2) == 0.0
+
+    def test_round_to_digits(self):
+        assert round(ROOT2, 5) == F(141421, 10 ** 5) and round(-ROOT2) == -1
+        assert round(100 * ROOT2, -1) == 140
+        assert round(F(1, 2) + ROOT2 / 10 ** 9, 9) == F(500000001, 10 ** 9)
+
     def test_mixed_fields_rejected(self):
         with pytest.raises(TypeError):
             ROOT2 + Surd(F(0), F(1), F(3))

@@ -60,6 +60,26 @@ def test_wrong_beta_rejected(model):
     assert not check_excursion_relation(model, wrong, 12)
 
 
+def test_reversed_alpha_rejected_off_the_origin():
+    # alpha_k enters as alpha_k**p_k, so swapping alpha_1 and alpha_2 breaks the
+    # relation off the origin only: the origin carries alpha**0 = 1
+    model = builtin_model("gb", 2, 3)
+    dec = solve_central(model)
+    swapped = dataclasses.replace(dec, alpha=tuple(reversed(dec.alpha)))
+    assert dec.alpha_exact()[0] != dec.alpha_exact()[1]
+    assert not check_gf_relation(model, swapped, 10)
+    assert check_excursion_relation(model, swapped, 10)
+
+
+def test_three_dimensional_central_model():
+    steps = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))
+    model = make_stepset(steps, central_weights(steps, (2, F(1, 3), 5), beta=F(3, 2)))
+    dec = solve_central(model)
+    assert check_gf_relation(model, dec, 8) and check_excursion_relation(model, dec, 8)
+    wrong = dataclasses.replace(dec, beta=dec.beta * dec.alpha[2])
+    assert not check_gf_relation(model, wrong, 8) and not check_excursion_relation(model, wrong, 8)
+
+
 def test_excursion_relation_beta_one():
     for a, b in [(2, 3), (F(1, 2), F(7, 3))]:
         model = builtin_model("gb", a, b)
