@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Optional
 
 import numpy as np
@@ -111,5 +112,9 @@ def minimal_refutation_length(model: StepSet, cap: int,
 def residuals(model: StepSet, vector: tuple[Fraction, ...], n_cap: int,
               guard: int = DEFAULT_GUARD) -> list[Fraction]:
     """Substitute a candidate mu into every assembled equation (soundness check)."""
-    rows = [row for _, rows in _lengths(model, n_cap, guard) for row in rows]
-    return [sum(Fraction(c) * q for c, q in zip(row, vector)) for row in rows]
+    # the rows are integers: scale mu to integers by one common denominator
+    vector = [Fraction(q) for q in vector]
+    den = lcm(*(q.denominator for q in vector))
+    nums = [q.numerator * (den // q.denominator) for q in vector]
+    return [Fraction(sum(c * n for c, n in zip(row, nums)), den)
+            for _, rows in _lengths(model, n_cap, guard) for row in rows]

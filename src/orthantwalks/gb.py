@@ -189,10 +189,10 @@ def sqrt_exact(value: Fraction) -> Optional[Fraction]:
     return None
 
 
-def _root(b: Fraction) -> Exact:
-    # sqrt(b): a Fraction when b is a square, else the generator of Q(sqrt(b))
+def _root(b: Fraction, c: Fraction = Fraction(1)) -> Exact:
+    # c sqrt(b): a Fraction when b is a square, else c times the generator of Q(sqrt(b))
     root = sqrt_exact(b)
-    return root if root is not None else Surd(Fraction(0), Fraction(1), b)
+    return c * root if root is not None else Surd(Fraction(0), c, b)
 
 
 @dataclass(frozen=True)
@@ -254,15 +254,20 @@ def gb_classify(a: Real, b: Real) -> GBClassification:
 
 
 def _e12(a: Fraction) -> Fraction:
-    return (1 + a) ** 2 / a
+    # (1 + a)**2 / a from integers, for a = p/q
+    p, q = a.numerator, a.denominator
+    return Fraction((p + q) ** 2, p * q)
 
 
 def _e13(b: Fraction) -> Exact:
-    return 2 * (b + 1) / _root(b)
+    # 2 (b + 1) / sqrt(b) = (2 (b + 1) / b) sqrt(b)
+    return _root(b, Fraction(2 * (b.numerator + b.denominator), b.numerator))
 
 
 def _e123(a: Fraction, b: Fraction) -> Fraction:
-    return (1 + b) * (a * a + b) / (a * b)
+    # (1 + b) (a**2 + b) / (a b), for b = r/s
+    p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
+    return Fraction((r + s) * (p * p * s + r * q * q), p * q * r * s)
 
 
 def gb_kappa_V(params: GBParams) -> tuple[Optional[float], Exact, Exact]:
@@ -445,17 +450,20 @@ def gb_critical_points(a: Real, b: Real) -> list[CriticalPoint]:
     """The critical points of the singular variety by stratum, with growths.
 
     Six points across the four strata that can carry them, each with
-    t = 1/(x y S(1/x, 1/y)); all values are exact in Q(sqrt(b)).
+    t = 1/(x y S(1/x, 1/y)); all values are exact in Q(sqrt(b)), and every t
+    is rational, in closed form.
     """
     a, b = _weights(a, b)
-    one, four, x13, e13 = Fraction(1), Fraction(4), a / _root(b), _e13(b)
-    points = (("c1+", "V1", a, b, four), ("c1-", "V1", -a, b, four),
-              ("c12", "V12", one, b / a, _e12(a)),
-              ("c13+", "V13", x13, one, e13), ("c13-", "V13", -x13, one, e13),
-              ("c123", "V123", one, one, _e123(a, b)))
-    # S(1/x, 1/y) = sign(x) * growth at each of the six points
-    return [CriticalPoint(label, stratum, (x, y), 1 / (abs(x) * y * growth), growth)
-            for label, stratum, x, y, growth in points]
+    # a = p/q and b = r/s; S(1/x, 1/y) = sign(x) * growth, so t = 1/(|x| y growth)
+    p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
+    one, four, x13, e13, e123 = Fraction(1), Fraction(4), _root(b, a / b), _e13(b), _e123(a, b)
+    t1, t13 = Fraction(q * s, 4 * p * r), Fraction(q * r, 2 * p * (r + s))
+    points = (("c1+", "V1", a, b, four, t1), ("c1-", "V1", -a, b, four, t1),
+              ("c12", "V12", one, b / a, _e12(a), Fraction(p * p * s, r * (p + q) ** 2)),
+              ("c13+", "V13", x13, one, e13, t13), ("c13-", "V13", -x13, one, e13, t13),
+              ("c123", "V123", one, one, e123, 1 / e123))
+    return [CriticalPoint(label, stratum, (x, y), t, growth)
+            for label, stratum, x, y, growth, t in points]
 
 
 def gb_contributing(a: Real, b: Real) -> frozenset[str]:

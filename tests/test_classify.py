@@ -1,5 +1,6 @@
 """Convex-minimization classification: critical points, covariance, Q-minimizer, classes."""
 
+import importlib
 import math
 import random
 import warnings
@@ -10,11 +11,24 @@ import pytest
 from orthantwalks import (AmbiguousClassError, ClassifyError, builtin_model,
                           central_weights, classify, drift, drift_diagram,
                           inventory_eval, is_singular, make_stepset)
-from orthantwalks.classify import _BATCH, _solve
 from orthantwalks.gb import gb_classify
 from tests.conftest import CLASS_REPS
 
 SQRT2_HALF = math.sqrt(2) / 2
+# the module itself: the package re-exports `classify` under the module's name
+CLASSIFY_MODULE = importlib.import_module("orthantwalks.classify")
+DIAGONAL = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]
+
+
+def tilted_diagonal(a, b, w=2):
+    """The product weighting (a, b) of DIAGONAL with both diagonal weights times w.
+
+    Not central for w != 1; S(x, y) = S_w(a x, b y) for a symmetric S_w of
+    zero drift, so the critical point is (1/a, 1/b).
+    """
+    weights = central_weights(DIAGONAL, (a, b))
+    return make_stepset(DIAGONAL, [x * w if s[0] == s[1] else x
+                                   for s, x in zip(DIAGONAL, weights)])
 
 
 def solved(model):
@@ -240,12 +254,59 @@ class TestClassify:
                 assert f(mid) <= (f(u0) + f(u1)) / 2 + 1e-10 * (f(u0) + f(u1))
 
     def test_ambiguity_raises_and_reports(self):
-        model = builtin_model("gb", 1 + F(5, 10 ** 8), 2)
+        # log x_s = -5e-8 falls in the band, and the weighting is not central
+        model = tilted_diagonal(1 + F(5, 10 ** 8), F(1, 2))
         with pytest.raises(AmbiguousClassError):
             classify(model)
         result = classify(model, on_ambiguity="report")
         assert result.ambiguities
         assert result.family == "directed"
+
+    @pytest.mark.parametrize("name,a,b,family", [
+        ("tandem", 1 - F(1, 10 ** 9), F(1, 2), "reluctant"),
+        ("gb", 1 + F(5, 10 ** 8), 2, "directed"), ("gb", 1 + F(5, 10 ** 8), F(1, 3), "directed")])
+    def test_central_weighting_decided_exactly(self, name, a, b, family):
+        # the critical point (1/a, 1/b) is within 1e-7 of an edge of Q in log scale
+        assert classify(builtin_model(name, a, b)).family == family
+        row, = drift_diagram(lambda a, b: builtin_model(name, a, b), [a], [b])
+        assert row["class"] == family
+        if name == "gb":
+            assert gb_classify(a, b).family == family
+
+    def test_far_central_cell_in_the_diagram(self):
+        # the Hessian at u = 0 is numerically singular, but no solve is needed
+        model = builtin_model("tandem", F(1, 10 ** 90), 1)
+        with pytest.raises(ClassifyError, match="singular Hessian"):
+            classify(model)
+        row, = drift_diagram(lambda a, b: builtin_model("tandem", a, b), [F(1, 10 ** 90)], [1])
+        assert row["class"] == "transitional"
+
+    @pytest.mark.parametrize("name,p1", [("gb", 4), ("tandem", 3), ("gessel", F(4, 3)),
+                                         ("simple", 2)])
+    def test_exact_p1_by_niven(self, name, p1):
+        # balanced at (1, 1), reluctant at (1/2, 1/3), transitional at (1, 1/2)
+        for (a, b), alpha in [((1, 1), p1 / 2), ((F(1, 2), F(1, 3)), p1 + 1),
+                              ((1, F(1, 2)), p1 / 2 + 1)]:
+            result = classify(builtin_model(name, a, b))
+            assert result.alpha_exact == alpha
+            assert result.alpha == float(alpha)
+            assert result.p1 == pytest.approx(float(p1), abs=1e-9)
+
+    def test_irrational_p1_leaves_alpha_inexact(self):
+        # balanced for every w; c = w / (1 + w) is in Niven's set only at w = 1
+        for w in (F(1, 3), 2, F(5, 7)):
+            result = classify(tilted_diagonal(1, 1, w))
+            assert result.family == "balanced" and result.alpha_exact is None
+            assert result.covariance == pytest.approx(float(w / (1 + w)), abs=1e-12)
+        assert classify(tilted_diagonal(1, 1, 1)).alpha_exact == F(3, 4)
+
+    def test_alpha_exact_matches_closed_forms(self):
+        # the grid holds points of the boundary curves a = 1, b = 1, a = b and b = a**2
+        values = [F(1, 3), F(1, 2), 1, F(3, 2), 2, 4]
+        for a in values:
+            for b in values + [a * a]:
+                got, want = classify(builtin_model("gb", a, b)), gb_classify(a, b)
+                assert (got.family, got.alpha_exact) == (want.family, want.alpha)
 
     def test_weight_beyond_float_range_rejected(self):
         with pytest.raises(ClassifyError, match="float range"):
@@ -309,7 +370,7 @@ def seeded_values(rng, count):
 
 
 def classify_row(model, a, b):
-    """The diagram row of one cell, built from a batch of one."""
+    """The diagram row of one cell, built by classify."""
     result = classify(model, on_ambiguity="report")
     dx, dy = result.drift
     family = "ambiguous" if result.ambiguities else result.family
@@ -326,7 +387,7 @@ SINGULAR = make_stepset([(1, 0), (0, 1)], [1, 1])
 
 
 class TestDiagramBatch:
-    """drift_diagram solves its grid in batches; every row equals a batch of one."""
+    """drift_diagram classifies its grid cell by cell; every row equals classify's."""
 
     @pytest.mark.parametrize("name,size", [("tandem", 17), ("gb", 9), ("gessel", 9),
                                            ("simple", 9)])
@@ -338,12 +399,26 @@ class TestDiagramBatch:
         assert rows == grid_rows(factory, a_values, b_values)
 
     def test_ambiguous_cell(self):
-        a_values, b_values = [F(1, 2), 1 + F(5, 10 ** 8), 2], [F(1, 3), 2, 3]
-        factory = lambda a, b: builtin_model("gb", a, b)
-        rows = drift_diagram(factory, a_values, b_values)
-        assert rows == grid_rows(factory, a_values, b_values)
+        a_values, b_values = [F(1, 2), 1 + F(5, 10 ** 8), 2], [F(1, 3), F(1, 2), 3]
+        rows = drift_diagram(tilted_diagonal, a_values, b_values)
+        assert rows == grid_rows(tilted_diagonal, a_values, b_values)
         cell = {(r["a"], r["b"]): r["class"] for r in rows}
-        assert cell[(1 + F(5, 10 ** 8), 2)] == "ambiguous"
+        assert cell[(1 + F(5, 10 ** 8), F(1, 2))] == "ambiguous"
+
+    def test_solves_only_what_exact_rules_leave_open(self, monkeypatch):
+        calls = []
+        newton = CLASSIFY_MODULE._newton
+        monkeypatch.setattr(CLASSIFY_MODULE, "_newton",
+                            lambda *args: calls.append(args) or newton(*args))
+        values = [F(k, 4) for k in range(1, 13)]
+        for name in ("gb", "tandem", "gessel", "simple"):
+            drift_diagram(lambda a, b: builtin_model(name, a, b), values, values)
+        assert not calls
+        rows = drift_diagram(tilted_diagonal, values, values)
+        # a cell is solved iff its drift leaves the corner
+        assert len(calls) == sum(min(drift(tilted_diagonal(a, b))) < 0
+                                 for a in values for b in values) > 0
+        assert rows == grid_rows(tilted_diagonal, values, values)
 
     def test_alternating_step_sets(self):
         values = [F(k, 7) for k in range(1, 19)]
@@ -351,22 +426,14 @@ class TestDiagramBatch:
         rows = drift_diagram(factory, values, values)
         assert {len(factory(a, b).steps) for a, b in [(values[0], values[0]),
                                                        (values[0], values[1])]} == {3, 4}
-        assert len(rows) == len(values) ** 2 > _BATCH
+        assert len(rows) == len(values) ** 2
         assert rows == grid_rows(factory, values, values)
-
-    def test_batch_of_one_matches_its_batch(self):
-        # far critical points need more iterations than their batch-mates' caps allow
-        models = king_models(40, seed=13) + [
-            builtin_model(name, a, b) for name in ("gb", "tandem", "gessel", "simple")
-            for a, b in [(1, 1), (F(3, 2), F(2, 3)), (F(1, 3), 2), (10 ** 150, 1)]] + [
-            builtin_model("gb", F(1, 10 ** 90), 1)]
-        assert list(_solve(models)) == [next(_solve([model])) for model in models]
 
     @pytest.mark.parametrize("bad,message", [
         (SINGULAR, "non-singular"), (NOT_2D, "d = 2"),
         (builtin_model("gb", 10 ** 400, 1), "float range")], ids=["singular", "not-2d", "float"])
     def test_first_failing_cell_raises(self, bad, message):
-        # the bad cell lies in the second batch, and a cell failing differently follows it
+        # the bad cell lies deep in the grid, and a cell failing differently follows it
         values = [F(k, 3) for k in range(1, 21)]
         first, later = (values[15], values[4]), (values[17], values[1])
         other = NOT_2D if bad is not NOT_2D else SINGULAR

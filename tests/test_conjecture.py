@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from orthantwalks import (ResourceGuardError, builtin_model, conjecture2_nullspace,
                           make_stepset, minimal_refutation_length)
-from orthantwalks.conjecture import residuals
+from orthantwalks.conjecture import _lengths, residuals
+from orthantwalks.counting import DEFAULT_GUARD
 from orthantwalks.linalg import EchelonBasis
 
 # tandem with its steps in the reverse order; row reduction of its cap-1
@@ -101,6 +102,20 @@ class TestSoundness:
         gb = builtin_model("gb", 1, 1)
         for vec in conjecture2_nullspace(gb, cap).basis:
             assert all(r == 0 for r in residuals(gb, vec, cap))
+
+    def test_residuals_match_fraction_substitution(self):
+        # the integer dot products against the plain rational formula
+        rng = random.Random(17)
+        king = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if (i, j) != (0, 0)]
+        for _ in range(5):
+            steps = rng.sample(king, rng.randrange(3, 9))
+            model = make_stepset(steps, [1] * len(steps))
+            rows = [row for _, rows in _lengths(model, 5, DEFAULT_GUARD) for row in rows]
+            vec = tuple(rng.choice([0, 1, -3, F(2, 3), F(-5, 7), F(10 ** 20, 3)])
+                        for _ in model.steps)
+            got = residuals(model, vec, 5)
+            assert got == [sum(F(c) * q for c, q in zip(row, vec)) for row in rows]
+            assert all(type(r) is F for r in got)
 
     def test_four_dim_example_runs(self):
         # the 16-step dimension-4 set: 4 base vectors plus the 12 coordinate

@@ -396,6 +396,14 @@ class TestContributing:
             assert p.t == 1 / (x * y * s_val), p.label
 
 
+    @pytest.mark.parametrize("a,b", [(F(2, 7), F(10 ** 40 + 1, 3)), (F(10 ** 30, 7), F(5, 3)),
+                                     (3, 4), (F(1, 3), 2)])
+    def test_t_is_rational_in_closed_form(self, a, b):
+        for p in gb_critical_points(a, b):
+            x, y = p.xy
+            assert type(p.t) is F and p.t == 1 / (abs(x) * y * p.growth), p.label
+
+
 class TestSqrtExact:
     def test_perfect_squares(self):
         assert sqrt_exact(F(9, 4)) == F(3, 2)
