@@ -11,7 +11,14 @@ s0_k) on axis k, so layer n lies in the coset start + n*s0 (mod m), in a dense
 array over its window with index a at the point lo + m*a: one step's reach from
 layer n-1's window, clipped to the orthant and the coset, less its all-zero
 faces (exact zeros, or scaled cells already lost to underflow), so kept cells
-are computed as over the whole box.  Only the array's dtype depends on the mode:
+are computed as over the whole box.  The array is a view into a C-ordered
+buffer whose rows on axes 1.. run on past the window in zero ghost cells, as
+many as a step can read outside it ((max(0, s_k) - min(0, s_k)) / m_k), so the
+cells of consecutive rows never touch.  Layers n-1 and n share one row length,
+so step s is one flat offset and one contiguous multiply-add over the cells it
+reaches, first to last; a read that leaves the old window lands on a ghost
+zero, which acts as the orthant boundary.  A window that outgrows its rows is
+first copied into longer ones.  Only the array's dtype depends on the mode:
 
 * exact mode: object arrays of Python ints.  Rational weights are cleared to
   integers by the common denominator L, so layer n stores L**n times the true
@@ -21,7 +28,7 @@ are computed as over the whole box.  Only the array's dtype depends on the mode:
   (the one step only scaled mode takes) adds no rounding error; per-layer
   relative error is bounded by (|S|+2) ulp and hence by n * 2**-50 after n
   layers.  A layer the table does not keep is written into one of two
-  buffers in turn, both sized once to the largest window, so the build
+  buffers, both sized once to the largest padded layer, so the build
   allocates no layer it drops.  One sum per layer gives the total and the
   range check: entries are nonnegative, so max <= sum <= cells * max, and
   only a sum outside [cells * 2**-499, 2**500] needs the maximum.
@@ -38,6 +45,7 @@ the backward cone of the cell asked for, the cells that can still reach it
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import operator
@@ -62,6 +70,9 @@ BRUTE_FORCE_GUARD = 10 ** 8
 _NORM_LIMIT = 2.0 ** 500
 _NORM_FLOOR = 2.0 ** -499  # twice 1 / _NORM_LIMIT, per cell
 _NORM_SHIFT = 512
+
+# a new row layout leaves room for this many layers of window growth
+_SPARE_LAYERS = 2
 
 
 class ResourceGuardError(RuntimeError):
@@ -138,11 +149,8 @@ class WalkTable:
                 f"{mode} table of {held} cells exceeds guard of {guard}")
         self._tracked: dict[Vector, list[tuple]] = {tuple(p): [] for p in track}
         self._windows, self._totals, self._kept = [], [], {}
-        # scaled layers that are not kept alternate between two buffers
-        buffers = [np.empty(largest) for _ in range(2)] if mode == "scaled" else []
-        for n, arr, exp, window, total in _layers(
-                model, self.start, n_max, mode, guard,
-                lambda n: None if self._keeps(n) else buffers[n % 2]):
+        for n, arr, exp, window, total in _layers(model, self.start, n_max, mode, guard,
+                                                  self._keeps):
             block = (arr, exp, window)
             self._windows.append(window)
             self._totals.append((total, exp))
@@ -183,9 +191,16 @@ class WalkTable:
         base = n if n in self._kept else n - n % self._stride
         yield base, self._kept[base]
         arr, exp, src = self._kept[base]
+        if cone:  # only the cone of the kept layer is read
+            lo, cut = src[0], self._cone(*cone, base)
+            arr = arr[tuple(slice((a - l) // m, max(0, (b - l) // m + 1)) for l, a, b, m
+                            in zip(lo, *cut, self._lattice))]
+            src = cut
         for j in range(base + 1, n + 1):
             dst = self._cone(*cone, j) if cone else self._windows[j]
-            arr = _advance_layer(arr, self.model.steps, self._weights, src, dst, self._lattice)
+            with np.errstate(over="ignore", invalid="ignore"):  # only ghosts, zeroed after
+                arr = _advance_layer(arr, self.model.steps, self._weights, src, dst,
+                                     self._lattice)
             if self._totals[j][1] != exp:
                 arr *= 2.0 ** (exp - self._totals[j][1])
                 exp = self._totals[j][1]
@@ -241,17 +256,19 @@ class WalkTable:
 
 def _layers(model: StepSet, start: Vector, n_max: int, mode: str,
             guard: int = DEFAULT_GUARD,
-            out: Callable[[int], Optional[np.ndarray]] = lambda n: None) -> Iterator[tuple]:
+            keep: Callable[[int], bool] = lambda n: True) -> Iterator[tuple]:
     """Layers 0..n_max from `start` as (n, raw array, exponent, window, raw total).
 
-    Raw exact cells are L**n times the weighted counts.  Layer n goes into
-    the flat buffer `out(n)`, or a new array when that is None.  Building it
-    holds layer n-1 and layer n's untrimmed window: more than `guard` cells raise.
+    Raw exact cells are L**n times the weighted counts.  Layer n goes into a
+    new buffer when keep(n), else into one of two spare buffers, both sized
+    once for the largest padded layer.  Building it holds layer n-1 and
+    layer n's untrimmed window: more than `guard` cells raise.
     """
     weights, _ = _kernel_weights(model, mode)
     lattice = _lattice(model.steps)
-    arr = np.ones((1,) * model.dimension, dtype=float if mode == "scaled" else object)
-    exp, window = 0, (start, start)
+    dtype = float if mode == "scaled" else object
+    arr = np.ones(1, dtype=dtype).reshape((1,) * model.dimension)
+    cells, exp, window, spares = arr.base, 0, (start, start), []
     for n in range(n_max + 1):
         with np.errstate(over="ignore", invalid="ignore"):  # the finite check reports an inf
             if n:
@@ -260,21 +277,28 @@ def _layers(model: StepSet, start: Vector, n_max: int, mode: str,
                 if held > guard:
                     raise ResourceGuardError(f"{mode} layers {n - 1} and {n} hold "
                                              f"{held} cells, over the guard of {guard}")
-                arr = _advance_layer(arr, model.steps, weights, window, reach, lattice, out(n))
+                kept = keep(n)
+                if not kept and not spares:
+                    size = _padded_size(model.steps, lattice, start, n_max)
+                    spares = [np.empty(size, dtype=dtype) for _ in range(2)]
+                arr = _advance_layer(arr, model.steps, weights, window, reach, lattice,
+                                     () if kept else spares)
+                # its rows, ghosts included, start its buffer, and the faces _trim drops are 0
+                cells = arr.base[:arr.shape[0] * arr.strides[0] // arr.itemsize]
                 arr, window = _trim(arr, reach, lattice)
-            total = arr.sum()
+            total = cells.sum()
             # max <= computed sum <= 2 * cells * max, so a sum in range clears the max
             if mode == "scaled" and not arr.size * _NORM_FLOOR <= total <= _NORM_LIMIT:
-                peak = float(arr.max(initial=0.0))
+                peak = float(cells.max(initial=0.0))
                 if not math.isfinite(peak):
                     raise OverflowError(f"scaled layer {n} left the float64 range")
                 if peak > _NORM_LIMIT:
-                    arr *= 2.0 ** -_NORM_SHIFT
+                    cells *= 2.0 ** -_NORM_SHIFT
                     exp += _NORM_SHIFT
                 elif 0.0 < peak < 1.0 / _NORM_LIMIT:
-                    arr *= 2.0 ** _NORM_SHIFT
+                    cells *= 2.0 ** _NORM_SHIFT
                     exp -= _NORM_SHIFT
-                total = arr.sum()
+                total = cells.sum()
         yield n, arr, exp, window, total
 
 
@@ -334,25 +358,103 @@ def _step_slices(steps, src: Window, dst: Window,
             yield i, tuple(into), tuple(out_of)
 
 
+@functools.cache
+def _ghosts(steps, lattice: Vector) -> Vector:
+    """Ghost cells per row on axis k: how far outside its window a read p - s can lie.
+
+    The next window reaches max(0, s_k) past the old one and -min(0, s_k) below it.
+    """
+    return tuple((max(0, *col) - min(0, *col)) // m for col, m in zip(zip(*steps), lattice))
+
+
+def _padded_size(steps, lattice: Vector, start: Vector, n_max: int) -> int:
+    """Cells of a buffer for any layer up to n_max at the widest rows `_pitch` picks.
+
+    Layer n's window lies in [max(0, start + n min s), start + n max s], which grows with n.
+    """
+    extents = [(c + n_max * max(0, *col) - max(0, c + n_max * min(0, *col))) // m + 1
+               for c, col, m in zip(start, zip(*steps), lattice)]
+    return extents[0] * math.prod(e + (1 + _SPARE_LAYERS) * g for e, g
+                                  in zip(extents[1:], _ghosts(steps, lattice)[1:]))
+
+
+def _pitch(lengths: list[int], old: Sequence[int], new: Sequence[int],
+           ghosts: Vector) -> list[int]:
+    """Row lengths on axes 1.. for a step from a layer of shape `old` to one of shape `new`.
+
+    The current `lengths` serve while they hold both layers with their ghosts
+    and are at most twice a new layout, which leaves room for _SPARE_LAYERS
+    layers of growth (a cone replay shrinks its layers).
+    """
+    fits, want = True, []
+    for r, a, b, g in zip(lengths, old[1:], new[1:], ghosts[1:]):
+        need = max(a, b) + g
+        want.append(need + _SPARE_LAYERS * g)
+        fits = fits and need <= r <= 2 * want[-1]
+    return lengths if fits else want
+
+
+def _pad(rows: int, pitch: Sequence[int], dtype, out: Sequence[np.ndarray],
+         busy: Optional[np.ndarray]) -> np.ndarray:
+    """Uninitialized rows of the given lengths at the start of a buffer.
+
+    The buffer is the first of `out` that is not `busy`, or a new one.
+    """
+    size = rows * math.prod(pitch)
+    buf = next((b for b in out if b is not busy), None)
+    return (np.empty(size, dtype=dtype) if buf is None else buf[:size]).reshape(rows, *pitch)
+
+
+def _zero_ghosts(pad: np.ndarray, shape: Sequence[int]) -> np.ndarray:
+    """Zero every cell of `pad` outside its leading `shape` box; return the box."""
+    for k in range(1, pad.ndim):
+        pad[(slice(None),) * k + (slice(shape[k], None),)] = 0
+    return pad[tuple(slice(n) for n in shape)]
+
+
 def _advance_layer(arr: np.ndarray, steps, weights, src: Window, dst: Window,
-                   lattice: Vector, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """One transfer step of the orthant-restricted recurrence on windowed arrays.
+                   lattice: Vector, out: Sequence[np.ndarray] = ()) -> np.ndarray:
+    """One transfer step of the orthant-restricted recurrence on row-padded layers.
 
     Cell p of the new layer (window dst) collects w_s times cell p - s of the
     old one (window src) for every step s, in step order; the result has the
-    dtype of `arr`.  The result is a new array, or a zeroed prefix of the flat
-    buffer `out` (not `arr`'s), reshaped.
+    dtype of `arr`.  Step s adds one flat range of arr's buffer to one of the
+    result's, whose rows are as long as arr's (arr is first copied to longer
+    rows when dst outgrows them).  The first step assigns; the ghosts the
+    steps wrote are zeroed after.  The result, and such a copy, lie in a
+    buffer of `out` that does not hold the layer read, or in a new one.
     """
     shape = _shape(dst, lattice)
-    if out is None:
-        new = np.zeros(shape, dtype=arr.dtype)
-    else:
-        new = out[:math.prod(shape)].reshape(shape)
-        new.fill(0.0)
+    lengths = [a // b for a, b in zip(arr.strides, arr.strides[1:])]  # rows on axes 1..
+    pitch = _pitch(lengths, arr.shape, shape, _ghosts(steps, lattice))
+    if pitch != lengths:
+        pad = _pad(arr.shape[0], pitch, arr.dtype, out, arr.base)
+        pad[tuple(slice(n) for n in arr.shape)] = arr
+        arr = _zero_ghosts(pad, arr.shape)
+    cells, size = arr.base, arr.itemsize
+    at = (arr.ctypes.data - cells.ctypes.data) // size  # arr's first cell in its buffer
+    strides = [s // size for s in arr.strides]
+    new = _pad(shape[0], pitch, arr.dtype, out, cells)
+    flat = new.reshape(-1)
+    first = True
     for i, into, out_of in _step_slices(steps, src, dst, lattice):
-        part, w = arr[out_of], weights[i]
-        new[into] += part if w == 1 else w * part
-    return new
+        a, b, c = 0, 0, at  # flat index of the first and last cell into, of the first read
+        for r, q, p in zip(into, out_of, strides):
+            a, b, c = a + r.start * p, b + (r.stop - 1) * p, c + q.start * p
+        part, w, cell = cells[c:c + b - a + 1], weights[i], flat[a:b + 1]
+        if first:
+            flat[:a] = 0
+            flat[b + 1:] = 0
+            if w == 1:
+                cell[...] = part
+            else:
+                np.multiply(part, w, out=cell)
+            first = False
+        else:
+            cell += part if w == 1 else w * part
+    if first:
+        flat[...] = 0
+    return _zero_ghosts(new, shape)
 
 
 def count_walks(model: StepSet, start: Sequence[int], n_max: int,

@@ -16,6 +16,7 @@ import pytest
 from orthantwalks import (ResourceGuardError, StepSetError, brute_force_count,
                           builtin_model, central_weights, count_walks,
                           make_stepset, sample_walk)
+from orthantwalks import counting
 
 LONG_STEP_SET = ((2, 2), (1, 1), (-1, 0), (0, -1))
 THREE_D = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (-1, 1, 0), (0, -1, 1))
@@ -362,6 +363,75 @@ class TestLayerBuffers:
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         assert int(result.stdout) < 50_000
+
+
+def slice_kernel(arr, steps, weights, src, dst, lattice):
+    """The transfer step as one box slice per step, into a new dense array."""
+    new = np.zeros(counting._shape(dst, lattice), dtype=arr.dtype)
+    for i, into, out_of in counting._step_slices(steps, src, dst, lattice):
+        part, w = arr[out_of], weights[i]
+        new[into] += part if w == 1 else w * part
+    return new
+
+
+def slice_layers(model, start, n_max, mode):
+    """(n, cells, exponent, window, total) of every layer, built with `slice_kernel`."""
+    weights, _ = counting._kernel_weights(model, mode)
+    lattice = counting._lattice(model.steps)
+    arr = np.ones((1,) * model.dimension, dtype=float if mode == "scaled" else object)
+    exp, window = 0, (start, start)
+    for n in range(n_max + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if n:
+                reach = counting._reach(model.steps, lattice, window)
+                arr = slice_kernel(arr, model.steps, weights, window, reach, lattice)
+                arr, window = counting._trim(arr, reach, lattice)
+            total = arr.sum()
+            if mode == "scaled" and not arr.size * 2.0 ** -499 <= total <= 2.0 ** 500:
+                peak = float(arr.max(initial=0.0))
+                if peak > 2.0 ** 500:
+                    arr, exp = arr * 2.0 ** -512, exp + 512
+                elif 0.0 < peak < 2.0 ** -500:
+                    arr, exp = arr * 2.0 ** 512, exp - 512
+                total = arr.sum()
+        yield n, arr, exp, window, total
+
+
+KERNEL_CASES = CONE_CASES + [
+    ("4d 16 steps", make_stepset(FOUR_D, [1] * 16), (0, 0, 0, 0), 6),
+    ("longstep from (2,1)", make_stepset(LONG_STEP_SET, [1] * 4), (2, 1), 60),
+    ("longstep, no weight 1, from (0,3)",
+     make_stepset(LONG_STEP_SET, [F(1, 2), F(5, 7), F(3, 2), F(7, 5)]), (0, 3), 60),
+    ("gb(10^150,1)", builtin_model("gb", 10 ** 150, 1), (0, 0), 30),  # renormalizes
+]
+
+
+class TestFlatKernel:
+    """Each step as one flat range of a row-padded layer equals one box slice per step."""
+
+    @pytest.mark.parametrize("mode,keep", [("exact", None), ("scaled", None),
+                                           ("scaled", "none"), ("scaled", "every 7th")])
+    @pytest.mark.parametrize("name,model,start,n_max", KERNEL_CASES,
+                             ids=[c[0] for c in KERNEL_CASES])
+    def test_layers_equal_slice_kernel(self, name, model, start, n_max, mode, keep):
+        if mode == "exact":
+            n_max = min(n_max, 120)
+        kept = {None: lambda n: True, "none": lambda n: False,
+                "every 7th": lambda n: n % 7 == 0}[keep]
+        renormalized = False
+        for got, want in itertools.zip_longest(
+                counting._layers(model, start, n_max, mode, keep=kept),
+                slice_layers(model, start, n_max, mode)):
+            (n, arr, exp, window, total), (_, cells, want_exp, want_window, want_total) = got, want
+            assert (exp, window) == (want_exp, want_window), n
+            assert arr.shape == cells.shape and np.array_equal(arr, cells), n
+            if mode == "exact":
+                assert total == want_total, n
+            else:
+                assert abs(total - want_total) <= 4 * np.spacing(want_total), n
+            renormalized |= exp != 0
+        if mode == "scaled":
+            assert renormalized == name.startswith(("gb n=400", "gb(10^150"))
 
 
 class TestMonotonicity:
