@@ -5,6 +5,11 @@ carries the same weight; equivalently the weights have the product form
 a_s = beta * prod_k alpha_k**s_k.  All decisions here run in exponent space
 over the rationals, never through real logarithms, so centrality checks and
 the alpha/beta decomposition are bit-exact.
+
+The path pairs and the alpha/beta monomials depend on the steps alone: one
+exact inverse of a base of d+1 step-matrix rows gives both (a step's row times
+the inverse gives its pair, the inverse's rows give alpha and beta), and the
+weights enter only when the pairs are checked.
 """
 
 from __future__ import annotations
@@ -41,26 +46,6 @@ def rank_full(model: StepSet) -> tuple[int, bool]:
     return rank, rank == model.dimension + 1
 
 
-def _base_rows(model: StepSet, base: Optional[Sequence[int]]) -> list[int]:
-    """Indices of d+1 steps with independent step-matrix rows.
-
-    Default: the lexicographically-first such subset, picked greedily.
-    """
-    rows = step_matrix(model)
-    want = model.dimension + 1
-    basis = EchelonBasis(want)
-    if base is None:
-        chosen = [k for k, row in enumerate(rows) if basis.add(row)]
-        if len(chosen) < want:
-            raise SingularModelError(
-                "step matrix is rank deficient; the model is singular")
-        return chosen
-    chosen = list(base)
-    if len(chosen) != want or not all(basis.add(rows[i]) for i in chosen):
-        raise ValueError(f"base {base} is not an independent subset of size {want}")
-    return chosen
-
-
 @dataclass(frozen=True)
 class PathPair:
     """Two equal-length, equal-endpoint paths witnessing one weight relation.
@@ -95,42 +80,64 @@ class PathPair:
         return f"{side(self.left)} = {side(self.right)}"
 
 
-def find_path_pairs(model: StepSet, base: Optional[Sequence[int]] = None
-                    ) -> tuple[tuple[int, ...], list[PathPair]]:
-    """A base subset T of d+1 steps and one path pair per remaining step.
+def _base_solve(model: StepSet, base: Optional[Sequence[int]]
+                ) -> tuple[list[int], list[tuple[Fraction, ...]], list[PathPair]]:
+    """The base T, the exact inverse of T's step-matrix rows, and the path pairs.
 
     T defaults to the lexicographically-first d+1 steps with independent step
-    matrix rows; a different independent subset may be passed explicitly.  The
-    relation for each leftover step comes from solving its row against the T
-    rows, clearing denominators by their lcm, and splitting terms by sign.
+    matrix rows, picked greedily.  Row r of the inverse expresses the r-th
+    unknown (log alpha_1, ..., log alpha_d, log beta) through the weights of T;
+    a leftover step's row times the inverse gives its coefficients over T.
+    Times the lcm D of the inverse's denominators they are integers, which
+    with D at the step itself are split by sign into a path pair and made
+    primitive.  Nothing here reads the weights.
     """
     if is_singular(model):
         raise SingularModelError("path pairs require a non-singular step set")
     rows = step_matrix(model)
-    chosen = _base_rows(model, base)
-    columns = [[rows[i][r] for i in chosen] for r in range(model.dimension + 1)]
-    others = [k for k in range(model.size) if k not in chosen]
+    want = model.dimension + 1
+    basis = EchelonBasis(want)
+    if base is None:
+        # steps on no closed half-space lie on no affine hyperplane either, so
+        # the step matrix has full rank and the greedy pick fills T
+        chosen = [k for k, row in enumerate(rows) if basis.add(row)]
+    else:
+        chosen = list(base)
+        if len(chosen) != want or not all(basis.add(rows[i]) for i in chosen):
+            raise ValueError(f"base {base} is not an independent subset of size {want}")
+    columns = solve([rows[i] for i in chosen],
+                    [[int(r == c) for r in range(want)] for c in range(want)])
+    den = lcm(*(q.denominator for column in columns for q in column))
+    scaled = [[q.numerator * (den // q.denominator) for q in column] for column in columns]
     pairs = []
-    for s_idx, coeffs in zip(others, solve(columns, [rows[k] for k in others])):
-        denom = lcm(*[c.denominator for c in coeffs])
-        left = {s_idx: denom}
+    for s_idx in (k for k in range(model.size) if k not in chosen):
+        coeffs = [sum(x * c for x, c in zip(rows[s_idx], column)) for column in scaled]
+        common = gcd(den, *coeffs)
+        left = {s_idx: den // common}
         right: dict[int, int] = {}
         for t_idx, c in zip(chosen, coeffs):
-            m = int(c * denom)
-            if m > 0:
-                right[t_idx] = m
-            elif m < 0:
-                left[t_idx] = -m
-        # the last matrix column forces sum(coeffs) = 1, so `right` is nonempty
-        common = gcd(*left.values(), *right.values())
-        left = {k: v // common for k, v in left.items()}
-        right = {k: v // common for k, v in right.items()}
+            if c > 0:
+                right[t_idx] = c // common
+            elif c < 0:
+                left[t_idx] = -c // common
+        # the last matrix column forces sum(coeffs) = D, so `right` is nonempty
         pairs.append(PathPair(
             step_index=s_idx,
             left=tuple(sorted(left.items())),
             right=tuple(sorted(right.items())),
             steps=model.steps,
         ))
+    return chosen, list(zip(*columns)), pairs
+
+
+def find_path_pairs(model: StepSet, base: Optional[Sequence[int]] = None
+                    ) -> tuple[tuple[int, ...], list[PathPair]]:
+    """A base subset T of d+1 steps and one path pair per remaining step.
+
+    T defaults to the lexicographically-first d+1 steps with independent step
+    matrix rows; a different independent subset may be passed explicitly.
+    """
+    chosen, _, pairs = _base_solve(model, base)
     return tuple(chosen), pairs
 
 
@@ -148,11 +155,12 @@ def pair_holds(model: StepSet, pair: PathPair) -> bool:
 
 def is_central(model: StepSet) -> tuple[bool, Optional[PathPair]]:
     """Whether the weighting is central; on failure also the first violated pair."""
-    _, pairs = find_path_pairs(model)
-    for pair in pairs:
-        if not pair_holds(model, pair):
-            return False, pair
-    return True, None
+    witness = _violated(model, find_path_pairs(model)[1])
+    return witness is None, witness
+
+
+def _violated(model: StepSet, pairs: Sequence[PathPair]) -> Optional[PathPair]:
+    return next((pair for pair in pairs if not pair_holds(model, pair)), None)
 
 
 def are_equivalent(model: StepSet, other: StepSet) -> bool:
@@ -277,25 +285,20 @@ def solve_central(model: StepSet, base: Optional[Sequence[int]] = None
     The exponent system log(a) = M_S (log alpha, log beta) is solved on a
     chosen independent row subset (default: the lexicographically-first one);
     exponent vectors live over the rationals so the result is exact even when
-    the alpha_k themselves are irrational.
+    the alpha_k themselves are irrational.  Centrality is checked on the path
+    pairs of the same subset; NotCentralError carries the first one violated.
     """
-    central, witness = is_central(model)
-    if not central:
+    chosen, inverse, pairs = _base_solve(model, base)
+    witness = _violated(model, pairs)
+    if witness is not None:
         raise NotCentralError(
             f"weighting is not central; violated relation {witness.describe()}",
             witness)
-    rows = step_matrix(model)
-    chosen = _base_rows(model, base)
-    want = len(chosen)
-    # Invert the square subsystem: row r of the inverse gives the exponent
-    # vector expressing the r-th unknown through the chosen weights.
-    inverse_cols = solve([rows[i] for i in chosen],
-                         [[int(r == c) for r in range(want)] for c in range(want)])
     monomials = []
-    for r in range(want):
+    for row in inverse:
         exps = [Fraction(0)] * model.size
-        for col, i in enumerate(chosen):
-            exps[i] = inverse_cols[col][r]
+        for i, q in zip(chosen, row):
+            exps[i] = q
         monomials.append(Monomial(tuple(exps)))
     dec = CentralDecomposition(model=model, alpha=tuple(monomials[:-1]), beta=monomials[-1])
     if not dec.verify():

@@ -139,16 +139,10 @@ class _Cell(NamedTuple):
     drift: tuple[Fraction, Fraction]
 
 
-@functools.cache
-def _singular(steps: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether a step set is singular; the weights do not enter, so a diagram asks once."""
-    return is_singular(make_stepset(steps, [1] * len(steps)))
-
-
 def _prepare(model: StepSet) -> _Cell:
     if model.dimension != 2:
         raise ClassifyError("classification is implemented for d = 2 models")
-    if _singular(model.steps):
+    if is_singular(model):
         raise ClassifyError("classification requires a non-singular model")
     try:
         floats = [float(w) for w in model.weights]

@@ -326,9 +326,10 @@ def _trim(arr: np.ndarray, window: Window, lattice: Vector) -> tuple[np.ndarray,
     lo, hi = list(window[0]), list(window[1])
     for k, m in enumerate(lattice):
         face = (slice(None),) * k
-        while arr.shape[k] > 1 and not arr[face + (0,)].any():
+        # `...` keeps a face an array in 1-D, where an object cell is a Python int
+        while arr.shape[k] > 1 and not arr[face + (0, ...)].any():
             arr, lo[k] = arr[face + (slice(1, None),)], lo[k] + m
-        while arr.shape[k] > 1 and not arr[face + (-1,)].any():
+        while arr.shape[k] > 1 and not arr[face + (-1, ...)].any():
             arr, hi[k] = arr[face + (slice(-1),)], hi[k] - m
     return arr, (tuple(lo), tuple(hi))
 

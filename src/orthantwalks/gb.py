@@ -466,16 +466,15 @@ def gb_critical_points(a: Real, b: Real) -> list[CriticalPoint]:
             for label, stratum, x, y, growth, t in points]
 
 
+_CONTRIBUTING = {
+    **dict.fromkeys(("balanced", "transitional1", "transitional2", "reluctant"),
+                    frozenset({"c1+", "c1-"})),
+    **dict.fromkeys(("axial1", "directed2"), frozenset({"c12"})),
+    **dict.fromkeys(("axial2", "directed1"), frozenset({"c13+", "c13-"})),
+    "free": frozenset({"c123"}),
+}
+
+
 def gb_contributing(a: Real, b: Real) -> frozenset[str]:
     """Labels of the contributing critical points for the weighting (a, b)."""
-    a, b = _weights(a, b)
-    labels = set()
-    if a <= 1 and b <= 1:
-        labels.update({"c1+", "c1-"})
-    if a > 1 and a >= b:
-        labels.add("c12")
-    if b > 1 and b >= a * a:
-        labels.update({"c13+", "c13-"})
-    if b > a and a * a > b and b > 1:
-        labels.add("c123")
-    return frozenset(labels)
+    return _CONTRIBUTING[gb_classify(a, b).label]

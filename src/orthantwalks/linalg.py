@@ -1,11 +1,11 @@
 """Exact linear algebra over the rationals: one incremental echelon basis.
 
 Every rank, null-space and linear-solve question in the package (the step
-matrix of the central algebra, the dual cone behind singularity in dimension
-three and up, the walk-count system of the conjecture checker) is answered by
-`EchelonBasis`.  Rows are integer vectors and stay integral: each kept row is
-divided by the gcd of its entries after every elimination, so elimination
-forms no fractions and entries stay as small as the row space allows.
+matrix of the central algebra, the dual cone behind singularity, the
+walk-count system of the conjecture checker) is answered by `EchelonBasis`.
+Rows are integer vectors and stay integral: each kept row is divided by the
+gcd of its entries after every elimination, so elimination forms no fractions
+and entries stay as small as the row space allows.
 """
 
 from __future__ import annotations

@@ -3,11 +3,14 @@
 A model is a finite list of distinct integer step vectors in Z^d, each with a
 strictly positive exact-rational weight.  Everything downstream (counting
 tables, centrality algebra, classification) consumes the immutable StepSet
-defined here.
+defined here.  Singularity, whether the steps fit a closed half-space, depends
+on the steps alone: one exact dual-cone test serves every dimension and runs
+once per step tuple.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -232,67 +235,25 @@ def inventory_eval(model: StepSet, point: Sequence) -> Union[Fraction, float]:
     return total
 
 
-def _primitive(v: Vector) -> Vector:
-    g = 0
-    for c in v:
-        g = math.gcd(g, abs(c))
-    return tuple(c // g for c in v)
-
-
-def _half_plane_gap(directions: list[Vector]) -> bool:
-    """True iff some closed half-plane through the origin contains every direction.
-
-    Sorts the distinct primitive directions counterclockwise with exact integer
-    comparisons and looks for a cyclic angular gap of at least pi.
-    """
-    ordered = sorted(set(directions), key=_ccw_sort_key)
-    m = len(ordered)
-    if m == 1:
-        return True
-    for k in range(m):
-        u = ordered[k]
-        v = ordered[(k + 1) % m]
-        cross = u[0] * v[1] - u[1] * v[0]
-        dot = u[0] * v[0] + u[1] * v[1]
-        # gap from u counterclockwise to v: > pi iff cross < 0, = pi iff opposite
-        if cross < 0 or (cross == 0 and dot < 0):
-            return True
-    return False
-
-
-def _ccw_sort_key(v: Vector):
-    # exact counterclockwise order from the positive x-axis: split into half
-    # turns, order the axis vector of each half first, then by -x/y which is
-    # increasing in the angle on both halves
-    x, y = v
-    half = 0 if (y > 0 or (y == 0 and x > 0)) else 1
-    if y == 0:
-        return (half, 0)
-    return (half, 1, Fraction(-x, y))
-
-
 def is_singular(model: StepSet) -> bool:
-    """True iff some nonzero u has u . s >= 0 for every step (steps fit a half-space)."""
-    nonzero = [_primitive(s) for s in model.steps if any(s)]
-    if not nonzero:
-        return True
-    d = model.dimension
-    if d == 1:
-        signs = {1 if v[0] > 0 else -1 for v in nonzero}
-        return len(signs) < 2
-    if d == 2:
-        return _half_plane_gap(nonzero)
-    return _dual_cone_nontrivial(nonzero, d)
+    """True iff some nonzero u has u . s >= 0 for every step (steps fit a half-space).
+
+    The weights do not enter, so the test runs once per step tuple.
+    """
+    return _dual_cone_nontrivial(model.steps)
 
 
-def _dual_cone_nontrivial(steps: list[Vector], d: int) -> bool:
-    """Exact test for a nonzero u with u . s >= 0 for all s, in dimension >= 3.
+@functools.cache
+def _dual_cone_nontrivial(steps: tuple[Vector, ...]) -> bool:
+    """Exact test for a nonzero u with u . s >= 0 for every step s, in any dimension.
 
     If the steps do not span R^d any orthogonal direction works.  Otherwise the
     dual cone is pointed and is nontrivial iff it has an extreme ray, which lies
     on d-1 linearly independent active constraints; enumerating those rays is
-    exact and cheap at the sizes handled here.
+    exact and cheap at the sizes handled here.  In d = 1 the empty face gives
+    the rays +1 and -1.
     """
+    d = len(steps[0])
     if EchelonBasis(d, steps).rank < d:
         return True
     for subset in combinations(steps, d - 1):

@@ -188,6 +188,57 @@ class TestSolveCentral:
             assert dec.beta_exact() == beta
 
 
+class TestSharedBaseSolve:
+    """find_path_pairs and solve_central read one base and its exact inverse."""
+
+    def test_not_central_witness_equals_is_central(self):
+        import itertools
+        import random
+        rng = random.Random(11)
+        pool = [s for s in itertools.product((-1, 0, 1), repeat=2) if any(s)]
+        models = [builtin_model("gb", 1, 1).with_weights([2, F(1, 2), 3, 1])]
+        for _ in range(300):
+            steps = rng.sample(pool, rng.randint(4, 8))
+            models.append(make_stepset(steps, [F(rng.randint(1, 9), rng.randint(1, 9))
+                                               for _ in steps]))
+        checked = 0
+        for model in models:
+            try:
+                central, witness = is_central(model)
+            except SingularModelError:
+                with pytest.raises(SingularModelError):
+                    solve_central(model)
+                continue
+            if central:
+                assert solve_central(model).verify()
+                continue
+            with pytest.raises(NotCentralError) as err:
+                solve_central(model)
+            got = err.value.witness
+            assert (got.step_index, got.left, got.right) == (
+                witness.step_index, witness.left, witness.right)
+            assert str(err.value) == f"weighting is not central; violated relation {witness.describe()}"
+            checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("steps", [GB_STEPS, LONG_STEP_SET], ids=["gb", "longstep"])
+    def test_every_base_agrees(self, steps):
+        import itertools
+        model = make_stepset(steps, central_weights(steps, (F(5, 3), F(2, 7)), beta=F(3)))
+        bases = [base for base in itertools.combinations(range(len(steps)), 3)
+                 if rank_full(make_stepset([steps[i] for i in base], [1] * 3))[1]]
+        assert len(bases) >= 3
+        for base in bases:
+            chosen, pairs = find_path_pairs(model, base)
+            assert chosen == base
+            assert sorted(p.step_index for p in pairs) == sorted(set(range(len(steps))) - set(base))
+            assert all(pair_holds(model, pair) for pair in pairs)
+            dec = solve_central(model, base)
+            assert dec.verify()
+            for mono in (dec.beta, *dec.alpha):
+                assert all(q == 0 for k, q in enumerate(mono.exponents) if k not in base)
+            assert dec.alpha_exact() == (F(5, 3), F(2, 7)) and dec.beta_exact() == F(3)
+
 class TestEquivalence:
     def test_self_equivalent(self):
         model = builtin_model("gb", 2, 3)

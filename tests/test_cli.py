@@ -277,3 +277,29 @@ class TestConjectureAndValidate:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+
+ONE_D_SPEC = json.dumps({"dimension": 1, "steps": [{"v": [1]}, {"v": [-1], "w": 2},
+                                                    {"v": [2], "w": 3}]})
+THREE_D_SPEC = json.dumps({"dimension": 3, "steps": [
+    {"v": [1, 0, 0]}, {"v": [0, 1, 0], "w": "1/2"}, {"v": [0, 0, 1]},
+    {"v": [-1, -1, -1], "w": 3}, {"v": [-1, 1, 0]}, {"v": [0, -1, 1], "w": 2}]})
+SMOKE_COMMANDS = [("count", "--n", "6"), ("count", "--n", "6", "--mode", "scaled"),
+                  ("sample", "--n", "6", "--mode", "exact"),
+                  ("sample", "--n", "6", "--mode", "scaled"),
+                  ("central", "check"), ("central", "solve"), ("central", "equiv"),
+                  ("classify",), ("conjecture2", "--cap", "3")]
+
+
+class TestOtherDimensions:
+    @pytest.mark.parametrize("command", SMOKE_COMMANDS, ids=" ".join)
+    @pytest.mark.parametrize("spec,start", [(ONE_D_SPEC, "0"), (THREE_D_SPEC, "0,0,0")],
+                             ids=["1d", "3d"])
+    def test_answers_without_traceback(self, capsys, spec, start, command):
+        argv = [*command, "--json", spec]
+        if command[0] in ("count", "sample"):
+            argv += ["--start", start]
+        if command[-1] == "equiv":
+            argv += ["--json2", spec]
+        code, _, err = run_cli(capsys, *argv)
+        assert code in (0, 1, 2) and "Traceback" not in err, err

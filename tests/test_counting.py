@@ -434,6 +434,38 @@ class TestFlatKernel:
             assert renormalized == name.startswith(("gb n=400", "gb(10^150"))
 
 
+# 1-D step sets: the second lies on the coset 1 + 5Z
+ONE_D_CASES = [
+    ("(1, -1, 2)", make_stepset([(1,), (-1,), (2,)], [1, 2, 3]), (0,)),
+    ("(3, -2) from 1", make_stepset([(3,), (-2,)], [F(1, 2), 5]), (1,)),
+]
+
+
+class TestOneDimension:
+    @pytest.mark.parametrize("name,model,start", ONE_D_CASES, ids=[c[0] for c in ONE_D_CASES])
+    def test_both_modes_equal_brute_force(self, name, model, start):
+        exact = count_walks(model, start, 8)
+        scaled = count_walks(model, start, 8, mode="scaled", keep_layers=True)
+        for n in range(9):
+            want = brute_force_count(model, start, n)
+            assert exact.layer(n) == want, n
+            assert exact.total(n) == sum(want.values())
+            assert float(scaled.total(n)) == pytest.approx(float(sum(want.values())), rel=1e-12)
+            for point, count in want.items():
+                assert exact.endpoint(point, n) == count
+                assert float(scaled.endpoint(point, n)) == pytest.approx(float(count), rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["exact", "scaled"])
+    @pytest.mark.parametrize("name,model,start", ONE_D_CASES, ids=[c[0] for c in ONE_D_CASES])
+    def test_sample_walk(self, name, model, start, mode):
+        table = count_walks(model, start, 8, mode=mode, keep_layers=True)
+        ends = brute_force_count(model, start, 8)
+        for seed in range(5):
+            walk = sample_walk(table, 8, seed)
+            assert len(walk.steps) == 8 and walk.stays_in_orthant()
+            assert walk.end in ends
+
+
 class TestMonotonicity:
     @pytest.mark.parametrize("name", ["gb", "tandem", "gessel", "simple"])
     def test_unweighted_totals_nondecreasing(self, name):

@@ -156,7 +156,7 @@ class TestSingularity:
         assert is_singular(model.scaled(F(7, 3))) == base
 
     def test_agrees_with_direction_enumeration_2d(self):
-        # compare the angular-gap test against a brute search over normals
+        # compare the dual-cone test against a brute search over normals
         import itertools
         for r in (1, 2, 3, 4):
             for steps in itertools.combinations(
@@ -167,6 +167,27 @@ class TestSingularity:
                             for u in normals)
                 assert is_singular(model) == brute, steps
 
+
+    def test_agrees_with_direction_enumeration_1d(self):
+        import itertools
+        for r in range(1, 8):
+            for coords in itertools.combinations(range(-3, 4), r):
+                brute = any(all(u * c >= 0 for c in coords) for u in (-1, 1))
+                assert is_singular(make_stepset([(c,) for c in coords], [1] * r)) == brute, coords
+
+    def test_agrees_with_direction_enumeration_3d(self):
+        # extreme rays of the dual cone are cross products of two steps in
+        # {-1, 0, 1}^3, so normals in [-2, 2]^3 find every one
+        import itertools
+        import random
+        pool = list(itertools.product((-1, 0, 1), repeat=3))
+        normals = [u for u in itertools.product(range(-2, 3), repeat=3) if any(u)]
+        rng = random.Random(5)
+        for _ in range(600):
+            steps = rng.sample(pool, rng.randint(1, 8))
+            brute = any(all(sum(a * b for a, b in zip(u, s)) >= 0 for s in steps)
+                        for u in normals)
+            assert is_singular(make_stepset(steps, [1] * len(steps))) == brute, steps
 
 class TestCentralWeights:
     def test_gb_form(self):
