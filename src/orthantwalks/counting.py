@@ -29,9 +29,10 @@ first copied into longer ones.  Only the array's dtype depends on the mode:
   relative error is bounded by (|S|+2) ulp and hence by n * 2**-50 after n
   layers.  A layer the table does not keep is written into one of two
   buffers, both sized once to the largest padded layer, so the build
-  allocates no layer it drops.  One sum per layer gives the total and the
-  range check: entries are nonnegative, so max <= sum <= cells * max, and
-  only a sum outside [cells * 2**-499, 2**500] needs the maximum.
+  allocates no layer it drops, nor does a replay of one layer.  One sum per
+  layer gives the total and the range check: entries are nonnegative, so
+  max <= sum <= cells * max, and only a sum outside [cells * 2**-499, 2**500]
+  needs the maximum.
 
 A stream holds two layers at a time and raises when they exceed its guard; a
 table checks its guard before the build, over every layer it will hold.
@@ -172,46 +173,44 @@ class WalkTable:
 
     def _cone(self, point: Vector, m: int, j: int) -> Window:
         """The cells of layer j's window from which `point` can be reached at layer m."""
-        (lo, hi), k, cols = self._windows[j], m - j, list(zip(*self.model.steps))
-        return _align(tuple(max(l, c - k * max(0, *s)) for l, c, s in zip(lo, point, cols)),
-                      tuple(min(h, c - k * min(0, *s)) for h, c, s in zip(hi, point, cols)),
+        (lo, hi), k = self._windows[j], m - j
+        neg, pos, _ = _extents(self.model.steps, self._lattice)
+        return _align(tuple([max(l, c - k * p) for l, c, p in zip(lo, point, pos)]),
+                      tuple([min(h, c - k * q) for h, c, q in zip(hi, point, neg)]),
                       lo, self._lattice)
 
-    def _replay(self, n: int,
-                cone: Optional[tuple[Vector, int]] = None) -> Iterator[tuple[int, Block]]:
-        """Yield (j, layer j) from the highest kept layer j <= n up to layer n.
+    def _replay(self, n: int, cone: Optional[tuple[Vector, int]] = None,
+                segment: bool = False) -> dict[int, Block]:
+        """Layer n, replayed from the highest kept layer j <= n; with `segment`, layers j..n.
 
         The kept layer comes whole.  Replayed layers cover the backward cone
         of `point` at layer m when cone = (point, m), else their windows; a
         cone cell sums the build's terms in the build's order and takes the
-        build's recorded exponent, so it equals the build's bit for bit.
+        build's recorded exponent, so it equals the build's bit for bit.  A
+        segment's layers get buffers of their own, other layers two spares.
         """
         if not self._kept:
             raise ValueError("scaled table was built without keep_layers=True")
         base = n if n in self._kept else n - n % self._stride
-        yield base, self._kept[base]
-        arr, exp, src = self._kept[base]
-        if cone:  # only the cone of the kept layer is read
-            lo, cut = src[0], self._cone(*cone, base)
-            arr = arr[tuple(slice((a - l) // m, max(0, (b - l) // m + 1)) for l, a, b, m
-                            in zip(lo, *cut, self._lattice))]
-            src = cut
-        for j in range(base + 1, n + 1):
-            dst = self._cone(*cone, j) if cone else self._windows[j]
-            with np.errstate(over="ignore", invalid="ignore"):  # only ghosts, zeroed after
-                arr = _advance_layer(arr, self.model.steps, self._weights, src, dst,
-                                     self._lattice)
-            if self._totals[j][1] != exp:
-                arr *= 2.0 ** (exp - self._totals[j][1])
-                exp = self._totals[j][1]
-            yield j, (arr, exp, dst)
-            src = dst
-
-    def _block(self, n: int, cone: Optional[tuple[Vector, int]] = None) -> Block:
-        """Layer n, kept or replayed over `cone` (holding no earlier layer)."""
-        for _, block in self._replay(n, cone):
-            pass
-        return block
+        blocks = {base: self._kept[base]}
+        if base == n:
+            return blocks
+        arr, exp, src = blocks[base]
+        at, out = _offset(arr), () if segment else _spares(
+            self.model.steps, self._lattice, self.start, self.n_max, arr.dtype)
+        with np.errstate(over="ignore", invalid="ignore"):  # only ghosts, zeroed after
+            for j in range(base + 1, n + 1):
+                dst = self._cone(*cone, j) if cone else self._windows[j]
+                arr, _ = _advance_layer(arr, at, self.model.steps, self._weights, src, dst,
+                                        self._lattice, out)
+                at = 0
+                if self._totals[j][1] != exp:
+                    arr *= 2.0 ** (exp - self._totals[j][1])
+                    exp = self._totals[j][1]
+                if segment or j == n:
+                    blocks[j] = (arr, exp, dst)
+                src = dst
+        return blocks
 
     def _value(self, raw, exp: int, n: int) -> Count:
         if self.mode == "scaled":
@@ -240,7 +239,7 @@ class WalkTable:
                 f"endpoint {end} was not tracked; pass track=[{end}] to count_walks")
         if len(end) != len(self.start) or self._cone(end, n, n) != (end, end):
             return self._value(0, 0, n)  # outside layer n's window, the cone is empty
-        block = self._block(n, (end, n))
+        block = self._replay(n, (end, n))[n]
         return self._value(self._cell(block, end), block[1], n)
 
     def layer(self, n: int) -> dict[Vector, Union[int, Fraction]]:
@@ -248,7 +247,7 @@ class WalkTable:
         self._check_n(n)
         if self.mode != "exact":
             raise ValueError("full layers are only materialized in exact mode")
-        arr, _, (lo, _) = self._block(n)
+        arr, _, (lo, _) = self._replay(n)[n]
         nonzero = np.nonzero(arr)
         points = zip(*((m * i + l).tolist() for i, l, m in zip(nonzero, lo, self._lattice)))
         return {p: self._value(c, 0, n) for p, c in zip(points, arr[nonzero].tolist())}
@@ -267,8 +266,11 @@ def _layers(model: StepSet, start: Vector, n_max: int, mode: str,
     weights, _ = _kernel_weights(model, mode)
     lattice = _lattice(model.steps)
     dtype = float if mode == "scaled" else object
-    arr = np.ones(1, dtype=dtype).reshape((1,) * model.dimension)
-    cells, exp, window, spares = arr.base, 0, (start, start), []
+    # layer 0 is the start cell, in the rows the step to layer 1 picks for it
+    rows = _pitch([0] * (model.dimension - 1), [1] * model.dimension, _shape(_reach(
+        model.steps, lattice, (start, start)), lattice), _extents(model.steps, lattice)[2])
+    arr = _zero_ghosts(np.ones(math.prod(rows), dtype).reshape(1, *rows), [1] * model.dimension)
+    cells, exp, window, at, spares = arr.base, 0, (start, start), 0, []
     for n in range(n_max + 1):
         with np.errstate(over="ignore", invalid="ignore"):  # the finite check reports an inf
             if n:
@@ -279,14 +281,13 @@ def _layers(model: StepSet, start: Vector, n_max: int, mode: str,
                                              f"{held} cells, over the guard of {guard}")
                 kept = keep(n)
                 if not kept and not spares:
-                    size = _padded_size(model.steps, lattice, start, n_max)
-                    spares = [np.empty(size, dtype=dtype) for _ in range(2)]
-                arr = _advance_layer(arr, model.steps, weights, window, reach, lattice,
-                                     () if kept else spares)
-                # its rows, ghosts included, start its buffer, and the faces _trim drops are 0
-                cells = arr.base[:arr.shape[0] * arr.strides[0] // arr.itemsize]
+                    spares = _spares(model.steps, lattice, start, n_max, dtype)
+                arr, cells = _advance_layer(arr, at, model.steps, weights, window, reach,
+                                            lattice, () if kept else spares)
                 arr, window = _trim(arr, reach, lattice)
-            total = cells.sum()
+                at = 0 if window[0] == reach[0] else _offset(arr)  # where _trim left arr
+            # all rows, ghosts included (and _trim's zero faces); Python sums ints faster
+            total = cells.sum() if mode == "scaled" else sum(cells.tolist())
             # max <= computed sum <= 2 * cells * max, so a sum in range clears the max
             if mode == "scaled" and not arr.size * _NORM_FLOOR <= total <= _NORM_LIMIT:
                 peak = float(cells.max(initial=0.0))
@@ -315,10 +316,10 @@ def _align(lo: Vector, hi: Vector, coset: Vector, lattice: Vector) -> Window:
 
 def _reach(steps, lattice: Vector, window: Window) -> Window:
     """The next layer's window: what one step from `window` reaches in the orthant."""
-    (lo, hi), cols = window, list(zip(*steps))
-    return _align(tuple(max(0, l + min(0, *c)) for l, c in zip(lo, cols)),
-                  tuple(h + max(0, *c) for h, c in zip(hi, cols)),
-                  tuple(l + c for l, c in zip(lo, steps[0])), lattice)
+    (lo, hi), (neg, pos, _) = window, _extents(steps, lattice)
+    return _align(tuple([l + q if l + q > 0 else 0 for l, q in zip(lo, neg)]),
+                  tuple(map(operator.add, hi, pos)),
+                  tuple(map(operator.add, lo, steps[0])), lattice)
 
 
 def _trim(arr: np.ndarray, window: Window, lattice: Vector) -> tuple[np.ndarray, Window]:
@@ -336,7 +337,7 @@ def _trim(arr: np.ndarray, window: Window, lattice: Vector) -> tuple[np.ndarray,
 
 def _shape(window: Window, lattice: Vector) -> list[int]:
     """Array shape of a window whose corners lie on the same lattice coset."""
-    return [max(0, (h - l) // m + 1) for l, h, m in zip(*window, lattice)]
+    return [(h - l) // m + 1 if h >= l else 0 for l, h, m in zip(*window, lattice)]
 
 
 def _step_slices(steps, src: Window, dst: Window,
@@ -360,23 +361,25 @@ def _step_slices(steps, src: Window, dst: Window,
 
 
 @functools.cache
-def _ghosts(steps, lattice: Vector) -> Vector:
-    """Ghost cells per row on axis k: how far outside its window a read p - s can lie.
+def _extents(steps, lattice: Vector) -> tuple[Vector, Vector, Vector]:
+    """Per axis: min(0, s_k) and max(0, s_k) over the steps, and the ghost cells per row,
+    (max(0, s_k) - min(0, s_k)) / m_k: how far outside the old window a read p - s can lie."""
+    cols = list(zip(*steps))
+    neg, pos = tuple(min(0, *c) for c in cols), tuple(max(0, *c) for c in cols)
+    return neg, pos, tuple((p - q) // m for q, p, m in zip(neg, pos, lattice))
 
-    The next window reaches max(0, s_k) past the old one and -min(0, s_k) below it.
-    """
-    return tuple((max(0, *col) - min(0, *col)) // m for col, m in zip(zip(*steps), lattice))
 
-
-def _padded_size(steps, lattice: Vector, start: Vector, n_max: int) -> int:
-    """Cells of a buffer for any layer up to n_max at the widest rows `_pitch` picks.
+def _spares(steps, lattice: Vector, start: Vector, n_max: int, dtype) -> list[np.ndarray]:
+    """Two buffers, each as large as any layer up to n_max at the widest rows `_pitch` picks.
 
     Layer n's window lies in [max(0, start + n min s), start + n max s], which grows with n.
     """
-    extents = [(c + n_max * max(0, *col) - max(0, c + n_max * min(0, *col))) // m + 1
-               for c, col, m in zip(start, zip(*steps), lattice)]
-    return extents[0] * math.prod(e + (1 + _SPARE_LAYERS) * g for e, g
-                                  in zip(extents[1:], _ghosts(steps, lattice)[1:]))
+    neg, pos, ghosts = _extents(steps, lattice)
+    extents = [(c + n_max * p - max(0, c + n_max * q)) // m + 1
+               for c, q, p, m in zip(start, neg, pos, lattice)]
+    size = extents[0] * math.prod(e + (1 + _SPARE_LAYERS) * g
+                                  for e, g in zip(extents[1:], ghosts[1:]))
+    return [np.empty(size, dtype=dtype) for _ in range(2)]
 
 
 def _pitch(lengths: list[int], old: Sequence[int], new: Sequence[int],
@@ -389,73 +392,89 @@ def _pitch(lengths: list[int], old: Sequence[int], new: Sequence[int],
     """
     fits, want = True, []
     for r, a, b, g in zip(lengths, old[1:], new[1:], ghosts[1:]):
-        need = max(a, b) + g
+        need = (a if a > b else b) + g
         want.append(need + _SPARE_LAYERS * g)
         fits = fits and need <= r <= 2 * want[-1]
     return lengths if fits else want
 
 
-def _pad(rows: int, pitch: Sequence[int], dtype, out: Sequence[np.ndarray],
-         busy: Optional[np.ndarray]) -> np.ndarray:
-    """Uninitialized rows of the given lengths at the start of a buffer.
-
-    The buffer is the first of `out` that is not `busy`, or a new one.
-    """
-    size = rows * math.prod(pitch)
-    buf = next((b for b in out if b is not busy), None)
-    return (np.empty(size, dtype=dtype) if buf is None else buf[:size]).reshape(rows, *pitch)
+def _pad(size: int, dtype, out: Sequence[np.ndarray], busy: Optional[np.ndarray]) -> np.ndarray:
+    """`size` uninitialized cells: the start of the first buffer of `out` not `busy`, or new."""
+    for buf in out:
+        if buf is not busy:
+            return buf[:size]
+    return np.empty(size, dtype=dtype)
 
 
 def _zero_ghosts(pad: np.ndarray, shape: Sequence[int]) -> np.ndarray:
     """Zero every cell of `pad` outside its leading `shape` box; return the box."""
     for k in range(1, pad.ndim):
         pad[(slice(None),) * k + (slice(shape[k], None),)] = 0
-    return pad[tuple(slice(n) for n in shape)]
+    return pad[tuple(map(slice, shape))]
 
 
-def _advance_layer(arr: np.ndarray, steps, weights, src: Window, dst: Window,
-                   lattice: Vector, out: Sequence[np.ndarray] = ()) -> np.ndarray:
+def _offset(arr: np.ndarray) -> int:
+    """Index of the first cell of `arr` in its buffer."""
+    data = arr.__array_interface__["data"][0] - arr.base.__array_interface__["data"][0]
+    return data // arr.itemsize
+
+
+def _advance_layer(arr: np.ndarray, at: int, steps, weights, src: Window, dst: Window,
+                   lattice: Vector, out: Sequence[np.ndarray] = ()
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """One transfer step of the orthant-restricted recurrence on row-padded layers.
 
     Cell p of the new layer (window dst) collects w_s times cell p - s of the
-    old one (window src) for every step s, in step order; the result has the
-    dtype of `arr`.  Step s adds one flat range of arr's buffer to one of the
-    result's, whose rows are as long as arr's (arr is first copied to longer
-    rows when dst outgrows them).  The first step assigns; the ghosts the
-    steps wrote are zeroed after.  The result, and such a copy, lie in a
-    buffer of `out` that does not hold the layer read, or in a new one.
+    old one (window src, its first cell at index `at` of its buffer) for every
+    step s, in step order.  Step s adds one flat range of arr's buffer to one
+    of the result's, whose rows are as long as arr's (arr is first copied to
+    longer rows when dst outgrows them).  The first step assigns; the ghosts
+    the steps wrote are zeroed after.  The result, and such a copy, start a
+    buffer of `out` that does not hold the layer read, or a new one.
+    Returns the result and all of its rows, ghosts included, as a flat array.
     """
     shape = _shape(dst, lattice)
     lengths = [a // b for a, b in zip(arr.strides, arr.strides[1:])]  # rows on axes 1..
-    pitch = _pitch(lengths, arr.shape, shape, _ghosts(steps, lattice))
+    pitch = _pitch(lengths, arr.shape, shape, _extents(steps, lattice)[2])
     if pitch != lengths:
-        pad = _pad(arr.shape[0], pitch, arr.dtype, out, arr.base)
-        pad[tuple(slice(n) for n in arr.shape)] = arr
-        arr = _zero_ghosts(pad, arr.shape)
+        rows = arr.shape[0]
+        pad = _pad(rows * math.prod(pitch), arr.dtype, out, arr.base).reshape(rows, *pitch)
+        pad[tuple(map(slice, arr.shape))] = arr
+        arr, at = _zero_ghosts(pad, arr.shape), 0
     cells, size = arr.base, arr.itemsize
-    at = (arr.ctypes.data - cells.ctypes.data) // size  # arr's first cell in its buffer
     strides = [s // size for s in arr.strides]
-    new = _pad(shape[0], pitch, arr.dtype, out, cells)
-    flat = new.reshape(-1)
+    flat = _pad(shape[0] * strides[0], arr.dtype, out, cells)
+    new = flat.reshape(shape[0], *pitch)
+    # per axis, in points from dst's first: src's first and last, dst's last
+    axes = [(l - k, h - k, e - k, m, p) for l, h, k, e, m, p
+            in zip(*src, *dst, lattice, strides)]
     first = True
-    for i, into, out_of in _step_slices(steps, src, dst, lattice):
-        a, b, c = 0, 0, at  # flat index of the first and last cell into, of the first read
-        for r, q, p in zip(into, out_of, strides):
-            a, b, c = a + r.start * p, b + (r.stop - 1) * p, c + q.start * p
-        part, w, cell = cells[c:c + b - a + 1], weights[i], flat[a:b + 1]
-        if first:
-            flat[:a] = 0
-            flat[b + 1:] = 0
-            if w == 1:
-                cell[...] = part
-            else:
-                np.multiply(part, w, out=cell)
-            first = False
+    for w, s in zip(weights, steps):
+        a, b, c = 0, 0, at  # flat index of the first and last cell written, of the first read
+        for x, (l, h, e, m, p) in zip(s, axes):
+            i, j = l + x, (h + x if h + x < e else e)  # src moved by s, clipped to dst
+            if i < 0:
+                c -= i // m * p
+                i = 0
+            if i > j:
+                break
+            a += i // m * p
+            b += j // m * p
         else:
-            cell += part if w == 1 else w * part
+            part, cell = cells[c:c + b - a + 1], flat[a:b + 1]
+            if first:
+                flat[:a] = 0
+                flat[b + 1:] = 0
+                if w == 1:
+                    cell[...] = part
+                else:
+                    np.multiply(part, w, out=cell)
+                first = False
+            else:
+                cell += part if w == 1 else w * part
     if first:
         flat[...] = 0
-    return _zero_ghosts(new, shape)
+    return _zero_ghosts(new, shape), flat
 
 
 def count_walks(model: StepSet, start: Sequence[int], n_max: int,
@@ -506,40 +525,46 @@ def sample_walk(table: WalkTable, n: int, seed: int) -> Walk:
     """
     table._check_n(n)
     rng = random.Random(seed)
-    arr, _, (lo, _) = table._block(n)
+    arr, _, (lo, _) = table._replay(n)[n]
     cells = np.flatnonzero(arr)
-    # the walk's point as its index into the array of the layer it is on
-    index = tuple(map(int, np.unravel_index(cells[_pick(rng, arr.ravel()[cells].tolist())],
-                                            arr.shape)))
+    index = np.unravel_index(cells[_pick(rng, np.cumsum(arr.ravel()[cells]))], arr.shape)
+    point = tuple(l + q * int(i) for l, q, i in zip(lo, table._lattice, index))
+    steps, lattice = table.model.steps, table._lattice
+    # point - s is within the ghosts of the layer below on every axis but the first,
+    # and that layer's buffer holds it alone: any index inside reads point - s or 0
+    shifts: dict[tuple, list[int]] = {}
     steps_taken: list[Vector] = []
     segment: dict[int, Block] = {}
     for m in range(n, 0, -1):
-        block = table._kept.get(m - 1) or segment.get(m - 1)
-        if block is None:
-            point = tuple(l + q * c for l, q, c in zip(lo, table._lattice, index))
-            segment = dict(table._replay(m - 1, (point, m)))
-            block = segment[m - 1]
+        block = table._kept.get(m - 1)
+        at = 0 if block is None else _offset(block[0])  # a replayed layer starts its buffer
+        if block is None and m - 1 not in segment:
+            segment = table._replay(m - 1, (point, m), segment=True)
+        block = block or segment[m - 1]
         arr, _, (below, _) = block
-        # point - s on layer m - 1 sits at index - offset, offset = (below + s - lo) / lattice
-        offsets = [[(b + d - l) // q for l, b, d, q in zip(lo, below, s, table._lattice)]
-                   for s in table.model.steps]
-        candidates, masses = [], []
-        for s, w, offset in zip(table.model.steps, table._weights, offsets):
-            at = tuple(map(operator.sub, index, offset))
-            if min(at) >= 0 and all(map(operator.lt, at, arr.shape)) and arr[at] > 0:
-                candidates.append((at, s))
-                masses.append(w * arr[at])
-        index, step = candidates[_pick(rng, masses)]
+        strides, cells = arr.strides, arr.base
+        if strides not in shifts:  # the flat offset of s - steps[0] in these rows
+            shifts[strides] = [sum([(c - t) // q * p for c, t, q, p in zip(
+                s, steps[0], lattice, strides)]) // arr.itemsize for s in steps]
+        at += sum([(c - t - b) // q * p for c, t, b, q, p
+                   in zip(point, steps[0], below, lattice, strides)]) // arr.itemsize
+        total, candidates, cumulative = 0, [], []
+        for s, d, w in zip(steps, shifts[strides], table._weights):
+            count = cells.item(at - d) if 0 <= at - d < cells.size else 0
+            if count > 0:
+                total += w * count
+                candidates.append(s)
+                cumulative.append(total)
+        step = candidates[_pick(rng, cumulative)]
         steps_taken.append(step)
-        lo = below
+        point = tuple(map(operator.sub, point, step))
     return Walk(table.start, tuple(reversed(steps_taken)))
 
 
-def _pick(rng: random.Random, masses: list) -> int:
-    """Index i drawn with probability masses[i] / sum(masses)."""
-    cumulative = list(itertools.accumulate(masses))
-    total = cumulative[-1] if cumulative else 0
+def _pick(rng: random.Random, cumulative: Sequence) -> int:
+    """Index i drawn with probability (cumulative[i] - cumulative[i - 1]) / cumulative[-1]."""
+    total = cumulative[-1] if len(cumulative) else 0
     if not total > 0:
         raise ValueError("cannot sample from an empty layer")
     r = rng.randrange(total) if isinstance(total, int) else rng.random() * total
-    return min(bisect.bisect_right(cumulative, r), len(masses) - 1)
+    return min(bisect.bisect_right(cumulative, r), len(cumulative) - 1)
