@@ -259,9 +259,9 @@ def _layers(model: StepSet, start: Vector, n_max: int, mode: str,
     """Layers 0..n_max from `start` as (n, raw array, exponent, window, raw total).
 
     Raw exact cells are L**n times the weighted counts.  Layer n goes into a
-    new buffer when keep(n), else into one of two spare buffers, both sized
-    once for the largest padded layer.  Building it holds layer n-1 and
-    layer n's untrimmed window: more than `guard` cells raise.
+    buffer of its own when keep(n), else into one of two spare buffers, both
+    sized once for the largest padded layer.  Building it holds layer n-1
+    and layer n's untrimmed window: more than `guard` cells raise.
     """
     weights, _ = _kernel_weights(model, mode)
     lattice = _lattice(model.steps)
