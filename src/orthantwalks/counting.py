@@ -29,10 +29,9 @@ first copied into longer ones.  Only the array's dtype depends on the mode:
   relative error is bounded by (|S|+2) ulp and hence by n * 2**-50 after n
   layers.  A layer the table does not keep is written into one of two
   buffers, both sized once to the largest padded layer, so the build
-  allocates no layer it drops, nor does a replay of one layer.  One sum per
-  layer gives the total and the range check: entries are nonnegative, so
-  max <= sum <= cells * max, and only a sum outside [cells * 2**-499, 2**500]
-  needs the maximum.
+  allocates no layer it drops.  One sum per layer gives the total and the
+  range check: entries are nonnegative, so max <= sum <= cells * max, and
+  only a sum outside [cells * 2**-499, 2**500] needs the maximum.
 
 A stream holds two layers at a time and raises when they exceed its guard; a
 table checks its guard before the build, over every layer it will hold.
@@ -186,8 +185,7 @@ class WalkTable:
         The kept layer comes whole.  Replayed layers cover the backward cone
         of `point` at layer m when cone = (point, m), else their windows; a
         cone cell sums the build's terms in the build's order and takes the
-        build's recorded exponent, so it equals the build's bit for bit.  A
-        segment's layers get buffers of their own, other layers two spares.
+        build's recorded exponent, so it equals the build's bit for bit.
         """
         if not self._kept:
             raise ValueError("scaled table was built without keep_layers=True")
@@ -196,13 +194,12 @@ class WalkTable:
         if base == n:
             return blocks
         arr, exp, src = blocks[base]
-        at, out = _offset(arr), () if segment else _spares(
-            self.model.steps, self._lattice, self.start, self.n_max, arr.dtype)
+        at = _offset(arr)
         with np.errstate(over="ignore", invalid="ignore"):  # only ghosts, zeroed after
             for j in range(base + 1, n + 1):
                 dst = self._cone(*cone, j) if cone else self._windows[j]
                 arr, _ = _advance_layer(arr, at, self.model.steps, self._weights, src, dst,
-                                        self._lattice, out)
+                                        self._lattice)
                 at = 0
                 if self._totals[j][1] != exp:
                     arr *= 2.0 ** (exp - self._totals[j][1])
@@ -437,8 +434,7 @@ def _advance_layer(arr: np.ndarray, at: int, steps, weights, src: Window, dst: W
     lengths = [a // b for a, b in zip(arr.strides, arr.strides[1:])]  # rows on axes 1..
     pitch = _pitch(lengths, arr.shape, shape, _extents(steps, lattice)[2])
     if pitch != lengths:
-        rows = arr.shape[0]
-        pad = _pad(rows * math.prod(pitch), arr.dtype, out, arr.base).reshape(rows, *pitch)
+        pad = _pad(arr.shape[0] * math.prod(pitch), arr.dtype, out, arr.base).reshape(-1, *pitch)
         pad[tuple(map(slice, arr.shape))] = arr
         arr, at = _zero_ghosts(pad, arr.shape), 0
     cells, size = arr.base, arr.itemsize
