@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .linalg import EchelonBasis, solve
+from .linalg import EchelonBasis, _power_product, _rational_root, solve
 from .stepset import StepSet, StepSetError, Vector, central_weights, is_singular
 
 
@@ -141,16 +141,15 @@ def find_path_pairs(model: StepSet, base: Optional[Sequence[int]] = None
     return tuple(chosen), pairs
 
 
-def _product(weights: Sequence[Fraction], multiset: tuple[tuple[int, int], ...]) -> Fraction:
-    out = Fraction(1)
-    for idx, mult in multiset:
-        out *= weights[idx] ** mult
-    return out
-
-
 def pair_holds(model: StepSet, pair: PathPair) -> bool:
     """Exact test of prod_{left} a_r = prod_{right} a_r for one path pair."""
-    return _product(model.weights, pair.left) == _product(model.weights, pair.right)
+    exponents = [0] * model.size
+    for idx, mult in pair.left:
+        exponents[idx] = mult
+    for idx, mult in pair.right:
+        exponents[idx] = -mult
+    num, den = _power_product(model.weights, exponents)
+    return num == den
 
 
 def is_central(model: StepSet) -> tuple[bool, Optional[PathPair]]:
@@ -197,39 +196,13 @@ class Monomial:
 
     def raised(self, weights: Sequence[Fraction], d: int) -> Fraction:
         """The monomial to the power d, exact for d a multiple of every exponent denominator."""
-        return prod((w ** int(q * d) for w, q in zip(weights, self.exponents) if q),
-                    start=Fraction(1))
+        return Fraction(*_power_product(weights, (int(q * d) for q in self.exponents)))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 
     def __pow__(self, k: int) -> "Monomial":
         return Monomial(tuple(q * k for q in self.exponents))
-
-
-def _integer_root(n: int, r: int) -> Optional[int]:
-    """The exact integer r-th root of n, or None; pure integer Newton, safe for big n."""
-    if n < 0:
-        return None
-    if n in (0, 1) or r == 1:
-        return n
-    x = 1 << ((n.bit_length() - 1) // r + 1)
-    while True:
-        y = ((r - 1) * x + n // x ** (r - 1)) // r
-        if y >= x:
-            break
-        x = y
-    return x if x ** r == n else None
-
-
-def _rational_root(w: Fraction, r: int) -> Optional[Fraction]:
-    if r == 1:
-        return w
-    num = _integer_root(w.numerator, r)
-    den = _integer_root(w.denominator, r)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .central import find_path_pairs, solve_central
+from .linalg import _power_product
 from .stepset import StepSet, drift, is_singular, make_stepset
 
 EQ_TOL = 1e-8
@@ -264,14 +265,7 @@ def _central_rule(steps: tuple[tuple[int, ...], ...]) -> Optional[_CentralRule]:
 
 def _sign(weights: Sequence[Fraction], exponents: Sequence[int]) -> int:
     """The sign of prod w**e - 1, from products of numerators and denominators."""
-    over = under = 1
-    for w, e in zip(weights, exponents):
-        if e > 0:
-            over *= w.numerator ** e
-            under *= w.denominator ** e
-        elif e < 0:
-            over *= w.denominator ** -e
-            under *= w.numerator ** -e
+    over, under = _power_product(weights, exponents)
     return (over > under) - (over < under)
 
 

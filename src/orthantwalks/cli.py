@@ -110,7 +110,8 @@ def _parse_point(text: str) -> tuple[int, ...]:
         raise _CliError(f"bad point {text!r}; expected comma-separated integers") from exc
 
 
-def _parse_range(text: str) -> list[Fraction]:
+def _parse_range(text: str) -> tuple[Fraction, Fraction, int]:
+    """lo, step and the number of values lo, lo + step, ... up to hi, none built yet."""
     try:
         lo_s, hi_s, step_s = text.split(":")
         lo, hi, step = as_fraction(lo_s), as_fraction(hi_s), as_fraction(step_s)
@@ -118,11 +119,7 @@ def _parse_range(text: str) -> list[Fraction]:
         raise _CliError(f"bad range {text!r}; expected lo:hi:step") from exc
     if step <= 0 or hi < lo:
         raise _CliError(f"bad range {text!r}")
-    out, v = [], lo
-    while v <= hi:
-        out.append(v)
-        v += step
-    return out
+    return lo, step, (hi - lo) // step + 1
 
 
 def _cmd_count(args) -> int:
@@ -218,12 +215,13 @@ def _cmd_classify(args) -> int:
 def _cmd_diagram(args) -> int:
     if not args.model:
         raise _CliError("diagram requires --model NAME")
-    a_values = _parse_range(args.a_range)
-    b_values = _parse_range(args.b_range)
-    if len(a_values) * len(b_values) > args.guard:
+    (a_lo, a_step, a_count), (b_lo, b_step, b_count) = map(_parse_range,
+                                                           (args.a_range, args.b_range))
+    if a_count * b_count > args.guard:
         raise ResourceGuardError("diagram grid exceeds the resource guard")
     rows = drift_diagram(lambda a, b: builtin_model(args.model, a, b),
-                         a_values, b_values)
+                         [a_lo + k * a_step for k in range(a_count)],
+                         [b_lo + k * b_step for k in range(b_count)])
     payload = {"model": args.model, "cells": rows}
     _emit(payload, args.emit,
           [(r["a"], r["b"], r["dx"], r["dy"], r["class"]) for r in rows],

@@ -325,9 +325,9 @@ def _trim(arr: np.ndarray, window: Window, lattice: Vector) -> tuple[np.ndarray,
     for k, m in enumerate(lattice):
         face = (slice(None),) * k
         # `...` keeps a face an array in 1-D, where an object cell is a Python int
-        while arr.shape[k] > 1 and not arr[face + (0, ...)].any():
+        while arr.shape[k] > 1 and not np.count_nonzero(arr[face + (0, ...)]):
             arr, lo[k] = arr[face + (slice(1, None),)], lo[k] + m
-        while arr.shape[k] > 1 and not arr[face + (-1, ...)].any():
+        while arr.shape[k] > 1 and not np.count_nonzero(arr[face + (-1, ...)]):
             arr, hi[k] = arr[face + (slice(-1),)], hi[k] - m
     return arr, (tuple(lo), tuple(hi))
 

@@ -27,6 +27,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from .linalg import _rational_root
 from .stepset import StepSet, builtin_model
 from .xfloat import XFloat
 
@@ -180,18 +181,9 @@ class Surd:
         return f"Surd({self})"
 
 
-def sqrt_exact(value: Fraction) -> Optional[Fraction]:
-    """The exact rational square root, or None when b is not a perfect square."""
-    num = math.isqrt(value.numerator)
-    den = math.isqrt(value.denominator)
-    if num * num == value.numerator and den * den == value.denominator:
-        return Fraction(num, den)
-    return None
-
-
 def _root(b: Fraction, c: Fraction = Fraction(1)) -> Exact:
     # c sqrt(b): a Fraction when b is a square, else c times the generator of Q(sqrt(b))
-    root = sqrt_exact(b)
+    root = _rational_root(b, 2)
     return c * root if root is not None else Surd(Fraction(0), c, b)
 
 
@@ -416,6 +408,8 @@ def check_harmonicity(params: GBParams, grid_size: int) -> bool:
     lam**dx mu**dy R((i,j)+s), with coefficients rational for the true rho;
     cleared to integers, it is decided cell by cell with no tolerance.
     """
+    if grid_size < 0:
+        raise ValueError(f"grid size must be nonnegative, got {grid_size}")
     a, b = params.a, params.b
     cls = gb_classify(a, b)
     lam, mu, r, *_ = _form(cls.label, a, b)

@@ -1,18 +1,21 @@
-"""Exact linear algebra over the rationals: one incremental echelon basis.
+"""Exact arithmetic over the rationals: one incremental echelon basis, one
+product of rational powers and one rational root.
 
 Every rank, null-space and linear-solve question in the package (the step
 matrix of the central algebra, the dual cone behind singularity, the
 walk-count system of the conjecture checker) is answered by `EchelonBasis`.
 Rows are integer vectors and stay integral: each kept row is divided by the
 gcd of its entries after every elimination, so elimination forms no fractions
-and entries stay as small as the row space allows.
+and entries stay as small as the row space allows.  Every product of weights
+raised to integer exponents is `_power_product`, and every exact root of a
+weight is `_rational_root`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class EchelonBasis:
@@ -97,3 +100,31 @@ def solve(matrix: Sequence[Sequence[int]],
         raise ValueError("singular linear system")
     return [[Fraction(basis._rows[c][n + j], basis._rows[c][c]) for c in range(n)]
             for j in range(len(rhs))]
+
+
+def _power_product(weights: Sequence[Fraction], exponents: Iterable[int]) -> tuple[int, int]:
+    """prod w**e as an unreduced integer pair (num, den), with no gcd taken."""
+    num = den = 1
+    for w, e in zip(weights, exponents):
+        if e > 0:
+            num, den = num * w.numerator ** e, den * w.denominator ** e
+        elif e < 0:
+            num, den = num * w.denominator ** -e, den * w.numerator ** -e
+    return num, den
+
+
+def _rational_root(w: Fraction, r: int) -> Optional[Fraction]:
+    """The exact r-th root of a positive rational, or None when it is irrational.
+
+    Integer Newton from above on the numerator and the denominator, safe for
+    big integers: it stops at the integer part of each root.
+    """
+    roots = []
+    for n in (w.numerator, w.denominator):
+        x = 1 << ((n.bit_length() - 1) // r + 1)
+        while (y := ((r - 1) * x + n // x ** (r - 1)) // r) < x:
+            x = y
+        if x ** r != n:
+            return None
+        roots.append(x)
+    return Fraction(*roots)

@@ -13,12 +13,13 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .linalg import EchelonBasis
+from .linalg import EchelonBasis, _power_product
 
 Rational = Union[int, Fraction]
 Vector = tuple[int, ...]
@@ -109,9 +110,16 @@ class StepSet:
         return self.with_weights([w * f for w in self.weights])
 
 
+def _step(s) -> Vector:
+    try:
+        return tuple(map(operator.index, s))
+    except TypeError:
+        raise StepSetError(f"step {s!r} is not a vector of integers") from None
+
+
 def make_stepset(steps: Iterable[Sequence[int]], weights: Iterable[Rational],
                  dimension: Optional[int] = None) -> StepSet:
-    step_tuples = tuple(tuple(int(c) for c in s) for s in steps)
+    step_tuples = tuple(map(_step, steps))
     if dimension is None:
         if not step_tuples:
             raise StepSetError("empty step set")
@@ -127,17 +135,9 @@ def central_weights(steps: Iterable[Sequence[int]],
     beta = as_fraction(beta)
     if any(x <= 0 for x in alphas) or beta <= 0:
         raise StepSetError("central weighting parameters must be positive")
-    out = []
-    for s in steps:
-        # integer numerator and denominator, reduced once per weight
-        num, den = beta.numerator, beta.denominator
-        for x, c in zip(alphas, s):
-            if c > 0:
-                num, den = num * x.numerator ** c, den * x.denominator ** c
-            elif c < 0:
-                num, den = num * x.denominator ** -c, den * x.numerator ** -c
-        out.append(Fraction(num, den))
-    return out
+    # integer numerator and denominator, reduced once per weight
+    return [Fraction(beta.numerator * num, beta.denominator * den)
+            for num, den in (_power_product(alphas, s) for s in steps)]
 
 
 def builtin_model(name: str, a: Rational = 1, b: Rational = 1) -> StepSet:
@@ -168,9 +168,9 @@ def stepset_from_json(data: Union[str, Mapping]) -> StepSet:
         raise StepSetError("step-set JSON must be an object")
     try:
         dimension = int(data["dimension"])
-        entries = data["steps"]
+        entries = list(data["steps"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise StepSetError(f"step-set JSON missing required fields: {exc}") from exc
+        raise StepSetError(f"step-set JSON needs a dimension and a steps list: {exc}") from exc
     steps, weights = [], []
     for entry in entries:
         try:

@@ -2,8 +2,13 @@
 
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +90,11 @@ class TestGBCommands:
         assert code == 0
         assert json.loads(out) == {"grid": 8, "harmonic": True}
 
+    def test_harmonic_negative_grid_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "gb", "harmonic", "--grid", "-1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "grid size" in err
+
     def test_critical_and_contributing(self, capsys):
         code, out, _ = run_cli(capsys, "gb", "critical", "--a", "2", "--b", "3")
         points = json.loads(out)["points"]
@@ -140,6 +150,13 @@ class TestCount:
                                "--mode", "scaled", "--guard", "1000")
         assert code == 3
         assert "guard" in err
+
+    @pytest.mark.parametrize("spec", ['{"dimension": 2, "steps": 5}',
+                                      '{"dimension": 2, "steps": [{"v": [1.5, 0]}]}'])
+    def test_malformed_spec_is_a_usage_error(self, capsys, spec):
+        code, out, err = run_cli(capsys, "count", "--json", spec, "--n", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
 
     def test_conjecture2_guard_abort(self, capsys):
         code, _, err = run_cli(capsys, "conjecture2", "--model", "gb", "--cap", "5",
@@ -234,6 +251,21 @@ class TestClassifyAndDiagram:
                                "--a-range", "1e400:1e400:1", "--b-range", "1:1:1")
         assert code == 2
         assert err.startswith("error:") and "float range" in err
+
+    def test_diagram_guard_checked_before_grid_is_built(self):
+        # 10**12 values would exhaust any memory: the child gets a 1 GiB address
+        # space, so building the grid shows up as a failure, not as a hang
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-m", "orthantwalks.cli", "diagram", "--model", "gb",
+             "--a-range", "1:1000000000000:1", "--b-range", "1:1:1", "--guard", "10"],
+            env=env, preexec_fn=cap, capture_output=True, text=True, timeout=20)
+        assert result.returncode == 3, result.stderr
+        assert result.stderr == "error: diagram grid exceeds the resource guard\n"
 
     def test_diagram_csv(self, capsys):
         code, out, _ = run_cli(capsys, "diagram", "--model", "tandem",

@@ -12,7 +12,8 @@ from orthantwalks import (GBParams, check_harmonicity,
                           gb_estimate, gb_excursion_estimate, gb_kappa_V,
                           universal_harmonic)
 from orthantwalks import gb
-from orthantwalks.gb import Surd, sqrt_exact
+from orthantwalks.gb import Surd
+from orthantwalks.linalg import _rational_root
 from tests.conftest import CLASS_REPS
 
 ROOT2 = Surd(F(0), F(1), F(2))
@@ -287,7 +288,7 @@ class TestHarmonicity:
         while checked < 6:
             a = F(rng.randint(1, 9), rng.randint(1, 9))
             b = F(rng.randint(1, 40), rng.randint(1, 9))
-            if b > 1 and b > a * a and sqrt_exact(b) is None:
+            if b > 1 and b > a * a and _rational_root(b, 2) is None:
                 cls = gb_classify(a, b)
                 assert cls.label == "directed1" and isinstance(cls.rho, Surd)
                 assert check_harmonicity(GBParams(a, b), 10), (a, b)
@@ -296,6 +297,13 @@ class TestHarmonicity:
     def test_extreme_weights(self):
         # directed-2 with weights far beyond the float range; kappa is never computed
         assert check_harmonicity(GBParams(10 ** 200, 10 ** 100), 3)
+
+    def test_negative_grid_rejected(self):
+        # a negative grid holds no cell, so the identity would hold vacuously
+        assert check_harmonicity(GBParams(1, 1), 0)
+        for grid in (-1, -5):
+            with pytest.raises(ValueError, match="grid size"):
+                check_harmonicity(GBParams(1, 1), grid)
 
 
 class TestUniversalLimit:
@@ -406,9 +414,20 @@ class TestContributing:
 
 class TestSqrtExact:
     def test_perfect_squares(self):
-        assert sqrt_exact(F(9, 4)) == F(3, 2)
-        assert sqrt_exact(F(4)) == 2
+        assert _rational_root(F(9, 4), 2) == F(3, 2)
+        assert _rational_root(F(4), 2) == 2
 
     def test_non_squares(self):
-        assert sqrt_exact(F(3)) is None
-        assert sqrt_exact(F(1, 3)) is None
+        assert _rational_root(F(3), 2) is None
+        assert _rational_root(F(1, 3), 2) is None
+
+    def test_agrees_with_isqrt_and_higher_roots(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randint(1, 10 ** 40)
+            square = math.isqrt(n) ** 2 == n
+            assert (_rational_root(F(n), 2) is not None) == square
+            q, r = F(rng.randint(1, 10 ** 20), rng.randint(1, 10 ** 20)), rng.randint(1, 7)
+            assert _rational_root(q ** r, r) == q
+            # n**r < n**r + 1 < (n + 1)**r
+            assert r == 1 or _rational_root(F(q.numerator ** r + 1), r) is None

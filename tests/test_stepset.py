@@ -45,6 +45,17 @@ class TestParsing:
         with pytest.raises(StepSetError, match="malformed"):
             parse_stepset("{not json")
 
+    def test_steps_not_a_list_rejected(self):
+        with pytest.raises(StepSetError, match="steps"):
+            parse_stepset('{"dimension": 2, "steps": 5}')
+
+    def test_fractional_coordinate_rejected(self):
+        # int() would silently truncate (1.5, 0) to (1, 0)
+        with pytest.raises(StepSetError, match="not a vector of integers"):
+            parse_stepset('{"dimension": 2, "steps": [{"v": [1.5, 0]}, {"v": [-1, 0]}]}')
+        with pytest.raises(StepSetError, match="not a vector of integers"):
+            make_stepset([(1, 0), (0.5, 1)], [1, 1])
+
     def test_nonpositive_weight(self):
         with pytest.raises(StepSetError, match="positive"):
             make_stepset([(1, 0)], [0])
