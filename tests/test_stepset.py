@@ -50,7 +50,7 @@ class TestParsing:
             parse_stepset('{"dimension": 2, "steps": 5}')
 
     def test_fractional_coordinate_rejected(self):
-        # int() would silently truncate (1.5, 0) to (1, 0)
+        # a fractional coordinate is an error, never truncated to an integer
         with pytest.raises(StepSetError, match="not a vector of integers"):
             parse_stepset('{"dimension": 2, "steps": [{"v": [1.5, 0]}, {"v": [-1, 0]}]}')
         with pytest.raises(StepSetError, match="not a vector of integers"):
