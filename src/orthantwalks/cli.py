@@ -24,24 +24,20 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__
-from .central import (NotCentralError, SingularModelError, are_equivalent,
-                      central_check, solve_central)
-from .classify import AmbiguousClassError, ClassifyError, classify, drift_diagram
+from .central import are_equivalent, central_check, solve_central
+from .classify import ClassifyError, classify, drift_diagram
 from .conjecture import conjecture2_nullspace
 from .counting import DEFAULT_GUARD, ResourceGuardError, count_walks, sample_walk
 from .gb import (GBParams, Surd, check_harmonicity, gb_classify, gb_contributing,
                  gb_critical_points, gb_estimate, gb_kappa_V)
-from .stepset import (StepSet, StepSetError, as_fraction, builtin_model, drift,
-                      stepset_from_json)
+from .stepset import StepSet, as_fraction, builtin_model, stepset_from_json
 from .validate import validate_excursions, validate_totals
 
 USAGE_ERROR, CHECK_FAILED, GUARD_ABORT = 2, 1, 3
 
 
-class _CliError(Exception):
-    def __init__(self, message: str, code: int = USAGE_ERROR):
-        super().__init__(message)
-        self.code = code
+class _CliError(ValueError):
+    """A usage error found past argparse: the CLI exits with USAGE_ERROR."""
 
 
 def _plain(value, text: bool = False):
@@ -65,16 +61,20 @@ def _plain(value, text: bool = False):
     return str(value) if isinstance(value, (Fraction, Surd)) else value
 
 
-def _emit(payload, fmt: str, csv_rows=None, csv_header=None) -> None:
+def _emit(payload, fmt: str, header, rows=None) -> None:
+    """Print `payload` as JSON, or as CSV: `header`, then `rows` (default: the payload).
+
+    A dict row gives its values in header order.
+    """
     if fmt == "json":
         print(json.dumps(_plain(payload), sort_keys=True))
         return
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if csv_header:
-        writer.writerow(csv_header)
-    for row in csv_rows if csv_rows is not None else []:
-        writer.writerow(_plain(row, text=True))
+    writer.writerow(header)
+    for row in [payload] if rows is None else rows:
+        writer.writerow(_plain([row[k] for k in header] if isinstance(row, dict) else row,
+                               text=True))
     sys.stdout.write(buf.getvalue())
 
 
@@ -115,7 +115,7 @@ def _parse_range(text: str) -> tuple[Fraction, Fraction, int]:
     try:
         lo_s, hi_s, step_s = text.split(":")
         lo, hi, step = as_fraction(lo_s), as_fraction(hi_s), as_fraction(step_s)
-    except (ValueError, StepSetError) as exc:
+    except ValueError as exc:
         raise _CliError(f"bad range {text!r}; expected lo:hi:step") from exc
     if step <= 0 or hi < lo:
         raise _CliError(f"bad range {text!r}")
@@ -135,8 +135,8 @@ def _cmd_count(args) -> int:
         excursions = [float(e) for e in excursions]
     payload = {"mode": args.mode, "n_max": args.n, "start": list(start),
                "totals": totals, "origin_counts": excursions}
-    rows = [(n, totals[n], excursions[n]) for n in range(args.n + 1)]
-    _emit(payload, args.emit, rows, ("n", "total", "origin_count"))
+    _emit(payload, args.emit, ("n", "total", "origin_count"),
+          zip(range(args.n + 1), payload["totals"], payload["origin_counts"]))
     return 0
 
 
@@ -151,10 +151,9 @@ def _cmd_sample(args) -> int:
     payload = {"seed": args.seed, "start": list(start), "mode": mode,
                "steps": [list(s) for s in walk.steps],
                "end": list(walk.end)}
-    rows = [(k, *step, *points[k + 1]) for k, step in enumerate(walk.steps)]
     coords = tuple(f"x{k+1}" for k in range(model.dimension))
-    _emit(payload, args.emit, rows,
-          ("index", *(f"d{c}" for c in coords), *coords))
+    _emit(payload, args.emit, ("index", *(f"d{c}" for c in coords), *coords),
+          [(k, *step, *points[k + 1]) for k, step in enumerate(payload["steps"])])
     return 0
 
 
@@ -162,8 +161,7 @@ def _cmd_central(args) -> int:
     model = _resolve_model(args)
     if args.action == "check":
         report = central_check(model)
-        _emit(report, args.emit,
-              [(report["central"],)], ("central",))
+        _emit(report, args.emit, ("central",))
         return 0 if report["central"] else CHECK_FAILED
     if args.action == "solve":
         dec = solve_central(model)
@@ -176,25 +174,25 @@ def _cmd_central(args) -> int:
             "alpha_exact": dec.alpha_exact(),
             "beta_exact": dec.beta_exact(),
         }
-        _emit(payload, args.emit,
-              [("alpha%d" % (k + 1), v) for k, v in enumerate(dec.alpha_values())]
-              + [("beta", dec.beta_value())],
-              ("constant", "value"))
+        _emit(payload, args.emit, ("constant", "value"),
+              [*((f"alpha{k}", v) for k, v in enumerate(payload["alpha_values"], 1)),
+               ("beta", payload["beta_value"])])
         return 0
     # equiv
     if args.json2:
         other = _read_spec(args.json2)
-    else:
+    elif args.model:
         other = builtin_model(args.model, as_fraction(args.a2), as_fraction(args.b2))
+    else:
+        raise _CliError("central equiv --json needs the second step set as --json2")
     equivalent = are_equivalent(model, other)
-    _emit({"equivalent": equivalent}, args.emit, [(equivalent,)], ("equivalent",))
+    _emit({"equivalent": equivalent}, args.emit, ("equivalent",))
     return 0 if equivalent else CHECK_FAILED
 
 
 def _cmd_classify(args) -> int:
     model = _resolve_model(args)
     result = classify(model, on_ambiguity="report")
-    dx, dy = result.drift
     payload = {
         "class": result.family,
         "rho": result.rho_exact if result.rho_exact is not None else result.rho,
@@ -204,17 +202,14 @@ def _cmd_classify(args) -> int:
         "boundary_minimizers": list(result.boundary),
         "covariance": result.covariance,
         "p1": result.p1,
-        "drift": [dx, dy],
+        "drift": list(result.drift),
         "ambiguities": list(result.ambiguities),
     }
-    _emit(payload, args.emit, [(result.family, payload["rho"], payload["alpha"])],
-          ("class", "rho", "alpha"))
+    _emit(payload, args.emit, ("class", "rho", "alpha"))
     return 0
 
 
 def _cmd_diagram(args) -> int:
-    if not args.model:
-        raise _CliError("diagram requires --model NAME")
     (a_lo, a_step, a_count), (b_lo, b_step, b_count) = map(_parse_range,
                                                            (args.a_range, args.b_range))
     if a_count * b_count > args.guard:
@@ -223,9 +218,7 @@ def _cmd_diagram(args) -> int:
                          [a_lo + k * a_step for k in range(a_count)],
                          [b_lo + k * b_step for k in range(b_count)])
     payload = {"model": args.model, "cells": rows}
-    _emit(payload, args.emit,
-          [(r["a"], r["b"], r["dx"], r["dy"], r["class"]) for r in rows],
-          ("a", "b", "dx", "dy", "class"))
+    _emit(payload, args.emit, ("a", "b", "dx", "dy", "class"), payload["cells"])
     return 0
 
 
@@ -235,8 +228,7 @@ def _cmd_gb(args) -> int:
         cls = gb_classify(a, b)
         payload = {"class": cls.family, "label": cls.label,
                    "rho": cls.rho, "alpha": cls.alpha}
-        _emit(payload, args.emit, [(cls.family, cls.label, cls.rho, cls.alpha)],
-              ("class", "label", "rho", "alpha"))
+        _emit(payload, args.emit, ("class", "label", "rho", "alpha"))
         return 0
     if args.action == "estimate":
         params = GBParams(a, b, args.i, args.j)
@@ -245,44 +237,37 @@ def _cmd_gb(args) -> int:
         payload = {"n": args.n, "log2": est.log2() if not est.is_zero() else None,
                    "mantissa": est.man, "exponent2": est.exp,
                    "kappa": kappa, "V_even": v_even, "V_odd": v_odd}
-        _emit(payload, args.emit, [(args.n, est.man, est.exp)],
-              ("n", "mantissa", "exponent2"))
+        _emit(payload, args.emit, ("n", "mantissa", "exponent2"))
         return 0
     if args.action == "harmonic":
         ok = check_harmonicity(GBParams(a, b), args.grid)
-        _emit({"harmonic": ok, "grid": args.grid}, args.emit,
-              [(ok, args.grid)], ("harmonic", "grid"))
+        _emit({"harmonic": ok, "grid": args.grid}, args.emit, ("harmonic", "grid"))
         return 0 if ok else CHECK_FAILED
     if args.action == "critical":
         points = gb_critical_points(a, b)
         payload = {"points": [
             {"label": p.label, "stratum": p.stratum, "x": p.xy[0], "y": p.xy[1],
              "t": p.t, "growth": p.growth} for p in points]}
-        _emit(payload, args.emit,
-              [(p.label, p.stratum, p.xy[0], p.xy[1], p.t, p.growth) for p in points],
-              ("label", "stratum", "x", "y", "t", "growth"))
+        _emit(payload, args.emit, ("label", "stratum", "x", "y", "t", "growth"),
+              payload["points"])
         return 0
     # contributing
-    labels = sorted(gb_contributing(a, b))
-    _emit({"contributing": labels}, args.emit, [(lbl,) for lbl in labels],
-          ("label",))
+    payload = {"contributing": sorted(gb_contributing(a, b))}
+    _emit(payload, args.emit, ("label",), [(lbl,) for lbl in payload["contributing"]])
     return 0
 
 
 def _cmd_conjecture2(args) -> int:
     model = _resolve_model(args)
     report = conjecture2_nullspace(model, args.cap, guard=args.guard)
-    n_s = report.refutation_length
     payload = {
         "cap": args.cap,
         "verified": report.verified,
         "nullity": report.nullity,
         "basis": report.basis,
-        "N_S": n_s,
+        "N_S": report.refutation_length,
     }
-    _emit(payload, args.emit,
-          [(args.cap, report.verified, report.nullity, n_s)],
-          ("cap", "verified", "nullity", "N_S"))
+    _emit(payload, args.emit, ("cap", "verified", "nullity", "N_S"))
     return 0
 
 
@@ -290,10 +275,7 @@ def _cmd_validate(args) -> int:
     params = GBParams(as_fraction(args.a), as_fraction(args.b), args.i, args.j)
     runner = validate_totals if args.what == "totals" else validate_excursions
     report = runner(params, args.n_max, args.tolerance, guard=args.guard)
-    payload = report.summary()
-    _emit(payload, args.emit,
-          [(report.what, report.final_ratio, report.error_slope, report.passed)],
-          ("what", "final_ratio", "error_slope", "passed"))
+    _emit(report.summary(), args.emit, ("what", "final_ratio", "error_slope", "passed"))
     return 0 if report.passed else CHECK_FAILED
 
 
@@ -305,10 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, guard=True):
         p.add_argument("--emit", choices=("json", "csv"), default="json")
-        p.add_argument("--guard", type=int, default=DEFAULT_GUARD,
-                       help="maximum number of table cells held")
+        if guard:
+            p.add_argument("--guard", type=int, default=DEFAULT_GUARD,
+                           help="maximum number of table cells held")
 
     p = sub.add_parser("count", help="count confined walks by length")
     _add_model_options(p)
@@ -333,12 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a2", default="1", help="second weighting parameter a (equiv)")
     p.add_argument("--b2", default="1", help="second weighting parameter b (equiv)")
     p.add_argument("--json2", help="second step-set JSON (equiv)")
-    common(p)
+    common(p, guard=False)
     p.set_defaults(handler=_cmd_central)
 
     p = sub.add_parser("classify", help="universality class by convex minimization")
     _add_model_options(p)
-    common(p)
+    common(p, guard=False)
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("diagram", help="class of every cell of an (a, b) grid")
@@ -357,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, default=0)
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--grid", type=int, default=20)
-    common(p)
+    common(p, guard=False)
     p.set_defaults(handler=_cmd_gb)
 
     p = sub.add_parser("conjecture2", help="null space of the walk-count system")
@@ -367,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_conjecture2)
 
     p = sub.add_parser("validate", help="counts vs closed-form asymptotics")
-    p.add_argument("--model", default="gb", choices=("gb",),
-                   help="closed forms exist for the GB model only")
     p.add_argument("--a", default="1")
     p.add_argument("--b", default="1")
     p.add_argument("--i", type=int, default=0)
@@ -393,11 +374,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return GUARD_ABORT
-    except (_CliError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (StepSetError, NotCentralError, SingularModelError, ClassifyError,
-            AmbiguousClassError, ValueError, OverflowError, OSError) as exc:
+    except (ClassifyError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -149,6 +149,7 @@ class WalkTable:
                 f"{mode} table of {held} cells exceeds guard of {guard}")
         self._tracked: dict[Vector, list[tuple]] = {tuple(p): [] for p in track}
         self._windows, self._totals, self._kept = [], [], {}
+        self._first = None  # sample_walk's last first pick: n, cells, cumsum, shape, corner
         for n, arr, exp, window, total in _layers(model, self.start, n_max, mode, guard,
                                                   self._keeps):
             block = (arr, exp, window)
@@ -513,7 +514,8 @@ def sample_walk(table: WalkTable, n: int, seed: int) -> Walk:
 
     Backward sampling on the counting table: pick the endpoint from layer n,
     then repeatedly pick the previous point.  Kept layers are read whole; a
-    layer n that is not kept is replayed whole for the first pick, and each
+    layer n that is not kept is replayed whole for the first pick (the table
+    keeps that pick's cumulative weights for the last n drawn), and each
     stretch between checkpoints is replayed once, over the backward cone of
     the walk's point above it.  Exact tables draw with `randrange` over
     integer cumulative weights, so every choice is exact; scaled tables draw
@@ -521,9 +523,12 @@ def sample_walk(table: WalkTable, n: int, seed: int) -> Walk:
     """
     table._check_n(n)
     rng = random.Random(seed)
-    arr, _, (lo, _) = table._replay(n)[n]
-    cells = np.flatnonzero(arr)
-    index = np.unravel_index(cells[_pick(rng, np.cumsum(arr.ravel()[cells]))], arr.shape)
+    if table._first is None or table._first[0] != n:
+        arr, _, (lo, _) = table._replay(n)[n]
+        cells = np.flatnonzero(arr)
+        table._first = (n, cells, np.cumsum(arr.ravel()[cells]), arr.shape, lo)
+    _, cells, cumulative, shape, lo = table._first
+    index = np.unravel_index(cells[_pick(rng, cumulative)], shape)
     point = tuple(l + q * int(i) for l, q, i in zip(lo, table._lattice, index))
     steps, lattice = table.model.steps, table._lattice
     # point - s is within the ghosts of the layer below on every axis but the first,

@@ -167,7 +167,7 @@ def stepset_from_json(data: Union[str, Mapping]) -> StepSet:
     if not isinstance(data, Mapping):
         raise StepSetError("step-set JSON must be an object")
     try:
-        dimension = int(data["dimension"])
+        dimension = operator.index(data["dimension"])
         entries = list(data["steps"])
     except (KeyError, TypeError, ValueError) as exc:
         raise StepSetError(f"step-set JSON needs a dimension and a steps list: {exc}") from exc

@@ -1,5 +1,7 @@
 """Command-line interface: subcommand behavior, determinism, exit codes."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -152,7 +154,9 @@ class TestCount:
         assert "guard" in err
 
     @pytest.mark.parametrize("spec", ['{"dimension": 2, "steps": 5}',
-                                      '{"dimension": 2, "steps": [{"v": [1.5, 0]}]}'])
+                                      '{"dimension": 2, "steps": [{"v": [1.5, 0]}]}',
+                                      '{"dimension": 2.7, "steps": [{"v": [1, 0]}]}',
+                                      '{"dimension": "2", "steps": [{"v": [1, 0]}]}'])
     def test_malformed_spec_is_a_usage_error(self, capsys, spec):
         code, out, err = run_cli(capsys, "count", "--json", spec, "--n", "3")
         assert code == 2 and out == ""
@@ -233,6 +237,11 @@ class TestCentral:
         assert code == 0
         assert json.loads(out)["equivalent"] is True
 
+    def test_equiv_json_needs_json2(self, capsys):
+        code, out, err = run_cli(capsys, "central", "equiv", "--json", ONE_D_SPEC)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--json2" in err
+
 
 class TestClassifyAndDiagram:
     def test_classify_reluctant(self, capsys):
@@ -294,18 +303,17 @@ class TestConjectureAndValidate:
         assert json.loads(out)["N_S"] == 3
 
     def test_validate_pass_and_exit_codes(self, capsys):
-        code, out, _ = run_cli(capsys, "validate", "--model", "gb", "--a", "1",
-                               "--b", "1", "--n-max", "150", "--what", "excursions",
+        code, out, _ = run_cli(capsys, "validate", "--a", "1", "--b", "1",
+                               "--n-max", "150", "--what", "excursions",
                                "--tolerance", "0.2")
         assert code == 0
         assert json.loads(out)["passed"] is True
-        code, out, _ = run_cli(capsys, "validate", "--model", "gb", "--a", "1",
-                               "--b", "1", "--n-max", "60", "--tolerance", "1e-12")
+        code, out, _ = run_cli(capsys, "validate", "--a", "1", "--b", "1",
+                               "--n-max", "60", "--tolerance", "1e-12")
         assert code == 1
 
     def test_determinism_byte_identical(self, capsys):
-        args = ("validate", "--model", "gb", "--a", "1", "--b", "1",
-                "--n-max", "80", "--tolerance", "0.2")
+        args = ("validate", "--a", "1", "--b", "1", "--n-max", "80", "--tolerance", "0.2")
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
@@ -335,3 +343,70 @@ class TestOtherDimensions:
             argv += ["--json2", spec]
         code, _, err = run_cli(capsys, *argv)
         assert code in (0, 1, 2) and "Traceback" not in err, err
+
+
+def cell(value) -> str:
+    """A JSON payload value as the CSV report writes it."""
+    return f"{value:.15g}" if isinstance(value, float) else str(value)
+
+
+class TestCsvMatchesJson:
+    """Each multi-row CSV report lists the values of its JSON payload."""
+
+    @staticmethod
+    def both(capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        code, text, err = run_cli(capsys, *argv, "--emit", "csv")
+        assert code == 0, err
+        header, *rows = csv.reader(io.StringIO(text))
+        return json.loads(out), header, rows
+
+    @pytest.mark.parametrize("mode", ["exact", "scaled"])
+    def test_count(self, capsys, mode):
+        payload, header, rows = self.both(capsys, "count", "--model", "gessel", "--a", "2/3",
+                                          "--b", "5", "--n", "9", "--mode", mode)
+        assert header == ["n", "total", "origin_count"]
+        assert rows == [[str(n), cell(t), cell(e)] for n, (t, e)
+                        in enumerate(zip(payload["totals"], payload["origin_counts"]))]
+
+    @pytest.mark.parametrize("mode", ["exact", "scaled"])
+    def test_sample(self, capsys, mode):
+        payload, header, rows = self.both(capsys, "sample", "--model", "tandem", "--n", "9",
+                                          "--start", "1,2", "--seed", "4", "--mode", mode)
+        assert header == ["index", "dx1", "dx2", "x1", "x2"]
+        assert [row[0] for row in rows] == [str(k) for k in range(9)]
+        assert [row[1:3] for row in rows] == [[str(c) for c in s] for s in payload["steps"]]
+        assert rows[-1][3:] == [str(c) for c in payload["end"]]
+
+    def test_central_solve(self, capsys):
+        payload, header, rows = self.both(capsys, "central", "solve", "--model", "gb",
+                                          "--a", "2", "--b", "7/3")
+        assert header == ["constant", "value"]
+        assert rows == ([[f"alpha{k}", cell(v)] for k, v in enumerate(payload["alpha_values"], 1)]
+                        + [["beta", cell(payload["beta_value"])]])
+
+    def test_diagram(self, capsys):
+        payload, header, rows = self.both(capsys, "diagram", "--model", "gb",
+                                          "--a-range", "1/2:2:1/2", "--b-range", "1:3:1")
+        assert header == ["a", "b", "dx", "dy", "class"]
+        assert rows == [[cell(c[k]) for k in header] for c in payload["cells"]]
+
+    @pytest.mark.parametrize("a,b", [("1", "2"), ("1/2", "1/2")])
+    def test_gb_critical_and_contributing(self, capsys, a, b):
+        payload, header, rows = self.both(capsys, "gb", "critical", "--a", a, "--b", b)
+        assert header == ["label", "stratum", "x", "y", "t", "growth"]
+        assert rows == [[cell(p[k]) for k in header] for p in payload["points"]]
+        payload, header, rows = self.both(capsys, "gb", "contributing", "--a", a, "--b", b)
+        assert header == ["label"] and rows == [[label] for label in payload["contributing"]]
+
+
+@pytest.mark.parametrize("argv", [("classify", "--model", "gb", "--guard", "5"),
+                                  ("central", "check", "--model", "gb", "--guard", "5"),
+                                  ("gb", "classify", "--guard", "5"),
+                                  ("validate", "--model", "gb", "--n-max", "20")],
+                         ids=" ".join)
+def test_flags_no_handler_reads_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err

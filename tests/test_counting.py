@@ -606,6 +606,25 @@ class TestSampling:
             steps = sample_walk(table, n, seed).steps
             assert "".join(str(model.steps.index(s)) for s in steps) == want, seed
 
+    def test_second_draw_does_not_replay_layer_n(self, monkeypatch):
+        # layer 105 is not kept (stride 10); its first pick is kept for the last n drawn
+        table = count_walks(builtin_model("gb", 2, 3), (0, 0), 120, mode="scaled",
+                            keep_layers=True)
+        replay, whole = table._replay, []
+
+        def spy(n, *cone, **kwargs):
+            if not cone:
+                whole.append(n)
+            return replay(n, *cone, **kwargs)
+
+        monkeypatch.setattr(table, "_replay", spy)
+        first = [sample_walk(table, 105, seed).steps for seed in range(3)]
+        assert whole == [105]
+        sample_walk(table, 103, 0)
+        assert whole == [105, 103]
+        assert [sample_walk(table, 105, seed).steps for seed in range(3)] == first
+        assert whole == [105, 103, 105]
+
     def test_empty_layer_rejected(self):
         # tandem from origin has no length-1 walk returning ... to (0,0);
         # total layer is nonempty though, so use a model with a blocked layer

@@ -56,6 +56,14 @@ class TestParsing:
         with pytest.raises(StepSetError, match="not a vector of integers"):
             make_stepset([(1, 0), (0.5, 1)], [1, 1])
 
+    @pytest.mark.parametrize("dimension", [2.7, "2"])
+    def test_non_integer_dimension_rejected(self, dimension):
+        # read like a coordinate: never truncated, nor parsed from a string
+        text = json.dumps({"dimension": dimension, "steps": [
+            {"v": [1, 0]}, {"v": [-1, 1]}, {"v": [0, -1]}]})
+        with pytest.raises(StepSetError, match="dimension"):
+            stepset_from_json(text)
+
     def test_nonpositive_weight(self):
         with pytest.raises(StepSetError, match="positive"):
             make_stepset([(1, 0)], [0])

@@ -1,0 +1,146 @@
+"""Print the CLI reports and seeded walks of one checkout, so that two checkouts can be diffed.
+
+Usage:
+
+    python tools/same_outputs.py OLD_CHECKOUT > old.txt
+    python tools/same_outputs.py NEW_CHECKOUT > new.txt
+    diff old.txt new.txt
+
+The package is imported from CHECKOUT/src and `orthantwalks.cli.main` runs in
+this one process.  Every subcommand and every `gb` action runs in JSON and in
+CSV: the four built-ins at four weightings, a 1-D and a 3-D step set, three
+diagrams, eleven GB weightings, and the error paths (guard aborts, malformed
+step-set JSON, a weight beyond the float range).  Each invocation prints its argv, exit code,
+stdout and stderr.  Then come seeded `sample_walk` draws: the four built-ins,
+exact and scaled, three lengths, 25 seeds.  Two checkouts give the same
+outputs when the two prints are equal.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+import warnings
+from fractions import Fraction
+from pathlib import Path
+
+MODELS = ("gb", "tandem", "gessel", "simple")
+WEIGHTINGS = (("1", "1"), ("2", "3"), ("1/2", "1/2"), ("7/5", "2/3"))
+# the nine GB class representatives, then two weightings whose values leave the float range
+GB_WEIGHTINGS = (("1", "1"), ("2", "3"), ("1/2", "1/2"), ("1", "4"), ("3", "2"), ("2", "2"),
+                 ("2", "4"), ("1", "1/2"), ("1/2", "1"), ("1/1" + "0" * 200, "2"),
+                 (str(10 ** 200), "1"))
+DIAGRAMS = (("gb", "1/2:2:1/2", "1/2:2:1/2"), ("tandem", "1/3:3:2/3", "1/2:2:1/2"),
+            ("gessel", "1/4:1:1/4", "1/2:5/2:1/2"))
+ONE_D = json.dumps({"dimension": 1, "steps": [{"v": [1]}, {"v": [-1], "w": 2},
+                                               {"v": [2], "w": 3}]})
+THREE_D = json.dumps({"dimension": 3, "steps": [
+    {"v": [1, 0, 0]}, {"v": [0, 1, 0], "w": "1/2"}, {"v": [0, 0, 1]},
+    {"v": [-1, -1, -1], "w": 3}, {"v": [-1, 1, 0]}, {"v": [0, -1, 1], "w": 2}]})
+NON_CENTRAL = json.dumps({"dimension": 2, "steps": [
+    {"v": [1, 0], "w": "2"}, {"v": [-1, 0], "w": "1/2"},
+    {"v": [-1, 1], "w": "3"}, {"v": [1, -1], "w": "1"}]})
+ERRORS = (
+    ["count", "--model", "gb", "--n", "4000", "--mode", "scaled", "--guard", "1000"],
+    ["conjecture2", "--model", "gb", "--cap", "5", "--guard", "2"],
+    ["diagram", "--model", "gb", "--a-range", "1:100:1", "--b-range", "1:100:1",
+     "--guard", "10"],
+    ["count", "--json", '{"dimension": 2, "steps": 5}', "--n", "3"],
+    ["count", "--json", '{"dimension": 2, "steps": [{"v": [1.5, 0]}]}', "--n", "3"],
+    ["count", "--json", '{"dimension": 2, "steps": [', "--n", "3"],
+    ["count", "--json", "[1, 2]", "--n", "3"],
+    ["classify", "--model", "gb", "--a", str(10 ** 400), "--b", "1"],
+    ["diagram", "--model", "gb", "--a-range", "1e400:1e400:1", "--b-range", "1:1:1"],
+    ["count", "--model", "gb", "--a", str(10 ** 200), "--mode", "scaled", "--n", "6"],
+    ["diagram", "--model", "gb", "--a-range", "1:0:1", "--b-range", "1:1:1"],
+    ["count", "--n", "3"],
+    ["count", "--model", "gb", "--json", '{"dimension": 2, "steps": []}', "--n", "2"],
+    ["count", "--model", "king", "--n", "2"],
+    ["count", "--model", "gb", "--start", "0,x", "--n", "2"],
+    ["gb", "harmonic", "--grid", "-1"],
+    ["central", "check", "--json", NON_CENTRAL],
+    ["central", "equiv", "--json", NON_CENTRAL, "--json2", NON_CENTRAL],
+    ["central", "equiv", "--model", "gb", "--a", "2", "--a2", "3"],
+    ["validate", "--n-max", "60", "--tolerance", "1e-12"],
+)
+
+
+def invocations() -> list[list[str]]:
+    runs = []
+    for name in MODELS:
+        for a, b in WEIGHTINGS:
+            model = ["--model", name, "--a", a, "--b", b]
+            runs += [["count", *model, "--n", "12"],
+                     ["count", *model, "--n", "12", "--mode", "scaled", "--start", "1,2"],
+                     ["sample", *model, "--n", "10", "--seed", "5"],
+                     ["sample", *model, "--n", "10", "--seed", "5", "--mode", "scaled"],
+                     ["central", "check", *model], ["central", "solve", *model],
+                     ["central", "equiv", *model, "--a2", "1", "--b2", "1"],
+                     ["classify", *model], ["conjecture2", *model, "--cap", "3"]]
+    for spec, start in ((ONE_D, "0"), (THREE_D, "0,0,0")):
+        runs += [["count", "--json", spec, "--start", start, "--n", "6"],
+                 ["sample", "--json", spec, "--start", start, "--n", "6", "--mode", "scaled"],
+                 ["central", "solve", "--json", spec], ["classify", "--json", spec]]
+    for name, a_range, b_range in DIAGRAMS:
+        runs.append(["diagram", "--model", name, "--a-range", a_range, "--b-range", b_range])
+    for a, b in GB_WEIGHTINGS:
+        for action in ("classify", "estimate", "harmonic", "critical", "contributing"):
+            argv = ["gb", action, "--a", a, "--b", b]
+            if action == "estimate":
+                argv += ["--i", "3", "--j", "1", "--n", "40"]
+            if action == "harmonic":
+                argv += ["--grid", "6"]
+            runs.append(argv)
+    for what in ("totals", "excursions"):
+        runs.append(["validate", "--a", "2", "--b", "3", "--n-max", "60", "--what", what,
+                     "--tolerance", "0.2"])
+    return [[*argv, "--emit", emit] for argv in runs for emit in ("json", "csv")]
+
+
+def run(main, argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception as exc:  # a traceback at one checkout is a difference to show
+            code = f"uncaught {type(exc).__name__}: {exc}"
+    return f"$ {' '.join(argv)}\nexit {code}\n{out.getvalue()}stderr: {err.getvalue()}\n"
+
+
+def walks(ow) -> list[str]:
+    lines = []
+    for name in MODELS:
+        model = ow.builtin_model(name, Fraction(7, 5), Fraction(2, 3))
+        for mode, n_max, lengths in (("exact", 60, (20, 45, 60)),
+                                     ("scaled", 200, (50, 130, 200))):
+            table = ow.count_walks(model, (0, 0), n_max, mode=mode, keep_layers=True)
+            for n in lengths:
+                for seed in range(25):
+                    walk = ow.sample_walk(table, n, seed)
+                    lines.append(f"walk {name} {mode} n={n} seed={seed}: "
+                                 + " ".join(",".join(map(str, s)) for s in walk.steps))
+    return lines
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    src = Path(sys.argv[1]).resolve() / "src"
+    sys.path.insert(0, str(src))
+    import orthantwalks as ow
+    import orthantwalks.cli
+    if not Path(ow.__file__).resolve().is_relative_to(src):
+        raise SystemExit(f"imported {ow.__file__}, not the package under {src}")
+    warnings.simplefilter("always")
+    warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
+    for argv in invocations() + [list(argv) for argv in ERRORS]:
+        sys.stdout.write(run(orthantwalks.cli.main, argv))
+    print("\n".join(walks(ow)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
