@@ -6,21 +6,24 @@ a_s = beta * prod_k alpha_k**s_k.  All decisions here run in exponent space
 over the rationals, never through real logarithms, so centrality checks and
 the alpha/beta decomposition are bit-exact.
 
-The path pairs and the alpha/beta monomials depend on the steps alone: one
-exact inverse of a base of d+1 step-matrix rows gives both (a step's row times
-the inverse gives its pair, the inverse's rows give alpha and beta), and the
-weights enter only when the pairs are checked.
+The path pairs and the alpha/beta monomials depend on the steps alone, so one
+cached solve per step tuple serves every weighting: the pairs are the integer
+left kernel of the step matrix, alpha and beta the rows of the inverse of a
+base of d+1 step-matrix rows, and the weights enter only when the pairs are
+checked.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Optional, Sequence
 
 from .linalg import EchelonBasis, _power_product, _rational_root, solve
-from .stepset import StepSet, StepSetError, Vector, central_weights, is_singular
+from .stepset import (StepSet, StepSetError, Vector, _dual_cone_nontrivial, central_weights,
+                      is_singular)
 
 
 class SingularModelError(ValueError):
@@ -80,54 +83,42 @@ class PathPair:
         return f"{side(self.left)} = {side(self.right)}"
 
 
-def _base_solve(model: StepSet, base: Optional[Sequence[int]]
-                ) -> tuple[list[int], list[tuple[Fraction, ...]], list[PathPair]]:
-    """The base T, the exact inverse of T's step-matrix rows, and the path pairs.
+@functools.cache
+def _base_solve(steps: tuple[Vector, ...], base: Optional[tuple[int, ...]]
+                ) -> tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...], tuple[PathPair, ...]]:
+    """The base T, the alpha/beta exponent rows over all steps, and the path pairs.
 
     T defaults to the lexicographically-first d+1 steps with independent step
-    matrix rows, picked greedily.  Row r of the inverse expresses the r-th
-    unknown (log alpha_1, ..., log alpha_d, log beta) through the weights of T;
-    a leftover step's row times the inverse gives its coefficients over T.
-    Times the lcm D of the inverse's denominators they are integers, which
-    with D at the step itself are split by sign into a path pair and made
-    primitive.  Nothing here reads the weights.
+    matrix rows, picked greedily.  With T's steps first, the integer left
+    kernel of the step matrix M holds one primitive mu with mu . M = 0 per step
+    outside T, positive at that step and zero at the other steps outside T:
+    its positive entries are the pair's `left`, its negative ones its `right`.
+    Row r of the inverse of T's rows expresses the r-th unknown (log alpha_1,
+    ..., log alpha_d, log beta) through the weights of T.  Nothing here reads
+    the weights, so one solve serves every weighting of the steps.
     """
-    if is_singular(model):
+    if _dual_cone_nontrivial(steps):
         raise SingularModelError("path pairs require a non-singular step set")
-    rows = step_matrix(model)
-    want = model.dimension + 1
+    rows = [(*s, 1) for s in steps]
+    want = len(rows[0])
     basis = EchelonBasis(want)
     if base is None:
         # steps on no closed half-space lie on no affine hyperplane either, so
         # the step matrix has full rank and the greedy pick fills T
-        chosen = [k for k, row in enumerate(rows) if basis.add(row)]
-    else:
-        chosen = list(base)
-        if len(chosen) != want or not all(basis.add(rows[i]) for i in chosen):
-            raise ValueError(f"base {base} is not an independent subset of size {want}")
-    columns = solve([rows[i] for i in chosen],
-                    [[int(r == c) for r in range(want)] for c in range(want)])
-    den = lcm(*(q.denominator for column in columns for q in column))
-    scaled = [[q.numerator * (den // q.denominator) for q in column] for column in columns]
-    pairs = []
-    for s_idx in (k for k in range(model.size) if k not in chosen):
-        coeffs = [sum(x * c for x, c in zip(rows[s_idx], column)) for column in scaled]
-        common = gcd(den, *coeffs)
-        left = {s_idx: den // common}
-        right: dict[int, int] = {}
-        for t_idx, c in zip(chosen, coeffs):
-            if c > 0:
-                right[t_idx] = c // common
-            elif c < 0:
-                left[t_idx] = -c // common
-        # the last matrix column forces sum(coeffs) = D, so `right` is nonempty
-        pairs.append(PathPair(
-            step_index=s_idx,
-            left=tuple(sorted(left.items())),
-            right=tuple(sorted(right.items())),
-            steps=model.steps,
-        ))
-    return chosen, list(zip(*columns)), pairs
+        base = tuple(k for k, row in enumerate(rows) if basis.add(row))
+    elif len(base) != want or not all(basis.add(rows[i]) for i in base):
+        raise ValueError(f"base {base} is not an independent subset of size {want}")
+    order = [*base, *(k for k in range(len(rows)) if k not in base)]
+    # T's columns are independent, so they are the pivots and the rest are free
+    kernel = EchelonBasis(len(order), zip(*(rows[k] for k in order))).null_space()
+    pairs = tuple(PathPair(k, *(tuple(sorted((order[i], abs(x)) for i, x in enumerate(mu)
+                                             if x * side > 0)) for side in (1, -1)), steps)
+                  for k, mu in zip(order[want:], kernel))
+    inverse = zip(*solve([rows[i] for i in base],
+                         [[int(r == c) for r in range(want)] for c in range(want)]))
+    exponents = tuple(tuple(dict(zip(base, row)).get(k, Fraction(0)) for k in range(len(rows)))
+                      for row in inverse)
+    return base, exponents, pairs
 
 
 def find_path_pairs(model: StepSet, base: Optional[Sequence[int]] = None
@@ -137,8 +128,8 @@ def find_path_pairs(model: StepSet, base: Optional[Sequence[int]] = None
     T defaults to the lexicographically-first d+1 steps with independent step
     matrix rows; a different independent subset may be passed explicitly.
     """
-    chosen, _, pairs = _base_solve(model, base)
-    return tuple(chosen), pairs
+    chosen, _, pairs = _base_solve(model.steps, None if base is None else tuple(base))
+    return chosen, list(pairs)
 
 
 def pair_holds(model: StepSet, pair: PathPair) -> bool:
@@ -154,7 +145,7 @@ def pair_holds(model: StepSet, pair: PathPair) -> bool:
 
 def is_central(model: StepSet) -> tuple[bool, Optional[PathPair]]:
     """Whether the weighting is central; on failure also the first violated pair."""
-    witness = _violated(model, find_path_pairs(model)[1])
+    witness = _violated(model, _base_solve(model.steps, None)[2])
     return witness is None, witness
 
 
@@ -260,19 +251,14 @@ def solve_central(model: StepSet, base: Optional[Sequence[int]] = None
     the alpha_k themselves are irrational.  Centrality is checked on the path
     pairs of the same subset; NotCentralError carries the first one violated.
     """
-    chosen, inverse, pairs = _base_solve(model, base)
+    _, exponents, pairs = _base_solve(model.steps, None if base is None else tuple(base))
     witness = _violated(model, pairs)
     if witness is not None:
         raise NotCentralError(
             f"weighting is not central; violated relation {witness.describe()}",
             witness)
-    monomials = []
-    for row in inverse:
-        exps = [Fraction(0)] * model.size
-        for i, q in zip(chosen, row):
-            exps[i] = q
-        monomials.append(Monomial(tuple(exps)))
-    dec = CentralDecomposition(model=model, alpha=tuple(monomials[:-1]), beta=monomials[-1])
+    *alpha, beta = map(Monomial, exponents)
+    dec = CentralDecomposition(model=model, alpha=tuple(alpha), beta=beta)
     if not dec.verify():
         raise NotCentralError("weighting failed the exact round-trip check")
     return dec

@@ -38,9 +38,9 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .central import find_path_pairs, solve_central
+from .central import _base_solve
 from .linalg import _power_product
-from .stepset import StepSet, drift, is_singular, make_stepset
+from .stepset import StepSet, drift, is_singular
 
 EQ_TOL = 1e-8
 AMBIG_TOL = 1e-6
@@ -252,15 +252,16 @@ class _CentralRule(NamedTuple):
 
 @functools.cache
 def _central_rule(steps: tuple[tuple[int, ...], ...]) -> Optional[_CentralRule]:
-    """The exact rule of a step set, or None when its unweighted drift is nonzero."""
-    unweighted = make_stepset(steps, [1] * len(steps))
-    if any(drift(unweighted)):
+    """The exact rule of a step set, read off its one central solve; None when its
+    unweighted drift is nonzero."""
+    if any(map(sum, zip(*steps))):
         return None
+    _, exponents, pairs = _base_solve(steps, None)
     relations = [[dict(pair.left).get(k, 0) - dict(pair.right).get(k, 0)
-                  for k in range(len(steps))] for pair in find_path_pairs(unweighted)[1]]
-    dec = solve_central(unweighted)
-    alphas = [[int(q * dec.denominator) for q in m.exponents] for m in dec.alpha]
-    return _CentralRule(relations, alphas, _exact_p1(steps, unweighted.weights))
+                  for k in range(len(steps))] for pair in pairs]
+    denominator = math.lcm(*(q.denominator for row in exponents for q in row))
+    alphas = [[int(q * denominator) for q in row] for row in exponents[:-1]]
+    return _CentralRule(relations, alphas, _exact_p1(steps, [1] * len(steps)))
 
 
 def _sign(weights: Sequence[Fraction], exponents: Sequence[int]) -> int:

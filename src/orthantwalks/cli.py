@@ -97,7 +97,7 @@ def _resolve_model(args) -> StepSet:
 
 
 def _read_spec(text: str) -> StepSet:
-    if not text.lstrip().startswith("{"):
+    if not text.lstrip().startswith(("{", "[")):
         with open(text, "r", encoding="utf-8") as handle:
             text = handle.read()
     return stepset_from_json(text)

@@ -240,15 +240,14 @@ class WalkTable:
         block = self._replay(n, (end, n))[n]
         return self._value(self._cell(block, end), block[1], n)
 
-    def layer(self, n: int) -> dict[Vector, Union[int, Fraction]]:
-        """Endpoint -> count map of the nonzero entries of layer n (exact mode only)."""
+    def layer(self, n: int) -> dict[Vector, Count]:
+        """Endpoint -> count map of the nonzero entries of layer n; scaled entries are
+        XFloats, and a scaled table has whole layers only if built with keep_layers."""
         self._check_n(n)
-        if self.mode != "exact":
-            raise ValueError("full layers are only materialized in exact mode")
-        arr, _, (lo, _) = self._replay(n)[n]
+        arr, exp, (lo, _) = self._replay(n)[n]
         nonzero = np.nonzero(arr)
         points = zip(*((m * i + l).tolist() for i, l, m in zip(nonzero, lo, self._lattice)))
-        return {p: self._value(c, 0, n) for p, c in zip(points, arr[nonzero].tolist())}
+        return {p: self._value(c, exp, n) for p, c in zip(points, arr[nonzero].tolist())}
 
 
 def _layers(model: StepSet, start: Vector, n_max: int, mode: str,

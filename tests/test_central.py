@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthantwalks import (NotCentralError, SingularModelError, are_equivalent,
-                          builtin_model, central_weights, find_path_pairs,
-                          is_central, make_stepset, rank_full, solve_central,
-                          step_matrix)
+                          builtin_model, central_weights, classify, find_path_pairs,
+                          is_central, is_singular, make_stepset, rank_full,
+                          solve_central, step_matrix)
 from orthantwalks.central import pair_holds
 
 GB_STEPS = ((1, 0), (-1, 0), (-1, 1), (1, -1))
@@ -238,6 +238,74 @@ class TestSharedBaseSolve:
             for mono in (dec.beta, *dec.alpha):
                 assert all(q == 0 for k, q in enumerate(mono.exponents) if k not in base)
             assert dec.alpha_exact() == (F(5, 3), F(2, 7)) and dec.beta_exact() == F(3)
+
+
+class TestLeftKernelPairs:
+    """Path pairs are the integer left kernel of the step matrix, solved once per step set."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_pairs_are_primitive_left_kernel_vectors(self, d):
+        import itertools
+        import math
+        import random
+        rng = random.Random(19 + d)
+        pool = [s for s in itertools.product(range(-2, 3), repeat=d) if any(s)]
+        checked = 0
+        for _ in range(60):
+            steps = rng.sample(pool, rng.randint(d + 1, min(len(pool), d + 5)))
+            model = make_stepset(steps, [1] * len(steps))
+            if is_singular(model):
+                continue
+            matrix = step_matrix(model)
+            default, _ = find_path_pairs(model)
+            bases = [default] + rng.sample(list(itertools.combinations(range(len(steps)), d + 1)),
+                                           min(4, math.comb(len(steps), d + 1)))
+            for base in bases:
+                try:
+                    chosen, pairs = find_path_pairs(model, base)
+                except ValueError:
+                    assert rank_full(make_stepset([steps[i] for i in base], [1] * (d + 1)))[1] is False
+                    continue
+                assert chosen == base
+                assert sorted(p.step_index for p in pairs) == sorted(set(range(len(steps))) - set(base))
+                for pair in pairs:
+                    mu = [dict(pair.left).get(k, 0) - dict(pair.right).get(k, 0)
+                          for k in range(len(steps))]
+                    assert all(sum(m * row[c] for m, row in zip(mu, matrix)) == 0
+                               for c in range(d + 1))
+                    assert math.gcd(*mu) == 1
+                    assert mu[pair.step_index] > 0
+                    assert all(mu[k] == 0 for k in range(len(steps))
+                               if k not in base and k != pair.step_index)
+                checked += 1
+        assert checked > 50
+
+    def test_one_solve_per_step_set(self, monkeypatch):
+        import importlib
+        from orthantwalks import central
+        calls = []
+
+        def counting_solve(*args):
+            calls.append(args)
+            return solve(*args)
+
+        solve = central.solve
+        monkeypatch.setattr(central, "solve", counting_solve)
+        central._base_solve.cache_clear()
+        importlib.import_module("orthantwalks.classify")._central_rule.cache_clear()
+        steps = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))  # zero unweighted drift
+        weightings = [central_weights(steps, (F(2, 3), F(5, 7)), beta=F(3)),
+                      central_weights(steps, (F(1, 2), F(1, 3))),
+                      [2, 1, 1, 1, 1, 1]]
+        models = [make_stepset(steps, weights) for weights in weightings]
+        for model in models:
+            find_path_pairs(model)
+            if is_central(model)[0]:
+                solve_central(model)
+            are_equivalent(model, models[0])
+        assert classify(models[1]).family == "reluctant"
+        assert len(calls) == 1
+
 
 class TestEquivalence:
     def test_self_equivalent(self):

@@ -162,6 +162,13 @@ class TestCount:
         assert code == 2 and out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("spec", ["[1, 2]", ' ["steps"]', "[]"])
+    def test_inline_json_that_is_not_an_object(self, capsys, spec):
+        # a value starting with "[" is inline JSON, not a file name
+        code, out, err = run_cli(capsys, "count", "--json", spec, "--n", "3")
+        assert code == 2 and out == ""
+        assert err == "error: step-set JSON must be an object\n"
+
     def test_conjecture2_guard_abort(self, capsys):
         code, _, err = run_cli(capsys, "conjecture2", "--model", "gb", "--cap", "5",
                                "--guard", "2")

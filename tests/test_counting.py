@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orthantwalks import (ResourceGuardError, StepSetError, brute_force_count,
+from orthantwalks import (ResourceGuardError, StepSetError, XFloat, brute_force_count,
                           builtin_model, central_weights, count_walks,
                           make_stepset, sample_walk)
 from orthantwalks import counting
@@ -169,6 +169,24 @@ class TestScaledMode:
         total = table.total(1500)
         # growth 4^n n^-2: log2 = 3000 - 2 log2(1500) + log2(8/pi) + o(1)
         assert total.log2() == pytest.approx(3000 - 2 * math.log2(1500) + math.log2(8 / math.pi), abs=0.05)
+
+    def test_whole_scaled_layer_matches_exact(self):
+        # within the stated n * 2**-50 bound of the exact layer, point for point
+        model = builtin_model("gb", F(2, 3), F(5, 7))
+        exact = count_walks(model, (1, 2), 60, mode="exact")
+        scaled = count_walks(model, (1, 2), 60, mode="scaled", keep_layers=True)
+        for n in (0, 1, 7, 33, 59, 60):
+            want, got = exact.layer(n), scaled.layer(n)
+            assert got.keys() == want.keys()
+            for point, count in want.items():
+                assert isinstance(got[point], XFloat)
+                assert abs(float(got[point]) / float(count) - 1) <= 60 * 2.0 ** -50
+                assert got[point] == scaled.endpoint(point, n)
+
+    def test_whole_scaled_layer_needs_kept_layers(self):
+        table = count_walks(builtin_model("gb", 1, 1), (0, 0), 10, mode="scaled")
+        with pytest.raises(ValueError, match="keep_layers"):
+            table.layer(5)
 
     def test_untracked_endpoint_errors_without_layers(self):
         table = count_walks(builtin_model("gb", 1, 1), (0, 0), 10, mode="scaled")

@@ -1,4 +1,5 @@
-"""Print the CLI reports and seeded walks of one checkout, so that two checkouts can be diffed.
+"""Print the CLI reports, seeded walks and library outputs of one checkout, so that two
+checkouts can be diffed.
 
 Usage:
 
@@ -12,7 +13,12 @@ CSV: the four built-ins at four weightings, a 1-D and a 3-D step set, three
 diagrams, eleven GB weightings, and the error paths (guard aborts, malformed
 step-set JSON, a weight beyond the float range).  Each invocation prints its argv, exit code,
 stdout and stderr.  Then come seeded `sample_walk` draws: the four built-ins,
-exact and scaled, three lengths, 25 seeds.  Two checkouts give the same
+exact and scaled, three lengths, 25 seeds.  Last come the central algebra and
+the classifier as library calls on seeded step sets: path pairs with the
+default base and with explicit bases (d = 1, 2, 3), `is_central` witnesses
+and `central_check`, `solve_central`'s exponents with exact and float
+alpha/beta, `are_equivalent`, `classify(..., on_ambiguity="report")` on king
+sets, and `drift_diagram` on the four built-ins.  Two checkouts give the same
 outputs when the two prints are equal.
 """
 
@@ -20,7 +26,9 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
+import random
 import sys
 import warnings
 from fractions import Fraction
@@ -124,6 +132,66 @@ def walks(ow) -> list[str]:
     return lines
 
 
+def attempt(call, *args, **kwargs) -> str:
+    """str(call(*args, **kwargs)), or the exception it raises."""
+    try:
+        return str(call(*args, **kwargs))
+    except Exception as exc:  # an error is an output like any other
+        return f"{type(exc).__name__}: {exc}"
+
+
+def path_pairs(ow, model, base=None) -> str:
+    chosen, pairs = ow.find_path_pairs(model, base)
+    return f"{chosen} " + "; ".join(f"{p.step_index}: {p.describe()}" for p in pairs)
+
+
+def decomposition(ow, model) -> str:
+    dec = ow.solve_central(model)
+    return (f"alpha {[m.exponents for m in dec.alpha]} beta {dec.beta.exponents} "
+            f"exact {dec.alpha_exact()} {dec.beta_exact()} "
+            f"float {dec.alpha_values()} {dec.beta_value()}")
+
+
+def library(ow) -> list[str]:
+    from orthantwalks.central import central_check
+    rng, lines = random.Random(19), []
+
+    def ratio(top: int) -> Fraction:
+        return Fraction(rng.randint(1, top), rng.randint(1, top))
+
+    for d in (1, 2, 3):
+        pool = [s for s in itertools.product(range(-2, 3), repeat=d) if any(s)]
+        for _ in range(60):
+            steps = rng.sample(pool, rng.randint(d + 1, min(len(pool), d + 4)))
+            model = ow.make_stepset(steps, [ratio(6) for _ in steps])
+            central = ow.make_stepset(steps, ow.central_weights(
+                steps, [ratio(5) for _ in range(d)], beta=rng.randint(1, 4)))
+            lines += [f"steps {steps} weights {[str(w) for w in model.weights]}",
+                      f"  pairs {attempt(path_pairs, ow, model)}"]
+            for base in itertools.islice(itertools.combinations(range(len(steps)), d + 1), 4):
+                lines.append(f"  base {base}: {attempt(path_pairs, ow, model, base)}")
+            lines += [f"  is_central {attempt(ow.is_central, model)}",
+                      f"  central_check {attempt(central_check, model)}",
+                      f"  solve_central {attempt(decomposition, ow, model)}",
+                      f"  solve_central central {attempt(decomposition, ow, central)}",
+                      f"  are_equivalent {attempt(ow.are_equivalent, central, central.unweighted())}"
+                      f" {attempt(ow.are_equivalent, model, central)}"]
+    king = [s for s in itertools.product((-1, 0, 1), repeat=2) if any(s)]
+    for _ in range(150):
+        steps = rng.sample(king, rng.randint(3, 8))
+        weights = [ratio(9) for _ in steps]
+        if rng.random() < 0.5:  # a central weighting, which the exact rules decide
+            weights = ow.central_weights(steps, (weights[0], weights[-1]))
+        model = ow.make_stepset(steps, weights)
+        lines.append(f"classify {steps} {[str(w) for w in model.weights]}: "
+                     f"{attempt(ow.classify, model, on_ambiguity='report')}")
+    grid = [Fraction(k, 4) for k in range(1, 13)]
+    for name in MODELS:
+        rows = attempt(ow.drift_diagram, lambda a, b: ow.builtin_model(name, a, b), grid, grid)
+        lines.append(f"drift_diagram {name}: {rows}")
+    return lines
+
+
 def main() -> int:
     if len(sys.argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -139,6 +207,7 @@ def main() -> int:
     for argv in invocations() + [list(argv) for argv in ERRORS]:
         sys.stdout.write(run(orthantwalks.cli.main, argv))
     print("\n".join(walks(ow)))
+    print("\n".join(library(ow)))
     return 0
 
 
