@@ -106,7 +106,7 @@ def _base_solve(steps: tuple[Vector, ...], base: Optional[tuple[int, ...]]
         # steps on no closed half-space lie on no affine hyperplane either, so
         # the step matrix has full rank and the greedy pick fills T
         base = tuple(k for k, row in enumerate(rows) if basis.add(row))
-    elif len(base) != want or not all(basis.add(rows[i]) for i in base):
+    elif len(base) != want or not all(0 <= i < len(rows) and basis.add(rows[i]) for i in base):
         raise ValueError(f"base {base} is not an independent subset of size {want}")
     order = [*base, *(k for k in range(len(rows)) if k not in base)]
     # T's columns are independent, so they are the pivots and the rest are free

@@ -38,9 +38,9 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .central import _base_solve
+from .central import _base_solve, is_central
 from .linalg import _power_product
-from .stepset import StepSet, drift, is_singular
+from .stepset import StepSet, _float_weights, drift, is_singular
 
 EQ_TOL = 1e-8
 AMBIG_TOL = 1e-6
@@ -65,8 +65,8 @@ class AmbiguousClassError(ClassifyError):
 def _terms(weights: np.ndarray, q: np.ndarray, u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
     """The terms w_k exp(s_k . u) of L(u) = S(e^u, e^v), one row per problem.
 
-    q[r] (or q, shared by all rows) holds the moment rows 1, s1, s2, s1^2,
-    s1 s2, s2^2 of the row's step columns.
+    The weights are shared by all rows; q[r] (or q, shared by all rows) holds
+    the moment rows 1, s1, s2, s1^2, s1 s2, s2^2 of the row's step columns.
     """
     return weights * np.exp(u0[:, None] * q[..., 1, :] + u1[:, None] * q[..., 2, :])
 
@@ -81,20 +81,20 @@ def _moments(terms: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sums[:, 0], sums[:, 1:] / sums[:, :1]
 
 
-def _newton(weights: np.ndarray, q: np.ndarray,
-            cap: int) -> tuple[np.ndarray, np.ndarray, list[Optional[str]]]:
+def _newton(weights: np.ndarray, q: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton from u = 0 for the minimizer of L, one row per problem.
 
-    Row r minimizes sum_k weights[r, k] exp(s_k . u) with the step columns of
+    Row r minimizes sum_k weights[k] exp(s_k . u) with the step columns of
     q[r], and has its own convergence test and halving line search; a row
     that converges or fails stays where it is.  Every row stops after `cap`
     iterations.  A row whose step column along an axis is zero never moves
-    along that axis.  Returns the minimizers, the relative Hessians
-    (L_uu, L_uv, L_vv) / L there, and per row None or why it failed.
+    along that axis.  Returns the minimizers and the relative Hessians
+    (L_uu, L_uv, L_vv) / L there, or raises the first failed row's error.
     """
-    u0, u1, terms = np.zeros(len(weights)), np.zeros(len(weights)), weights.copy()
+    # q's first moment row is all ones, so these are the terms at u = 0
+    u0, u1, terms = np.zeros(len(q)), np.zeros(len(q)), q[:, 0] * weights
     # a unit diagonal on an axis the row does not move along gives it a zero step
-    pad = np.zeros((len(weights), 5))
+    pad = np.zeros((len(q), 5))
     pad[:, 2:5:2] = (q[:, 3:6:2] == 0).all(axis=2)
     # a trial point may overflow L; the line search then rejects it.  A row
     # that has stopped takes a zero step, whatever its Newton system gives.
@@ -109,7 +109,7 @@ def _newton(weights: np.ndarray, q: np.ndarray,
             # the 2x2 Newton system by Cramer's rule; a 1-D row reduces to -g / h
             step0 = np.where(live, (h01 * g1 - h11 * g0) / det, 0.0)
             step1 = np.where(live, (h01 * g0 - h00 * g1) / det, 0.0)
-            bound, t = base + 1e-12 * base, np.ones(len(weights))
+            bound, t = base + 1e-12 * base, np.ones(len(q))
             for _ in range(60):
                 terms = _terms(weights, q, u0 + t * step0, u1 + t * step1)
                 pending = live & ~(terms.sum(axis=1) <= bound)
@@ -119,23 +119,20 @@ def _newton(weights: np.ndarray, q: np.ndarray,
             else:
                 terms = _terms(weights, q, u0 + t * step0, u1 + t * step1)
             u0, u1 = u0 + t * step0, u1 + t * step1
-    errors: list[Optional[str]] = [None] * len(weights)
-    for r in np.flatnonzero(~(residual <= GRAD_TOL)):
-        at = f"u = ({u0[r]}, {u1[r]})"
+    for r in np.flatnonzero(~(residual <= GRAD_TOL))[:1]:  # the first row that failed
         if not math.isfinite(base[r]):
-            errors[r] = f"the inventory leaves the float range at {at}"
-        elif not det[r] > 0:
-            errors[r] = f"singular Hessian at {at}"
-        else:
-            errors[r] = f"Newton iteration failed to converge (relative residual {residual[r]})"
-    return np.stack([u0, u1], axis=1), rel[:, 2:], errors
+            raise ClassifyError(f"the inventory leaves the float range at u = ({u0[r]}, {u1[r]})")
+        if not det[r] > 0:
+            raise ClassifyError(f"singular Hessian at u = ({u0[r]}, {u1[r]})")
+        raise ClassifyError("Newton iteration failed to converge "
+                            f"(relative residual {residual[r]})")
+    return np.stack([u0, u1], axis=1), rel[:, 2:]
 
 
 class _Cell(NamedTuple):
     """The exact work on one model, done before anything is solved."""
 
-    steps: tuple[tuple[int, ...], ...]
-    weights: tuple[Fraction, ...]
+    model: StepSet
     floats: list[float]
     drift: tuple[Fraction, Fraction]
 
@@ -146,10 +143,9 @@ def _prepare(model: StepSet) -> _Cell:
     if is_singular(model):
         raise ClassifyError("classification requires a non-singular model")
     try:
-        floats = [float(w) for w in model.weights]
-    except OverflowError:
-        raise ClassifyError("a weight lies outside the float range") from None
-    return _Cell(model.steps, model.weights, floats, drift(model))
+        return _Cell(model, _float_weights(model.weights), drift(model))
+    except OverflowError as exc:
+        raise ClassifyError(str(exc)) from None
 
 
 class _Solution(NamedTuple):
@@ -180,19 +176,16 @@ def _solve(cell: _Cell) -> _Solution:
     point, and the edges with their one-dimensional minimizers and a KKT test.
     """
     # moment rows 1, s1, s2, s1^2, s1 s2, s2^2 of the three problems
-    q = _KEPT[:, :, None] * (np.array(cell.steps, dtype=float) ** _POWERS[:, None, :]).prod(axis=2)
-    weights = np.array([cell.floats] * 3)
+    steps, floats = cell.model.steps, np.array(cell.floats)
+    q = _KEPT[:, :, None] * (np.array(steps, dtype=float) ** _POWERS[:, None, :]).prod(axis=2)
     # far from the minimizer a damped step moves about one unit of log scale
-    spread = max(abs(math.log(w.numerator) - math.log(w.denominator)) for w in cell.weights)
-    u, h, errors = _newton(weights, q, 200 + math.ceil(2 * spread))
-    error = next(filter(None, errors), None)
-    if error:
-        raise ClassifyError(error)
+    spread = max(abs(math.log(w.numerator) - math.log(w.denominator)) for w in cell.model.weights)
+    u, h = _newton(floats, q, 200 + math.ceil(2 * spread))
     # the interior candidate, then the edge points where y = 1 and where x = 1:
     # an edge row's fixed coordinate stays exactly 0
     points = np.maximum(u, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        values, rel = _moments(_terms(weights, q[0], points[:, 0], points[:, 1]), q[0])
+        values, rel = _moments(_terms(floats, q[0], points[:, 0], points[:, 1]), q[0])
     values, grads, points = values.tolist(), rel[:, :2].tolist(), points.tolist()
     (us, vs), (huu, huv, hvv) = u[0].tolist(), h[0].tolist()
     u1, v1 = float(u[1, 0]), float(u[2, 1])
@@ -205,7 +198,7 @@ def _solve(cell: _Cell) -> _Solution:
     rho_exact, offgrad = None, 0.0
     if dx >= 0 and dy >= 0:
         point = (0.0, 0.0)
-        rho_exact = sum(cell.weights)
+        rho_exact = sum(cell.model.weights)
         rho = float(rho_exact)
     elif us >= -EQ_TOL and vs >= -EQ_TOL:
         point, rho = points[0], values[0]
@@ -245,7 +238,6 @@ def _exact_p1(steps: Sequence[tuple[int, ...]],
 class _CentralRule(NamedTuple):
     """Exponent vectors of a step set with zero unweighted drift."""
 
-    relations: list[list[int]]  # mu with prod w**mu = 1 for every central weighting
     alphas: list[list[int]]  # e_k with alpha_k**D = prod w**e_k, one D > 0
     p1: Optional[Fraction]
 
@@ -256,12 +248,10 @@ def _central_rule(steps: tuple[tuple[int, ...], ...]) -> Optional[_CentralRule]:
     unweighted drift is nonzero."""
     if any(map(sum, zip(*steps))):
         return None
-    _, exponents, pairs = _base_solve(steps, None)
-    relations = [[dict(pair.left).get(k, 0) - dict(pair.right).get(k, 0)
-                  for k in range(len(steps))] for pair in pairs]
+    _, exponents, _ = _base_solve(steps, None)
     denominator = math.lcm(*(q.denominator for row in exponents for q in row))
     alphas = [[int(q * denominator) for q in row] for row in exponents[:-1]]
-    return _CentralRule(relations, alphas, _exact_p1(steps, [1] * len(steps)))
+    return _CentralRule(alphas, _exact_p1(steps, [1] * len(steps)))
 
 
 def _sign(weights: Sequence[Fraction], exponents: Sequence[int]) -> int:
@@ -270,20 +260,20 @@ def _sign(weights: Sequence[Fraction], exponents: Sequence[int]) -> int:
     return (over > under) - (over < under)
 
 
-def _exact(cell: _Cell) -> Optional[tuple[str, Optional[Fraction]]]:
-    """The family and exact p1 (None when irrational or unused), or None for Newton."""
-    dx, dy = cell.drift
+def _exact(cell: _Cell) -> Optional[tuple[str, Optional[Fraction], tuple[str, ...]]]:
+    """(family, exact p1 or None, no band hits) by the exact rules, or None for Newton."""
+    (dx, dy), model = cell.drift, cell.model
     if dx >= 0 and dy >= 0:
         # corner cell; gradient signs at (1,1) are the exact drift components
         zeros = (dx == 0) + (dy == 0)
-        p1 = _exact_p1(cell.steps, cell.weights) if zeros == 2 else None
-        return ("free", "axial", "balanced")[zeros], p1
-    rule = _central_rule(cell.steps)
-    if rule is None or any(_sign(cell.weights, mu) for mu in rule.relations):
+        p1 = _exact_p1(model.steps, model.weights) if zeros == 2 else None
+        return ("free", "axial", "balanced")[zeros], p1, ()
+    rule = _central_rule(model.steps)
+    if rule is None or not is_central(model)[0]:
         return None
     # the critical point (1/alpha_1, 1/alpha_2) lies in Q iff alpha_1, alpha_2 <= 1
-    signs = tuple(sorted(_sign(cell.weights, e) for e in rule.alphas))
-    return {(-1, -1): "reluctant", (-1, 0): "transitional"}.get(signs, "directed"), rule.p1
+    signs = tuple(sorted(_sign(model.weights, e) for e in rule.alphas))
+    return {(-1, -1): "reluctant", (-1, 0): "transitional"}.get(signs, "directed"), rule.p1, ()
 
 
 @dataclass(frozen=True)
@@ -310,8 +300,8 @@ _ALPHA = {"free": (0, Fraction(0)), "axial": (0, Fraction(1, 2)),
           "reluctant": (Fraction(1), Fraction(1)), "directed": (0, Fraction(3, 2))}
 
 
-def _decide(s: _Solution) -> tuple[str, tuple[str, ...]]:
-    """The family and ambiguity-band hits of a cell off the corner, read off its solution."""
+def _decide(s: _Solution) -> tuple[str, None, tuple[str, ...]]:
+    """(family, no exact p1, ambiguity-band hits) of a cell off the corner, from its solution."""
     us, vs = s.log_critical
     bands = [("log x_s", us), ("log y_s", vs)]
     if us >= -EQ_TOL and vs >= -EQ_TOL:
@@ -319,8 +309,8 @@ def _decide(s: _Solution) -> tuple[str, tuple[str, ...]]:
     else:
         family = "directed"
         bands.append(("off-edge gradient", s.offgrad))
-    return family, tuple(f"{name} = {quantity:.3e} lies in the ambiguity band"
-                         for name, quantity in bands if EQ_TOL <= abs(quantity) <= AMBIG_TOL)
+    return family, None, tuple(f"{name} = {quantity:.3e} lies in the ambiguity band"
+                               for name, quantity in bands if EQ_TOL <= abs(quantity) <= AMBIG_TOL)
 
 
 def classify(model: StepSet, *, on_ambiguity: str = "raise") -> Classification:
@@ -342,11 +332,7 @@ def classify(model: StepSet, *, on_ambiguity: str = "raise") -> Classification:
         raise ValueError("on_ambiguity must be 'raise' or 'report'")
     cell = _prepare(model)
     s = _solve(cell)
-    exact = _exact(cell)
-    if exact:
-        (family, p1), ambiguities = exact, ()
-    else:
-        (family, ambiguities), p1 = _decide(s), None
+    family, p1, ambiguities = _exact(cell) or _decide(s)
     slope, offset = _ALPHA[family]
     alpha_exact = None if slope and p1 is None else offset + slope * (p1 or 0)
     result = Classification(
@@ -374,12 +360,8 @@ def drift_diagram(model_factory, a_values: Sequence[Fraction],
     for a in a_values:
         for b in b_values:
             cell = _prepare(model_factory(a, b))
-            exact = _exact(cell)
-            if exact:
-                family = exact[0]
-            else:
-                family, ambiguities = _decide(_solve(cell))
-                family = "ambiguous" if ambiguities else family
+            family, _, ambiguities = _exact(cell) or _decide(_solve(cell))
             dx, dy = cell.drift
-            rows.append({"a": a, "b": b, "dx": dx, "dy": dy, "class": family})
+            rows.append({"a": a, "b": b, "dx": dx, "dy": dy,
+                         "class": "ambiguous" if ambiguities else family})
     return rows

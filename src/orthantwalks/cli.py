@@ -6,9 +6,9 @@ gb {classify,estimate,harmonic,critical,contributing}, conjecture2, validate.
 Exit codes: 0 success, 1 a requested check failed (validate / gb harmonic /
 central check / central equiv reporting false), 2 usage error, 3 resource
 guard abort.  Reports are deterministic for a fixed argv: exact rationals
-serialize as strings like "14/3", floats are rounded to 15 significant
-digits (values of Q(sqrt(b)) beyond the float range print exactly, as
-"p+q*sqrt(b)"), JSON keys are sorted, and rows use a canonical order.
+serialize as strings like "14/3", floats round to 15 significant digits
+(beyond the float range, values of Q(sqrt(b)) print as "p+q*sqrt(b)" and
+scaled counts as "m*2**e"), JSON keys are sorted, rows are in canonical order.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .gb import (GBParams, Surd, check_harmonicity, gb_classify, gb_contributing
                  gb_critical_points, gb_estimate, gb_kappa_V)
 from .stepset import StepSet, as_fraction, builtin_model, stepset_from_json
 from .validate import validate_excursions, validate_totals
+from .xfloat import XFloat
 
 USAGE_ERROR, CHECK_FAILED, GUARD_ABORT = 2, 1, 3
 
@@ -43,14 +44,17 @@ class _CliError(ValueError):
 def _plain(value, text: bool = False):
     """`value` as a report writes it, for JSON or, with text, for a CSV cell.
 
-    Floats, and Surds in the float range, round to 15 significant digits (a
-    string when text); a Surd rounds once, from its exact value.  Fractions,
-    and Surds beyond the float range, are exact strings.
+    Floats, and Surds and XFloats in the float range, round to 15 significant
+    digits (a string when text), a Surd once, from its exact value.  Beyond it
+    Surds are exact strings and XFloats "m*2**e"; Fractions are exact strings.
     """
     if isinstance(value, dict):
         return {str(k): _plain(v, text) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v, text) for v in value]
+    if isinstance(value, XFloat):
+        in_range = value.is_zero() or -1022 <= value.exp <= 1023  # float64's normal range
+        value = float(value) if in_range else f"{value.man:.15g}*2**{value.exp}"
     if isinstance(value, Surd):
         with contextlib.suppress(OverflowError):  # beyond the float range
             if x := float(value):
@@ -124,17 +128,13 @@ def _parse_range(text: str) -> tuple[Fraction, Fraction, int]:
 
 def _cmd_count(args) -> int:
     model = _resolve_model(args)
-    start = _parse_point(args.start)
     origin = (0,) * model.dimension
+    start = origin if args.start is None else _parse_point(args.start)
     table = count_walks(model, start, args.n, mode=args.mode,
                         track=[origin], guard=args.guard)
-    totals = [table.total(n) for n in range(args.n + 1)]
-    excursions = [table.endpoint(origin, n) for n in range(args.n + 1)]
-    if args.mode == "scaled":
-        totals = [float(t) for t in totals]
-        excursions = [float(e) for e in excursions]
     payload = {"mode": args.mode, "n_max": args.n, "start": list(start),
-               "totals": totals, "origin_counts": excursions}
+               "totals": [table.total(n) for n in range(args.n + 1)],
+               "origin_counts": [table.endpoint(origin, n) for n in range(args.n + 1)]}
     _emit(payload, args.emit, ("n", "total", "origin_count"),
           zip(range(args.n + 1), payload["totals"], payload["origin_counts"]))
     return 0
@@ -142,7 +142,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_sample(args) -> int:
     model = _resolve_model(args)
-    start = _parse_point(args.start)
+    start = (0,) * model.dimension if args.start is None else _parse_point(args.start)
     mode = args.mode or ("exact" if args.n <= 120 else "scaled")
     table = count_walks(model, start, args.n, mode=mode,
                         keep_layers=(mode == "scaled"), guard=args.guard)
@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="count confined walks by length")
     _add_model_options(p)
-    p.add_argument("--start", default="0,0")
+    p.add_argument("--start", help="comma-separated start point (default: the origin)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("exact", "scaled"), default="exact")
     common(p)
@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw a random confined walk")
     _add_model_options(p)
-    p.add_argument("--start", default="0,0")
+    p.add_argument("--start", help="comma-separated start point (default: the origin)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=("exact", "scaled"))

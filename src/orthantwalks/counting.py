@@ -57,7 +57,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .xfloat import XFloat
-from .stepset import StepSet, StepSetError, Vector
+from .stepset import StepSet, StepSetError, Vector, _float_weights
 
 Count = Union[int, Fraction, XFloat]
 Window = tuple[tuple[int, ...], tuple[int, ...]]
@@ -101,7 +101,7 @@ class Walk:
 def _kernel_weights(model: StepSet, mode: str) -> tuple[list, int]:
     """The kernel's weights and their scale L: floats, or in exact mode the integers L*w."""
     if mode == "scaled":
-        return [float(w) for w in model.weights], 1
+        return _float_weights(model.weights), 1
     scale = math.lcm(*(w.denominator for w in model.weights))
     return [int(w * scale) for w in model.weights], scale
 

@@ -140,6 +140,17 @@ def central_weights(steps: Iterable[Sequence[int]],
             for num, den in (_power_product(alphas, s) for s in steps)]
 
 
+def _float_weights(weights: Sequence[Fraction]) -> list[float]:
+    """The weights as float64s; OverflowError unless each is a normal float."""
+    try:  # float(w) without its Python-level call; int / int raises above the range
+        floats = [w.numerator / w.denominator for w in weights]
+    except OverflowError:
+        floats = [0.0]  # fails the test below too
+    if min(floats) < 2.0 ** -1022:  # below the smallest normal float
+        raise OverflowError("a weight lies outside the float range")
+    return floats
+
+
 def builtin_model(name: str, a: Rational = 1, b: Rational = 1) -> StepSet:
     """One of the named two-parameter families (gb, tandem, gessel, simple).
 

@@ -103,6 +103,16 @@ class TestPathPairs:
         with pytest.raises(SingularModelError):
             find_path_pairs(make_stepset([(-1, 1), (1, 1), (1, -1)], [1, 1, 1]))
 
+    @pytest.mark.parametrize("call,base", [(find_path_pairs, (-1, 0, 1)),
+                                           (solve_central, (-1, 0, 1)),
+                                           (find_path_pairs, (0, 1, 4))],
+                             ids=["pairs-negative", "solve-negative", "pairs-past-end"])
+    def test_base_index_out_of_range_rejected(self, call, base):
+        # index -1 would name step 3 both inside and outside the base
+        with pytest.raises(ValueError, match="not an independent subset") as info:
+            call(builtin_model("gb", 2, 3), base)
+        assert type(info.value) is ValueError
+
 
 def random_central_gb(a, b):
     return builtin_model("gb", a, b)

@@ -312,6 +312,15 @@ class TestClassify:
         with pytest.raises(ClassifyError, match="float range"):
             classify(builtin_model("gb", 10 ** 400, 1))
 
+    def test_weight_below_float_range_rejected(self):
+        # as 0.0, the two tiny weights would drop their steps from the solve
+        tiny = F(1, 10 ** 400)
+        model = make_stepset([(1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1)], [tiny, 1, 1, 1, tiny])
+        with pytest.raises(ClassifyError, match="a weight lies outside the float range"):
+            classify(model)
+        with pytest.raises(ClassifyError, match="a weight lies outside the float range"):
+            drift_diagram(lambda a, b: model, [1], [1])
+
     @pytest.mark.parametrize("a,family", [(10 ** 90, "directed"), (10 ** 150, "directed"),
                                           (F(1, 10 ** 90), "transitional")],
                              ids=["1e90", "1e150", "1e-90"])
@@ -328,11 +337,24 @@ class TestClassify:
                 assert classify(builtin_model("gb", a, 1)).family == gb_classify(a, 1).family, k
 
     def test_inventory_beyond_float_range_rejected(self):
-        # every weight is a float, but S(1, 1) = 2 * 10**308 + ... is not
+        # GB(10**308, 1) has the subnormal weight 10**-308, so the weight check
+        # rejects it; the GB steps weighted (10**308, 1, 1, 10**308) have normal
+        # weights, but S(1, 1) = 2 * 10**308 + 2 and its x-moment leave the range
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ClassifyError, match="float range"):
                 classify(builtin_model("gb", F(10) ** 308, 1))
+            big = make_stepset(builtin_model("gb").steps, [10 ** 308, 1, 1, 10 ** 308])
+            with pytest.raises(ClassifyError, match="the inventory leaves the float range"):
+                classify(big)
+
+    def test_halving_line_search(self):
+        # from u = 0 the full Newton step along x overshoots the steep x**-10 / 1000
+        # term, so the line search halves it; S_x = 0 at x**11 = 1/100
+        model = make_stepset([(1, 0), (-10, 0), (0, 1), (0, -1)], [1, F(1, 1000), 1, 1])
+        result = classify(model)
+        assert result.family == "axial"
+        assert result.critical_point == pytest.approx((0.01 ** (1 / 11), 1.0), rel=1e-12)
 
     def test_non_2d_rejected(self):
         model = make_stepset([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from orthantwalks import builtin_model, count_walks, stepset_from_json
 from orthantwalks.cli import main
 from orthantwalks.gb import GBParams, Surd, gb_critical_points, gb_kappa_V
 
@@ -183,6 +184,41 @@ class TestCount:
         assert code == 2
         assert err.startswith("error:") and "float64 range" in err
 
+    def test_scaled_counts_beyond_float_range(self, capsys):
+        # GB totals pass 2**1024 at n = 521 and origin counts at n = 532; with
+        # weights 2**-600 the simple walk's counts fall below 2**-1022 from n = 2
+        def strict(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        tiny = json.dumps({"dimension": 2, "steps": [
+            {"v": v, "w": f"1/{2 ** 600}"} for v in ([1, 0], [-1, 0], [0, 1], [0, -1])]})
+        for argv, model, n in ((("--model", "gb"), builtin_model("gb"), 540),
+                               (("--json", tiny), stepset_from_json(tiny), 6)):
+            code, out, err = run_cli(capsys, "count", *argv, "--n", str(n), "--mode", "scaled")
+            assert code == 0, err
+            payload = json.loads(out, parse_constant=strict)
+            table = count_walks(model, (0, 0), n, "scaled", track=[(0, 0)])
+            for key, counts in (("totals", [table.total(k) for k in range(n + 1)]),
+                                ("origin_counts", [table.endpoint((0, 0), k)
+                                                   for k in range(n + 1)])):
+                want = [float(f"{float(x):.15g}")
+                        if x.is_zero() or -1022 <= x.exp <= 1023 else f"{x.man:.15g}*2**{x.exp}"
+                        for x in counts]
+                assert payload[key] == want, key
+            code, text, err = run_cli(capsys, "count", *argv, "--n", str(n), "--mode", "scaled",
+                                      "--emit", "csv")
+            assert code == 0, err
+            _, *rows = csv.reader(io.StringIO(text))
+            assert rows == [[str(k), cell(t), cell(e)] for k, (t, e)
+                            in enumerate(zip(payload["totals"], payload["origin_counts"]))]
+            if n == 540:
+                totals, origin = payload["totals"], payload["origin_counts"]
+                assert isinstance(totals[520], float) and totals[521].endswith("*2**1025")
+                assert isinstance(origin[530], float) and origin[532].endswith("*2**1026")
+            else:
+                assert payload["totals"][1] == pytest.approx(2 * 2.0 ** -600, rel=1e-14)
+                assert all("*2**-" in t for t in payload["totals"][2:])
+
     def test_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "count", "--n", "3")
         assert code == 2
@@ -350,6 +386,14 @@ class TestOtherDimensions:
             argv += ["--json2", spec]
         code, _, err = run_cli(capsys, *argv)
         assert code in (0, 1, 2) and "Traceback" not in err, err
+
+    @pytest.mark.parametrize("spec,origin", [(ONE_D_SPEC, [0]), (THREE_D_SPEC, [0, 0, 0])],
+                             ids=["1d", "3d"])
+    @pytest.mark.parametrize("command", ["count", "sample"])
+    def test_default_start_is_the_origin(self, capsys, command, spec, origin):
+        code, out, err = run_cli(capsys, command, "--json", spec, "--n", "3")
+        assert code == 0, err
+        assert json.loads(out)["start"] == origin
 
 
 def cell(value) -> str:

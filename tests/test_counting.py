@@ -19,6 +19,7 @@ from orthantwalks import (ResourceGuardError, StepSetError, XFloat, brute_force_
 from orthantwalks import counting
 
 LONG_STEP_SET = ((2, 2), (1, 1), (-1, 0), (0, -1))
+SIMPLE = ((1, 0), (-1, 0), (0, 1), (0, -1))
 THREE_D = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (-1, 1, 0), (0, -1, 1))
 # the 16-step 4-D set of the benchmark's null-space jobs
 FOUR_D = tuple([tuple(int(k == i) for k in range(4)) for i in range(4)]
@@ -228,6 +229,35 @@ class TestScaledMode:
         assert float(table.total(16)) == 34763300
         with pytest.raises(ResourceGuardError):
             count_walks(model, (0, 0), 16, "scaled", keep_layers=True, guard=610)
+
+    @pytest.mark.parametrize("weight", [F(1, 10 ** 400), F(10 ** 400), F(1, 2 ** 1023)],
+                             ids=["below", "above", "subnormal"])
+    def test_weight_outside_float_range_raises(self, weight):
+        model = make_stepset(SIMPLE, [weight, 1, 1, 1])
+        with pytest.raises(OverflowError, match="a weight lies outside the float range"):
+            count_walks(model, (0, 0), 1, mode="scaled")
+        assert count_walks(model, (0, 0), 1, mode="exact").endpoint((1, 0), 1) == weight
+
+    def test_smallest_normal_weight_is_kept(self):
+        weight = F(1, 2 ** 1022)
+        table = count_walks(make_stepset(SIMPLE, [weight, 1, 1, 1]), (0, 0), 1, mode="scaled",
+                            keep_layers=True)
+        assert table.endpoint((1, 0), 1) == XFloat(1.0, -1022)
+
+    def test_tiny_weights_renormalize_upward(self):
+        # each layer's sum falls below cells * 2**-499, so the build scales it up
+        model = make_stepset(SIMPLE, [F(1, 2 ** 600)] * 4)
+        exact = count_walks(model, (0, 0), 6, mode="exact")
+        scaled = count_walks(model, (0, 0), 6, mode="scaled", track=[(0, 0)])
+        for n in range(7):
+            for want, got in ((exact.total(n), scaled.total(n)),
+                              (exact.endpoint((0, 0), n), scaled.endpoint((0, 0), n))):
+                if want == 0:
+                    assert got.is_zero()
+                    continue
+                # want = c * 2**(-600 n) underflows float, but c does not
+                ratio = got / XFloat(float(want * 2 ** (600 * n)), -600 * n)
+                assert abs(float(ratio) - 1) <= n * 2.0 ** -50, n
 
     def test_non_finite_layer_raises(self):
         # the OverflowError is the only report: numpy prints no warning first

@@ -10,13 +10,15 @@ Usage:
 The package is imported from CHECKOUT/src and `orthantwalks.cli.main` runs in
 this one process.  Every subcommand and every `gb` action runs in JSON and in
 CSV: the four built-ins at four weightings, a 1-D and a 3-D step set, three
-diagrams, eleven GB weightings, and the error paths (guard aborts, malformed
-step-set JSON, a weight beyond the float range).  Each invocation prints its argv, exit code,
-stdout and stderr.  Then come seeded `sample_walk` draws: the four built-ins,
-exact and scaled, three lengths, 25 seeds.  Last come the central algebra and
-the classifier as library calls on seeded step sets: path pairs with the
-default base and with explicit bases (d = 1, 2, 3), `is_central` witnesses
-and `central_check`, `solve_central`'s exponents with exact and float
+diagrams, eleven GB weightings, scaled counts beyond the float range (GB to
+n = 540, weights 10**-400), a 1-D count from the default start, and the
+error paths (guard aborts, malformed step-set JSON, weights beyond the float
+range).  Each invocation prints its argv, exit code, stdout and stderr.
+Then come seeded `sample_walk` draws: the four built-ins, exact and scaled,
+three lengths, 25 seeds.  Last come the central algebra and the classifier
+as library calls on seeded step sets: path pairs with the default base and
+with explicit bases (d = 1, 2, 3), `is_central` witnesses and
+`central_check`, `solve_central`'s exponents with exact and float
 alpha/beta, `are_equivalent`, `classify(..., on_ambiguity="report")` on king
 sets, and `drift_diagram` on the four built-ins.  Two checkouts give the same
 outputs when the two prints are equal.
@@ -47,6 +49,13 @@ ONE_D = json.dumps({"dimension": 1, "steps": [{"v": [1]}, {"v": [-1], "w": 2},
 THREE_D = json.dumps({"dimension": 3, "steps": [
     {"v": [1, 0, 0]}, {"v": [0, 1, 0], "w": "1/2"}, {"v": [0, 0, 1]},
     {"v": [-1, -1, -1], "w": 3}, {"v": [-1, 1, 0]}, {"v": [0, -1, 1], "w": 2}]})
+# weights 10**-400 on the simple walk's (1, 0), and on two steps of a five-step set
+TINY = f"1/{10 ** 400}"
+TINY_COUNT = json.dumps({"dimension": 2, "steps": [
+    {"v": [1, 0], "w": TINY}, {"v": [-1, 0]}, {"v": [0, 1]}, {"v": [0, -1]}]})
+TINY_CLASSIFY = json.dumps({"dimension": 2, "steps": [
+    {"v": [1, 0], "w": TINY}, {"v": [-1, 0]}, {"v": [0, 1]}, {"v": [0, -1]},
+    {"v": [-1, -1], "w": TINY}]})
 NON_CENTRAL = json.dumps({"dimension": 2, "steps": [
     {"v": [1, 0], "w": "2"}, {"v": [-1, 0], "w": "1/2"},
     {"v": [-1, 1], "w": "3"}, {"v": [1, -1], "w": "1"}]})
@@ -104,6 +113,10 @@ def invocations() -> list[list[str]]:
     for what in ("totals", "excursions"):
         runs.append(["validate", "--a", "2", "--b", "3", "--n-max", "60", "--what", what,
                      "--tolerance", "0.2"])
+    runs += [["count", "--model", "gb", "--n", "540", "--mode", "scaled"],
+             ["count", "--json", ONE_D, "--n", "6"],
+             ["count", "--json", TINY_COUNT, "--n", "6", "--mode", "scaled"],
+             ["classify", "--json", TINY_CLASSIFY]]
     return [[*argv, "--emit", emit] for argv in runs for emit in ("json", "csv")]
 
 
