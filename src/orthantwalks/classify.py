@@ -103,7 +103,9 @@ def _newton(weights: np.ndarray, q: np.ndarray, cap: int) -> tuple[np.ndarray, n
             base, rel = _moments(terms, q)
             g0, g1, h00, h01, h11 = (rel + pad).T
             residual, det = np.hypot(g0, g1), h00 * h11 - h01 * h01
-            live = (residual > GRAD_TOL) & (det > 0)
+            # where L is infinite the relative gradient can read 0 without a minimizer
+            converged = (residual <= GRAD_TOL) & np.isfinite(base)
+            live = ~converged & (det > 0)
             if iteration == cap or not live.any():
                 break
             # the 2x2 Newton system by Cramer's rule; a 1-D row reduces to -g / h
@@ -119,7 +121,7 @@ def _newton(weights: np.ndarray, q: np.ndarray, cap: int) -> tuple[np.ndarray, n
             else:
                 terms = _terms(weights, q, u0 + t * step0, u1 + t * step1)
             u0, u1 = u0 + t * step0, u1 + t * step1
-    for r in np.flatnonzero(~(residual <= GRAD_TOL))[:1]:  # the first row that failed
+    for r in np.flatnonzero(~converged)[:1]:  # the first row that failed
         if not math.isfinite(base[r]):
             raise ClassifyError(f"the inventory leaves the float range at u = ({u0[r]}, {u1[r]})")
         if not det[r] > 0:

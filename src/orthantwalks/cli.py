@@ -145,7 +145,7 @@ def _cmd_sample(args) -> int:
     start = (0,) * model.dimension if args.start is None else _parse_point(args.start)
     mode = args.mode or ("exact" if args.n <= 120 else "scaled")
     table = count_walks(model, start, args.n, mode=mode,
-                        keep_layers=(mode == "scaled"), guard=args.guard)
+                        keep_layers=True, guard=args.guard)
     walk = sample_walk(table, args.n, args.seed)
     points = walk.points()
     payload = {"seed": args.seed, "start": list(start), "mode": mode,

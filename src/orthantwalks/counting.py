@@ -27,19 +27,23 @@ first copied into longer ones.  Only the array's dtype depends on the mode:
   Powers of two are exact in binary floating point, so the renormalization
   (the one step only scaled mode takes) adds no rounding error; per-layer
   relative error is bounded by (|S|+2) ulp and hence by n * 2**-50 after n
-  layers.  A layer the table does not keep is written into one of two
-  buffers, both sized once to the largest padded layer, so the build
-  allocates no layer it drops.  One sum per layer gives the total and the
-  range check: entries are nonnegative, so max <= sum <= cells * max, and
-  only a sum outside [cells * 2**-499, 2**500] needs the maximum.
+  layers.  One sum per layer gives the total and the range check: entries
+  are nonnegative, so max <= sum <= cells * max, and only a sum outside
+  [cells * 2**-499, 2**500] needs the maximum.
 
-A stream holds two layers at a time and raises when they exceed its guard; a
-table checks its guard before the build, over every layer it will hold.
-Exact tables keep every layer.  Scaled tables keep a checkpoint every
-isqrt(n_max) layers when sampling is requested (keep_layers) and none
-otherwise; a layer between checkpoints is replayed from the one below it over
+A layer the table does not keep is written into one of two buffers, both
+sized once to the largest padded layer, so the build allocates no layer it
+drops.  A stream holds two layers at a time and raises when they exceed its
+guard; a table checks its guard before the build, over every layer it may
+hold.  Exact tables, and scaled tables built for sampling (keep_layers), keep
+a checkpoint every isqrt(n_max) layers, so an exact table holds about
+n**3.5 bits where every layer would take n**4 (Griewank & Walther,
+"Algorithm 799: revolve", ACM TOMS 2000); scaled tables keep none otherwise.
+A layer between checkpoints is replayed from the one below it, whole or over
 the backward cone of the cell asked for, the cells that can still reach it
-(Frigo & Strumpen, "Cache oblivious stencil computations", ICS 2005).
+(Frigo & Strumpen, "Cache oblivious stencil computations", ICS 2005).  An
+exact table keeps the stretches a draw replays, so its guard counts every
+layer.
 """
 
 from __future__ import annotations
@@ -133,23 +137,26 @@ class WalkTable:
         self._lattice = _lattice(model.steps)
         self._weights, self._scale = _kernel_weights(model, mode)
         # layers n with n % stride == 0 (and the last) are kept; stride 0 keeps none
-        self._stride = 1 if mode == "exact" else max(1, math.isqrt(n_max)) if keep_layers else 0
+        keeps = mode == "exact" or keep_layers
+        self._stride = max(1, math.isqrt(n_max)) if keeps else 0
         # the guard counts the windows of a build that drops no zero faces
         windows = itertools.accumulate(
             range(n_max), lambda w, _: _reach(model.steps, self._lattice, w),
             initial=(self.start, self.start))
         cells = [math.prod(_shape(w, self._lattice)) for w in windows]
-        largest = max(cells)
-        held = sum(c for n, c in enumerate(cells) if self._keeps(n))
-        if mode == "scaled":
-            # two working layers, of the build or of a replay
-            held += 2 * largest
+        if mode == "exact":
+            # draws fill in the layers between checkpoints, up to every layer
+            held = sum(cells)
+        else:
+            # the checkpoints and two working layers, of the build or of a replay
+            held = sum(c for n, c in enumerate(cells) if self._keeps(n)) + 2 * max(cells)
         if held > guard:
             raise ResourceGuardError(
                 f"{mode} table of {held} cells exceeds guard of {guard}")
         self._tracked: dict[Vector, list[tuple]] = {tuple(p): [] for p in track}
         self._windows, self._totals, self._kept = [], [], {}
         self._first = None  # sample_walk's last first pick: n, cells, cumsum, shape, corner
+        self._readers: dict[int, tuple] = {}  # sample_walk's view of each kept layer
         for n, arr, exp, window, total in _layers(model, self.start, n_max, mode, guard,
                                                   self._keeps):
             block = (arr, exp, window)
@@ -190,7 +197,9 @@ class WalkTable:
         """
         if not self._kept:
             raise ValueError("scaled table was built without keep_layers=True")
-        base = n if n in self._kept else n - n % self._stride
+        base = n
+        while base not in self._kept:
+            base -= 1
         blocks = {base: self._kept[base]}
         if base == n:
             return blocks
@@ -209,6 +218,12 @@ class WalkTable:
                     blocks[j] = (arr, exp, dst)
                 src = dst
         return blocks
+
+    def _kept_block(self, n: int) -> Optional[Block]:
+        """Layer n if the table keeps it; an exact table first keeps the stretch up to n."""
+        if n not in self._kept and self.mode == "exact":
+            self._kept.update(self._replay(n, segment=True))
+        return self._kept.get(n)
 
     def _value(self, raw, exp: int, n: int) -> Count:
         if self.mode == "scaled":
@@ -512,18 +527,21 @@ def sample_walk(table: WalkTable, n: int, seed: int) -> Walk:
     """Draw a length-n walk with probability proportional to its weight product.
 
     Backward sampling on the counting table: pick the endpoint from layer n,
-    then repeatedly pick the previous point.  Kept layers are read whole; a
-    layer n that is not kept is replayed whole for the first pick (the table
-    keeps that pick's cumulative weights for the last n drawn), and each
-    stretch between checkpoints is replayed once, over the backward cone of
-    the walk's point above it.  Exact tables draw with `randrange` over
-    integer cumulative weights, so every choice is exact; scaled tables draw
-    from float64 cumulative weights with relative bias below n * 2**-50.
+    then repeatedly pick the previous point.  Kept layers are read whole.  An
+    exact table replays each stretch between checkpoints whole the first time
+    a draw needs it and keeps it, so later draws read every layer whole.  In
+    a scaled table a layer n that is not kept is replayed whole for the first
+    pick (the table keeps that pick's cumulative weights for the last n
+    drawn), and each stretch between checkpoints is replayed once per draw,
+    over the backward cone of the walk's point above it.  Exact tables draw
+    with `randrange` over integer cumulative weights, so every choice is
+    exact; scaled tables draw from float64 cumulative weights with relative
+    bias below n * 2**-50.
     """
     table._check_n(n)
     rng = random.Random(seed)
     if table._first is None or table._first[0] != n:
-        arr, _, (lo, _) = table._replay(n)[n]
+        arr, _, (lo, _) = table._kept_block(n) or table._replay(n)[n]
         cells = np.flatnonzero(arr)
         table._first = (n, cells, np.cumsum(arr.ravel()[cells]), arr.shape, lo)
     _, cells, cumulative, shape, lo = table._first
@@ -536,20 +554,22 @@ def sample_walk(table: WalkTable, n: int, seed: int) -> Walk:
     steps_taken: list[Vector] = []
     segment: dict[int, Block] = {}
     for m in range(n, 0, -1):
-        block = table._kept.get(m - 1)
-        at = 0 if block is None else _offset(block[0])  # a replayed layer starts its buffer
-        if block is None and m - 1 not in segment:
-            segment = table._replay(m - 1, (point, m), segment=True)
-        block = block or segment[m - 1]
-        arr, _, (below, _) = block
-        strides, cells = arr.strides, arr.base
-        if strides not in shifts:  # the flat offset of s - steps[0] in these rows
-            shifts[strides] = [sum([(c - t) // q * p for c, t, q, p in zip(
-                s, steps[0], lattice, strides)]) // arr.itemsize for s in steps]
+        reader = table._readers.get(m - 1)
+        if reader is None:
+            block = table._kept_block(m - 1)
+            if block is not None:
+                reader = table._readers[m - 1] = _reader(block, _offset(block[0]), steps,
+                                                         lattice, shifts)
+            else:
+                if m - 1 not in segment:
+                    segment = table._replay(m - 1, (point, m), segment=True)
+                # a replayed layer starts its buffer
+                reader = _reader(segment[m - 1], 0, steps, lattice, shifts)
+        cells, at, below, strides, offsets, size = reader
         at += sum([(c - t - b) // q * p for c, t, b, q, p
-                   in zip(point, steps[0], below, lattice, strides)]) // arr.itemsize
+                   in zip(point, steps[0], below, lattice, strides)]) // size
         total, candidates, cumulative = 0, [], []
-        for s, d, w in zip(steps, shifts[strides], table._weights):
+        for s, d, w in zip(steps, offsets, table._weights):
             count = cells.item(at - d) if 0 <= at - d < cells.size else 0
             if count > 0:
                 total += w * count
@@ -559,6 +579,21 @@ def sample_walk(table: WalkTable, n: int, seed: int) -> Walk:
         steps_taken.append(step)
         point = tuple(map(operator.sub, point, step))
     return Walk(table.start, tuple(reversed(steps_taken)))
+
+
+def _reader(block: Block, at: int, steps, lattice: Vector, shifts: dict) -> tuple:
+    """What the sampler reads of a layer whose first cell is at index `at` of its buffer.
+
+    Returns the buffer, `at`, the window's corner, the strides in bytes, each
+    step's flat offset from steps[0] in cells (cached in `shifts` by strides)
+    and the cell size.
+    """
+    arr, _, (lo, _) = block
+    strides = arr.strides
+    if strides not in shifts:
+        shifts[strides] = [sum([(c - t) // q * p for c, t, q, p in zip(
+            s, steps[0], lattice, strides)]) // arr.itemsize for s in steps]
+    return arr.base, at, lo, strides, shifts[strides], arr.itemsize
 
 
 def _pick(rng: random.Random, cumulative: Sequence) -> int:

@@ -348,6 +348,15 @@ class TestClassify:
             with pytest.raises(ClassifyError, match="the inventory leaves the float range"):
                 classify(big)
 
+    def test_inventory_overflow_with_cancelling_moments_rejected(self):
+        # the simple walk weighted (10**308, 10**308, 1, 1): S(1, 1) overflows
+        # while its first moments cancel, so the relative gradient reads 0
+        big = make_stepset(builtin_model("simple").steps, [10 ** 308, 10 ** 308, 1, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ClassifyError, match="the inventory leaves the float range"):
+                classify(big)
+
     def test_halving_line_search(self):
         # from u = 0 the full Newton step along x overshoots the steep x**-10 / 1000
         # term, so the line search halves it; S_x = 0 at x**11 = 1/100

@@ -357,7 +357,7 @@ class TestConeReplay:
 
 
 class TestLayerBuffers:
-    """Scaled builds write the layers they do not keep into two reused buffers."""
+    """Builds write the layers they do not keep into two reused buffers."""
 
     POINTS = [(0, 0), (1, 0), (3, 2), (7, 4)]
 
@@ -375,12 +375,40 @@ class TestLayerBuffers:
         alone = count_walks(model, (0, 0), 120, "scaled", keep_layers=True)
         assert self.answers(first, 120) == self.answers(alone, 120)
 
-    @pytest.mark.parametrize("name", ["gb", "tandem", "gessel", "simple"])
-    def test_checkpoints_share_no_memory(self, name):
-        table = count_walks(builtin_model(name, 2, 3), (0, 0), 100, "scaled", keep_layers=True)
+    CHECKPOINT_CASES = [(name, mode) for mode in ("scaled", "exact")
+                        for name in ("gb", "tandem", "gessel", "simple")]
+
+    @pytest.mark.parametrize("name,mode", CHECKPOINT_CASES,
+                             ids=[n if m == "scaled" else f"{n}-{m}" for n, m in CHECKPOINT_CASES])
+    def test_checkpoints_share_no_memory(self, name, mode):
+        table = count_walks(builtin_model(name, 2, 3), (0, 0), 100, mode, keep_layers=True)
         blocks = [arr for arr, _, _ in table._kept.values()]
         assert len(blocks) == 11
         for x, y in itertools.combinations(blocks, 2):
+            assert not np.shares_memory(x, y)
+
+    def test_exact_table_keeps_checkpoints_and_draws_fill_in(self, monkeypatch):
+        spares, make = [], counting._spares
+
+        def record(*args):
+            spares.extend(make(*args))
+            return spares[-2:]
+
+        monkeypatch.setattr(counting, "_spares", record)
+        model = builtin_model("gb", 1, 1)
+        table = count_walks(model, (0, 0), 16)
+        assert sorted(table._kept) == [0, 4, 8, 12, 16] and len(spares) == 2
+        for n in range(9):
+            want = brute_force_count(model, (0, 0), n)
+            assert table.layer(n) == want, n
+            for p in itertools.product(range(n + 2), repeat=2):
+                assert table.endpoint(p, n) == want.get(p, 0), (p, n)
+        assert sorted(table._kept) == [0, 4, 8, 12, 16]
+        # the draw replays and keeps the stretches 9-10, 5-7 and 1-3, not 13-15
+        sample_walk(table, 10, seed=0)
+        assert sorted(table._kept) == list(range(11)) + [12, 16]
+        blocks = [arr for arr, _, _ in table._kept.values()]
+        for x, y in itertools.combinations(blocks + spares, 2):
             assert not np.shares_memory(x, y)
 
     @pytest.mark.parametrize("name", ["gb", "tandem", "gessel", "simple"])
