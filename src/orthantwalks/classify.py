@@ -11,8 +11,9 @@ their relative gradient residuals |grad S| / S.
 interior critical point, and the minimizers of S(x, 1) and S(1, y) for the
 two edges.  The covariance factor c = H_uv / sqrt(H_uu H_vv) is read from the
 log-coordinate Hessian at the critical point, and the minimizer of S on
-Q = {x >= 1, y >= 1} from the three solutions; the class is read off the
-position of that minimizer and the gradient signs there.
+Q = {x >= 1, y >= 1} from the three solutions.  The branch that places that
+minimizer names the class from its position and the gradient signs there,
+and `_solve` builds the `Classification`.
 
 Two rules decide the class exactly, with no Newton.  Corner gradient signs
 are the drift signs.  A central weighting w_s = beta prod_k alpha_k^{s_k}
@@ -150,32 +151,22 @@ def _prepare(model: StepSet) -> _Cell:
         raise ClassifyError(str(exc)) from None
 
 
-class _Solution(NamedTuple):
-    """The inventory's convex problem, solved once (u, v are log coordinates)."""
-
-    log_critical: tuple[float, float]
-    critical_point: tuple[float, float]
-    boundary: tuple[float, float]
-    covariance: float
-    p1: float
-    minimizer: tuple[float, float]
-    rho: float
-    rho_exact: Optional[Fraction]
-    offgrad: float  # relative gradient out of the active edge; 0 off the edges
-
-
 _POWERS = np.array([[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]])
 # the moments each problem keeps: the interior, S(x, 1) with its s2 column
 # zeroed and S(1, y) with its s1 column zeroed
 _KEPT = np.array([[1, 1, 1, 1, 1, 1], [1, 1, 0, 1, 0, 0], [1, 0, 1, 0, 0, 1]], dtype=float)
 
 
-def _solve(cell: _Cell) -> _Solution:
-    """Solve one model's three problems; raise its ClassifyError if that fails.
+def _solve(cell: _Cell, exact: Optional[tuple]) -> Classification:
+    """One model's Classification from its three problems; raise its ClassifyError if they fail.
 
     The Q-minimizer follows the active-set rules of the convex problem: the
     corner is tested with exact drift signs, the interior with the critical
     point, and the edges with their one-dimensional minimizers and a KKT test.
+    The interior branch names the family reluctant or transitional and the
+    edge branch directed, each with the quantities it tests against the
+    ambiguity band, unless `exact`, the (family, p1, band hits) of `_exact`,
+    is given, as it always is for a corner cell.
     """
     # moment rows 1, s1, s2, s1^2, s1 s2, s2^2 of the three problems
     steps, floats = cell.model.steps, np.array(cell.floats)
@@ -197,13 +188,13 @@ def _solve(cell: _Cell) -> _Solution:
     if not -1.0 < c < 1.0:
         raise ClassifyError(f"covariance factor {c} outside (-1, 1)")
     dx, dy = cell.drift
-    rho_exact, offgrad = None, 0.0
+    rho_exact, family, bands = None, None, [("log x_s", us), ("log y_s", vs)]
     if dx >= 0 and dy >= 0:
-        point = (0.0, 0.0)
-        rho_exact = sum(cell.model.weights)
+        point, rho_exact = (0.0, 0.0), sum(cell.model.weights)
         rho = float(rho_exact)
     elif us >= -EQ_TOL and vs >= -EQ_TOL:
         point, rho = points[0], values[0]
+        family = "reluctant" if us > EQ_TOL and vs > EQ_TOL else "transitional"
     else:
         # KKT on the edge where coordinate `axis` is 1: S must not decrease into Q
         candidates = [r for axis, r, t, free_drift in ((0, 2, v1, dy), (1, 1, u1, dx))
@@ -211,12 +202,20 @@ def _solve(cell: _Cell) -> _Solution:
         if not candidates:
             raise ClassifyError("no KKT point found on the boundary of Q")
         r = min(candidates, key=values.__getitem__)
-        point, rho = points[r], values[r]
-        offgrad = grads[r][0 if math.exp(point[0]) <= 1.0 + EQ_TOL else 1]
-    return _Solution(
-        (us, vs), (math.exp(us), math.exp(vs)), (math.exp(u1), math.exp(v1)),
-        c, math.pi / math.acos(-c), (math.exp(point[0]), math.exp(point[1])),
-        rho, rho_exact, offgrad)
+        point, rho, family = points[r], values[r], "directed"
+        bands.append(("off-edge gradient", grads[r][math.exp(point[0]) > 1.0 + EQ_TOL]))
+    family, p1_exact, ambiguities = exact or (family, None, tuple(
+        f"{name} = {quantity:.3e} lies in the ambiguity band"
+        for name, quantity in bands if EQ_TOL <= abs(quantity) <= AMBIG_TOL))
+    slope, offset = _ALPHA[family]
+    alpha_exact = None if slope and p1_exact is None else offset + slope * (p1_exact or 0)
+    p1 = math.pi / math.acos(-c)
+    alpha = float(alpha_exact) if alpha_exact is not None else slope * p1 + float(offset)
+    return Classification(
+        family=family, rho=rho, alpha=alpha, critical_point=(math.exp(us), math.exp(vs)),
+        minimizer=(math.exp(point[0]), math.exp(point[1])), boundary=(math.exp(u1), math.exp(v1)),
+        covariance=c, p1=p1, drift=cell.drift, rho_exact=rho_exact, alpha_exact=alpha_exact,
+        ambiguities=ambiguities)
 
 
 # p1 = pi / arccos(-c) for each c**2 that Niven's theorem allows, as (c >= 0, c < 0)
@@ -302,19 +301,6 @@ _ALPHA = {"free": (0, Fraction(0)), "axial": (0, Fraction(1, 2)),
           "reluctant": (Fraction(1), Fraction(1)), "directed": (0, Fraction(3, 2))}
 
 
-def _decide(s: _Solution) -> tuple[str, None, tuple[str, ...]]:
-    """(family, no exact p1, ambiguity-band hits) of a cell off the corner, from its solution."""
-    us, vs = s.log_critical
-    bands = [("log x_s", us), ("log y_s", vs)]
-    if us >= -EQ_TOL and vs >= -EQ_TOL:
-        family = "reluctant" if us > EQ_TOL and vs > EQ_TOL else "transitional"
-    else:
-        family = "directed"
-        bands.append(("off-edge gradient", s.offgrad))
-    return family, None, tuple(f"{name} = {quantity:.3e} lies in the ambiguity band"
-                               for name, quantity in bands if EQ_TOL <= abs(quantity) <= AMBIG_TOL)
-
-
 def classify(model: StepSet, *, on_ambiguity: str = "raise") -> Classification:
     """Assign the universality class from the Q-minimizer and gradient signs.
 
@@ -333,16 +319,7 @@ def classify(model: StepSet, *, on_ambiguity: str = "raise") -> Classification:
     if on_ambiguity not in ("raise", "report"):
         raise ValueError("on_ambiguity must be 'raise' or 'report'")
     cell = _prepare(model)
-    s = _solve(cell)
-    family, p1, ambiguities = _exact(cell) or _decide(s)
-    slope, offset = _ALPHA[family]
-    alpha_exact = None if slope and p1 is None else offset + slope * (p1 or 0)
-    result = Classification(
-        family=family, rho=s.rho,
-        alpha=float(alpha_exact) if alpha_exact is not None else slope * s.p1 + float(offset),
-        critical_point=s.critical_point, minimizer=s.minimizer, boundary=s.boundary,
-        covariance=s.covariance, p1=s.p1, drift=cell.drift,
-        rho_exact=s.rho_exact, alpha_exact=alpha_exact, ambiguities=ambiguities)
+    result = _solve(cell, _exact(cell))
     if result.ambiguities and on_ambiguity == "raise":
         raise AmbiguousClassError("; ".join(result.ambiguities), result)
     return result
@@ -362,7 +339,11 @@ def drift_diagram(model_factory, a_values: Sequence[Fraction],
     for a in a_values:
         for b in b_values:
             cell = _prepare(model_factory(a, b))
-            family, _, ambiguities = _exact(cell) or _decide(_solve(cell))
+            exact = _exact(cell)
+            if exact is None:
+                solved = _solve(cell, None)
+                exact = solved.family, None, solved.ambiguities
+            family, _, ambiguities = exact
             dx, dy = cell.drift
             rows.append({"a": a, "b": b, "dx": dx, "dy": dy,
                          "class": "ambiguous" if ambiguities else family})

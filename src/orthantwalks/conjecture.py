@@ -112,6 +112,8 @@ def minimal_refutation_length(model: StepSet, cap: int,
 def residuals(model: StepSet, vector: tuple[Fraction, ...], n_cap: int,
               guard: int = DEFAULT_GUARD) -> list[Fraction]:
     """Substitute a candidate mu into every assembled equation (soundness check)."""
+    if len(vector) != model.size:
+        raise ValueError(f"mu has {len(vector)} entries, not one per step ({model.size})")
     # the rows are integers: scale mu to integers by one common denominator
     vector = [Fraction(q) for q in vector]
     den = lcm(*(q.denominator for q in vector))

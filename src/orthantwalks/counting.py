@@ -154,6 +154,8 @@ class WalkTable:
             raise ResourceGuardError(
                 f"{mode} table of {held} cells exceeds guard of {guard}")
         self._tracked: dict[Vector, list[tuple]] = {tuple(p): [] for p in track}
+        if any(len(p) != model.dimension for p in self._tracked):
+            raise StepSetError("tracked point dimension mismatch")
         self._windows, self._totals, self._kept = [], [], {}
         self._first = None  # sample_walk's last first pick: n, cells, cumsum, shape, corner
         self._readers: dict[int, tuple] = {}  # sample_walk's view of each kept layer
@@ -173,8 +175,8 @@ class WalkTable:
     def _cell(self, block: Block, point: Vector):
         """Raw entry of `block` at `point`, 0 off its window's lattice points."""
         arr, _, (lo, hi) = block
-        if len(point) == len(lo) and all(l <= c <= h and (c - l) % m == 0 for c, l, h, m
-                                         in zip(point, lo, hi, self._lattice)):
+        if all(l <= c <= h and (c - l) % m == 0
+               for c, l, h, m in zip(point, lo, hi, self._lattice)):
             return arr[tuple((c - l) // m for c, l, m in zip(point, lo, self._lattice))]
         return 0
 
@@ -245,12 +247,14 @@ class WalkTable:
         """Weighted number of n-step walks ending exactly at `end` (0 if absent)."""
         self._check_n(n)
         end = tuple(end)
+        if len(end) != len(self.start):
+            raise StepSetError("endpoint dimension mismatch")
         if end in self._tracked:
             return self._value(*self._tracked[end][n], n)
         if not self._kept:
             raise ValueError(
                 f"endpoint {end} was not tracked; pass track=[{end}] to count_walks")
-        if len(end) != len(self.start) or self._cone(end, n, n) != (end, end):
+        if self._cone(end, n, n) != (end, end):
             return self._value(0, 0, n)  # outside layer n's window, the cone is empty
         block = self._replay(n, (end, n))[n]
         return self._value(self._cell(block, end), block[1], n)
@@ -504,6 +508,8 @@ def brute_force_count(model: StepSet, start: Sequence[int], n: int,
     if model.size ** n > guard:
         raise ResourceGuardError(f"brute force would enumerate {model.size}**{n} sequences")
     start = tuple(start)
+    if len(start) != model.dimension:
+        raise StepSetError("start point dimension mismatch")
     if min(start) < 0:
         raise StepSetError(f"start {start} lies outside the orthant")
     integer = all(w.denominator == 1 for w in model.weights)

@@ -10,7 +10,7 @@ from orthantwalks import (NotCentralError, SingularModelError, are_equivalent,
                           builtin_model, central_weights, classify, find_path_pairs,
                           is_central, is_singular, make_stepset, rank_full,
                           solve_central, step_matrix)
-from orthantwalks.central import pair_holds
+from orthantwalks.central import central_check, pair_holds
 
 GB_STEPS = ((1, 0), (-1, 0), (-1, 1), (1, -1))
 LONG_STEP_SET = ((2, 2), (1, 1), (-1, 0), (0, -1))
@@ -334,6 +334,11 @@ class TestEquivalence:
             model = make_stepset(GB_STEPS, weights)
             uniform = model.unweighted()
             assert is_central(model)[0] == are_equivalent(model, uniform)
+
+    def test_central_check_rejects_singular(self):
+        with pytest.raises(SingularModelError) as info:
+            central_check(make_stepset([(1, 0), (0, 1), (1, 1)], [1, 1, 1]))
+        assert str(info.value) == "centrality is only defined for non-singular models"
 
     def test_step_list_mismatch(self):
         from orthantwalks import StepSetError

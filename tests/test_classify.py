@@ -216,6 +216,11 @@ class TestBoundaryMinimizers:
 
 
 class TestClassify:
+    def test_unknown_ambiguity_policy_rejected(self):
+        with pytest.raises(ValueError) as info:
+            classify(builtin_model("gb", 1, 1), on_ambiguity="ignore")
+        assert str(info.value) == "on_ambiguity must be 'raise' or 'report'"
+
     def test_balanced(self):
         result = classify(builtin_model("gb", 1, 1))
         assert result.family == "balanced"

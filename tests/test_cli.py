@@ -319,6 +319,19 @@ class TestClassifyAndDiagram:
         assert result.returncode == 3, result.stderr
         assert result.stderr == "error: diagram grid exceeds the resource guard\n"
 
+    @pytest.mark.parametrize("argv,code,message", [
+        (("count", "--model", "gb", "--start", "0,x", "--n", "2"), 2,
+         "bad point '0,x'; expected comma-separated integers"),
+        (("diagram", "--model", "gb", "--a-range", "1:2", "--b-range", "1:1:1"), 2,
+         "bad range '1:2'; expected lo:hi:step"),
+        (("diagram", "--model", "gb", "--a-range", "1:0:1", "--b-range", "1:1:1"), 2,
+         "bad range '1:0:1'"),
+        (("diagram", "--model", "gb", "--a-range", "1:100:1", "--b-range", "1:100:1",
+          "--guard", "10"), 3, "diagram grid exceeds the resource guard"),
+    ], ids=["point", "range-parts", "range-order", "diagram-guard"])
+    def test_rejected_argument(self, capsys, argv, code, message):
+        assert run_cli(capsys, *argv) == (code, "", f"error: {message}\n")
+
     def test_diagram_csv(self, capsys):
         code, out, _ = run_cli(capsys, "diagram", "--model", "tandem",
                                "--a-range", "1/2:2:1/2", "--b-range", "1/2:2:1/2",

@@ -13,7 +13,7 @@ from orthantwalks import (ResourceGuardError, builtin_model, conjecture2_nullspa
                           make_stepset, minimal_refutation_length)
 from orthantwalks.conjecture import _lengths, residuals
 from orthantwalks.counting import DEFAULT_GUARD
-from orthantwalks.linalg import EchelonBasis
+from orthantwalks.linalg import EchelonBasis, solve
 
 # tandem with its steps in the reverse order; row reduction of its cap-1
 # system leaves the last column a pivot with nothing to its right
@@ -129,6 +129,22 @@ class TestSoundness:
         assert report.nullity > 0  # not yet refuted at cap 2
         for vec in report.basis:
             assert all(r == 0 for r in residuals(model, vec, 2))
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize("call,message", [
+        (lambda gb: conjecture2_nullspace(gb, 0), "n_cap must be at least 1"),
+        (lambda gb: minimal_refutation_length(gb, 0), "cap must be at least 1"),
+        (lambda gb: residuals(gb, (1, 2), 3), "mu has 2 entries, not one per step (4)"),
+        (lambda gb: residuals(gb, (1,) * 5, 3), "mu has 5 entries, not one per step (4)"),
+        (lambda gb: EchelonBasis(3).add([1, 2]), "row of length 2 in a basis of width 3"),
+        (lambda gb: solve([[1, 2], [2, 4]], [[1, 0]]), "singular linear system"),
+    ], ids=["nullspace-cap", "refutation-cap", "residuals-short", "residuals-long",
+            "basis-row", "singular-solve"])
+    def test_rejected_input(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call(builtin_model("gb"))
+        assert str(info.value) == message
 
 
 class TestElimination:

@@ -40,6 +40,16 @@ def test_non_finite_weight_rejected(entry, value):
             ENTRY_POINTS[entry](a, b)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: GBParams(1, 1, -1, 0), "start point must lie in the quarter plane"),
+    (lambda: gb_excursion_estimate(GBParams(1, 1), 0), "estimates require n >= 1"),
+], ids=["start", "excursion-length"])
+def test_rejected_input(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_float_weights_taken_at_exact_value():
     params = GBParams(0.1, 2.5)
     assert (params.a, params.b) == (F(0.1), F(5, 2)) and type(params.a) is F

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthantwalks import (StepSetError, builtin_model, central_weights, drift,
+from orthantwalks import (StepSet, StepSetError, builtin_model, central_weights, drift,
                           inventory_eval, is_singular, make_stepset,
                           parse_stepset, stepset_from_json)
+from orthantwalks.stepset import as_fraction
 
 GB_STEPS = ((1, 0), (-1, 0), (-1, 1), (1, -1))
 
@@ -79,6 +80,35 @@ class TestParsing:
     def test_unknown_model(self):
         with pytest.raises(StepSetError, match="unknown"):
             parse_stepset("kreweras --a 1")
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: as_fraction("abc"), "not an exact rational: 'abc'"),
+        (lambda: as_fraction([1]), "cannot interpret [1] as a rational"),
+        (lambda: StepSet(0, ((),), (F(1),)), "dimension must be a positive integer"),
+        (lambda: StepSet(2, (), ()), "empty step set"),
+        (lambda: StepSet(2, ((1, 0),), ()), "weights and steps must have equal length"),
+        (lambda: StepSet(2, ((1.0, 0),), (F(1),)), "step (1.0, 0) has non-integer coordinates"),
+        (lambda: StepSet(2, ((1, 0),), (1,)), "weight of step (1, 0) is not an exact rational"),
+        (lambda: builtin_model("gb").reordered([0, 0, 1, 2]),
+         "order must be a permutation of the step indices"),
+        (lambda: make_stepset([], []), "empty step set"),
+        (lambda: central_weights([(1, 0)], [0, 1]),
+         "central weighting parameters must be positive"),
+        (lambda: builtin_model("gb", 0, 1), "model parameters a, b must be positive rationals"),
+        (lambda: stepset_from_json({"dimension": 2, "steps": [5]}), "bad step entry 5"),
+        (lambda: parse_stepset("   "), "empty step-set description"),
+        (lambda: parse_stepset("gb --a"), "dangling option in 'gb --a'"),
+        (lambda: parse_stepset("gb --c 2"), "unknown option '--c' in step-set description"),
+        (lambda: inventory_eval(builtin_model("gb"), (1,)), "point dimension mismatch"),
+        (lambda: inventory_eval(builtin_model("gb"), (1, "2")), "cannot evaluate at coordinate '2'"),
+    ], ids=["rational-string", "rational-type", "dimension", "no-steps", "weight-count",
+            "float-coordinate", "int-weight", "order", "no-steps-made", "central-parameter",
+            "model-parameter", "step-entry", "empty-description", "dangling-option",
+            "unknown-option", "point-dimension", "point-coordinate"])
+    def test_rejected_input(self, call, message):
+        with pytest.raises(StepSetError) as info:
+            call()
+        assert str(info.value) == message
 
 
 class TestDrift:

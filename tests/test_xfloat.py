@@ -2,6 +2,7 @@
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,3 +38,22 @@ def test_div_and_ratio(p, q):
     x, y = XFloat(float(p), 2000), XFloat(float(q), 1990)
     assert math.isclose(float(x / y), 1024 * p / q, rel_tol=1e-12)
     assert math.isclose((x / y).log2(), 10 + math.log2(p / q), abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: XFloat(-1.0), ValueError, "XFloat is restricted to nonnegative values"),
+    (lambda: XFloat(0.0).log2(), ValueError, "log2 of zero"),
+    (lambda: XFloat(1.0) / XFloat(0.0), ZeroDivisionError, "XFloat division by zero"),
+], ids=["negative", "log2-zero", "divide-zero"])
+def test_rejected_operation(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_equality_hash_and_repr():
+    assert XFloat(3.0, 1) == 6.0 and XFloat(3.0, 1) != 5.0 and XFloat(0.0) == 0.0
+    assert XFloat(3.0, 1) == XFloat(6.0) and hash(XFloat(3.0, 1)) == hash(XFloat(6.0))
+    assert XFloat(0.0) == XFloat(0.0, 7) and hash(XFloat(0.0)) == hash(XFloat(0.0, 7))
+    assert repr(XFloat(0.0)) == "XFloat(0)"
+    assert repr(XFloat(6.0, 10)) == "XFloat(1.5*2**12)"

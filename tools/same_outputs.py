@@ -7,6 +7,8 @@ Usage:
     python tools/same_outputs.py NEW_CHECKOUT > new.txt
     diff old.txt new.txt
 
+    python tools/same_outputs.py CHECKOUT --digests > tests/same_outputs.json
+
 The package is imported from CHECKOUT/src and `orthantwalks.cli.main` runs in
 this one process.  Every subcommand and every `gb` action runs in JSON and in
 CSV: the four built-ins at four weightings, a 1-D and a 3-D step set, three
@@ -20,13 +22,21 @@ as library calls on seeded step sets: path pairs with the default base and
 with explicit bases (d = 1, 2, 3), `is_central` witnesses and
 `central_check`, `solve_central`'s exponents with exact and float
 alpha/beta, `are_equivalent`, `classify(..., on_ambiguity="report")` on king
-sets, and `drift_diagram` on the four built-ins.  Two checkouts give the same
+sets, `drift_diagram` on the four built-ins, and last `classify` and
+`drift_diagram` on a non-central set whose critical point lies within the
+ambiguity band of an edge of Q.  Two checkouts give the same
 outputs when the two prints are equal.
+
+`blocks` returns the print in named blocks: one per invocation, one per
+(model, mode) set of walks, one per library section.  With `--digests` the
+tool prints each block's sha256 as JSON instead, the form that
+tests/test_same_outputs.py compares against.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -130,19 +140,22 @@ def run(main, argv: list[str]) -> str:
     return f"$ {' '.join(argv)}\nexit {code}\n{out.getvalue()}stderr: {err.getvalue()}\n"
 
 
-def walks(ow) -> list[str]:
-    lines = []
+def walks(ow) -> list[tuple[str, list[str]]]:
+    """One block of seeded draws per (model, mode)."""
+    sections = []
     for name in MODELS:
         model = ow.builtin_model(name, Fraction(7, 5), Fraction(2, 3))
         for mode, n_max, lengths in (("exact", 60, (20, 45, 60)),
                                      ("scaled", 200, (50, 130, 200))):
             table = ow.count_walks(model, (0, 0), n_max, mode=mode, keep_layers=True)
+            lines = []
             for n in lengths:
                 for seed in range(25):
                     walk = ow.sample_walk(table, n, seed)
                     lines.append(f"walk {name} {mode} n={n} seed={seed}: "
                                  + " ".join(",".join(map(str, s)) for s in walk.steps))
-    return lines
+            sections.append((f"walks {name} {mode}", lines))
+    return sections
 
 
 def attempt(call, *args, **kwargs) -> str:
@@ -165,15 +178,18 @@ def decomposition(ow, model) -> str:
             f"float {dec.alpha_values()} {dec.beta_value()}")
 
 
-def library(ow) -> list[str]:
+def library(ow) -> list[tuple[str, list[str]]]:
+    """One block per library section: the central algebra in d = 1, 2, 3, the king-set
+    classifications, and one drift diagram per built-in."""
     from orthantwalks.central import central_check
-    rng, lines = random.Random(19), []
+    rng, sections = random.Random(19), []
 
     def ratio(top: int) -> Fraction:
         return Fraction(rng.randint(1, top), rng.randint(1, top))
 
     for d in (1, 2, 3):
         pool = [s for s in itertools.product(range(-2, 3), repeat=d) if any(s)]
+        lines = []
         for _ in range(60):
             steps = rng.sample(pool, rng.randint(d + 1, min(len(pool), d + 4)))
             model = ow.make_stepset(steps, [ratio(6) for _ in steps])
@@ -189,7 +205,9 @@ def library(ow) -> list[str]:
                       f"  solve_central central {attempt(decomposition, ow, central)}",
                       f"  are_equivalent {attempt(ow.are_equivalent, central, central.unweighted())}"
                       f" {attempt(ow.are_equivalent, model, central)}"]
+        sections.append((f"central d={d}", lines))
     king = [s for s in itertools.product((-1, 0, 1), repeat=2) if any(s)]
+    lines = []
     for _ in range(150):
         steps = rng.sample(king, rng.randint(3, 8))
         weights = [ratio(9) for _ in steps]
@@ -198,29 +216,81 @@ def library(ow) -> list[str]:
         model = ow.make_stepset(steps, weights)
         lines.append(f"classify {steps} {[str(w) for w in model.weights]}: "
                      f"{attempt(ow.classify, model, on_ambiguity='report')}")
+    sections.append(("classify king sets", lines))
     grid = [Fraction(k, 4) for k in range(1, 13)]
     for name in MODELS:
         rows = attempt(ow.drift_diagram, lambda a, b: ow.builtin_model(name, a, b), grid, grid)
-        lines.append(f"drift_diagram {name}: {rows}")
-    return lines
+        sections.append((f"drift_diagram {name}", [f"drift_diagram {name}: {rows}"]))
+    # the critical point (1/a, 1/b) within 2e-7 of an edge of Q in log scale
+    near = [1 + k * Fraction(5, 10 ** 8) for k in range(-4, 5)]
+    lines = [f"classify tilted {a} {b}: "
+             f"{attempt(ow.classify, tilted(ow, a, b), on_ambiguity='report')}"
+             for a in near for b in (Fraction(1, 2), near[3], near[5], Fraction(3, 2))]
+    rows = attempt(ow.drift_diagram, lambda a, b: tilted(ow, a, b), near, near[2:7])
+    sections.append(("ambiguity band", lines + [f"drift_diagram tilted: {rows}"]))
+    return sections
+
+
+def tilted(ow, a: Fraction, b: Fraction):
+    """The king-like diagonal set, weighted (a, b) with both diagonal weights doubled.
+
+    Not central, so only Newton decides it; its critical point is (1/a, 1/b).
+    """
+    steps = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]
+    return ow.make_stepset(steps, [w * (2 if s[0] == s[1] else 1) for s, w
+                                   in zip(steps, ow.central_weights(steps, (a, b)))])
+
+
+def label(argv: list[str]) -> str:
+    """A CLI invocation's block name: its argv, each argument over 40 characters cut short."""
+    return "cli " + " ".join(a if len(a) <= 40 else f"{a[:24]}...({len(a)} chars)" for a in argv)
+
+
+def blocks(ow) -> dict[str, str]:
+    """Every output of the package `ow`, by block name, in print order.
+
+    One block per CLI invocation, one per (model, mode) set of walks and one
+    per library section.  Warnings print to the captured stderr of the
+    invocation that raises them; the warning filters are restored after.
+    """
+    from orthantwalks.cli import main as cli_main
+    out = {}
+
+    def add(name: str, text: str) -> None:
+        if name in out:
+            raise ValueError(f"two blocks named {name!r}")
+        out[name] = text
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, category, *_, **__: sys.stderr.write(
+            f"{category.__name__}: {message}\n")
+        for argv in invocations() + [list(argv) for argv in ERRORS]:
+            add(label(argv), run(cli_main, argv))
+    for name, lines in walks(ow) + library(ow):
+        add(name, "".join(line + "\n" for line in lines))
+    return out
+
+
+def digests(out: dict[str, str]) -> dict[str, str]:
+    """The sha256 of each block's text, by block name."""
+    return {name: hashlib.sha256(text.encode()).hexdigest() for name, text in out.items()}
 
 
 def main() -> int:
-    if len(sys.argv) != 2:
+    if len(sys.argv) < 2 or sys.argv[2:] not in ([], ["--digests"]):
         print(__doc__, file=sys.stderr)
         return 2
     src = Path(sys.argv[1]).resolve() / "src"
     sys.path.insert(0, str(src))
     import orthantwalks as ow
-    import orthantwalks.cli
     if not Path(ow.__file__).resolve().is_relative_to(src):
         raise SystemExit(f"imported {ow.__file__}, not the package under {src}")
-    warnings.simplefilter("always")
-    warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
-    for argv in invocations() + [list(argv) for argv in ERRORS]:
-        sys.stdout.write(run(orthantwalks.cli.main, argv))
-    print("\n".join(walks(ow)))
-    print("\n".join(library(ow)))
+    out = blocks(ow)
+    if sys.argv[2:]:
+        print(json.dumps(digests(out), indent=1))
+    else:
+        sys.stdout.write("".join(out.values()))
     return 0
 
 
