@@ -188,7 +188,7 @@ def _solve(cell: _Cell, exact: Optional[tuple]) -> Classification:
     if not -1.0 < c < 1.0:
         raise ClassifyError(f"covariance factor {c} outside (-1, 1)")
     dx, dy = cell.drift
-    rho_exact, family, bands = None, None, [("log x_s", us), ("log y_s", vs)]
+    rho_exact, bands = None, [("log x_s", us), ("log y_s", vs)]
     if dx >= 0 and dy >= 0:
         point, rho_exact = (0.0, 0.0), sum(cell.model.weights)
         rho = float(rho_exact)

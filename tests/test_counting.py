@@ -126,26 +126,23 @@ class TestAccessors:
         (lambda gb: count_walks(gb, (0, 0), 2, mode="fast"), ValueError, "unknown mode 'fast'"),
         (lambda gb: brute_force_count(gb, (0, -1), 2), StepSetError,
          "start (0, -1) lies outside the orthant"),
-    ], ids=["start-dimension", "negative-n-max", "mode", "brute-force-start"])
+        (lambda gb: brute_force_count(gb, (0,), 2), StepSetError,
+         "start point dimension mismatch"),
+        (lambda gb: brute_force_count(gb, (0, 0, 0), 2), StepSetError,
+         "start point dimension mismatch"),
+        (lambda gb: count_walks(gb, (0, 0), 4, track=[(0,)]), StepSetError,
+         "tracked point dimension mismatch"),
+        (lambda gb: count_walks(gb, (0, 0), 4).endpoint((0, 0, 0), 4), StepSetError,
+         "endpoint dimension mismatch"),
+        (lambda gb: count_walks(gb, (0, 0), 4, "scaled", keep_layers=True).endpoint((0, 0, 0), 4),
+         StepSetError, "endpoint dimension mismatch"),
+    ], ids=["start-dimension", "negative-n-max", "mode", "brute-force-start",
+            "brute-force-1d", "brute-force-3d", "tracked-dimension", "endpoint-exact-dimension",
+            "endpoint-scaled-dimension"])
     def test_rejected_input(self, call, error, message):
         with pytest.raises(error) as info:
             call(builtin_model("gb"))
         assert type(info.value) is error and str(info.value) == message
-
-    @pytest.mark.parametrize("call,message", [
-        (lambda gb: brute_force_count(gb, (0,), 2), "start point dimension mismatch"),
-        (lambda gb: brute_force_count(gb, (0, 0, 0), 2), "start point dimension mismatch"),
-        (lambda gb: count_walks(gb, (0, 0), 4, track=[(0,)]), "tracked point dimension mismatch"),
-        (lambda gb: count_walks(gb, (0, 0), 4).endpoint((0, 0, 0), 4),
-         "endpoint dimension mismatch"),
-        (lambda gb: count_walks(gb, (0, 0), 4, "scaled", keep_layers=True).endpoint((0, 0, 0), 4),
-         "endpoint dimension mismatch"),
-    ], ids=["brute-force-1d", "brute-force-3d", "tracked", "endpoint-exact", "endpoint-scaled"])
-    def test_point_of_wrong_dimension_rejected(self, call, message):
-        # these used to be zipped against the model's steps or window and answered silently
-        with pytest.raises(StepSetError) as info:
-            call(builtin_model("gb"))
-        assert str(info.value) == message
 
     def test_start_offset(self):
         table = count_walks(builtin_model("gb", 1, 1), (2, 1), 2)
