@@ -138,6 +138,11 @@ class TestIsCentral:
             model = make_stepset(((1, 0), (-1, 1), (0, -1)), weights)
             assert is_central(model) == (True, None)
 
+    def test_central_check_rejects_singular(self):
+        with pytest.raises(SingularModelError) as info:
+            central_check(make_stepset([(1, 0), (0, 1), (1, 1)], [1, 1, 1]))
+        assert str(info.value) == "centrality is only defined for non-singular models"
+
     def test_order_independence(self):
         base = builtin_model("gb", 1, 1).with_weights([2, F(1, 2), 3, 1])
         import itertools
@@ -334,11 +339,6 @@ class TestEquivalence:
             model = make_stepset(GB_STEPS, weights)
             uniform = model.unweighted()
             assert is_central(model)[0] == are_equivalent(model, uniform)
-
-    def test_central_check_rejects_singular(self):
-        with pytest.raises(SingularModelError) as info:
-            central_check(make_stepset([(1, 0), (0, 1), (1, 1)], [1, 1, 1]))
-        assert str(info.value) == "centrality is only defined for non-singular models"
 
     def test_step_list_mismatch(self):
         from orthantwalks import StepSetError

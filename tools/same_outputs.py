@@ -24,8 +24,8 @@ with explicit bases (d = 1, 2, 3), `is_central` witnesses and
 alpha/beta, `are_equivalent`, `classify(..., on_ambiguity="report")` on king
 sets, `drift_diagram` on the four built-ins, and last `classify` and
 `drift_diagram` on a non-central set whose critical point lies within the
-ambiguity band of an edge of Q.  Two checkouts give the same
-outputs when the two prints are equal.
+ambiguity band of an edge of Q.  Two checkouts give the same outputs when
+the two prints are equal.
 
 `blocks` returns the print in named blocks: one per invocation, one per
 (model, mode) set of walks, one per library section.  With `--digests` the
@@ -180,7 +180,7 @@ def decomposition(ow, model) -> str:
 
 def library(ow) -> list[tuple[str, list[str]]]:
     """One block per library section: the central algebra in d = 1, 2, 3, the king-set
-    classifications, and one drift diagram per built-in."""
+    classifications, one drift diagram per built-in, and the ambiguity band."""
     from orthantwalks.central import central_check
     rng, sections = random.Random(19), []
 
