@@ -49,6 +49,7 @@ layer.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import functools
 import itertools
 import math
@@ -77,6 +78,8 @@ _NORM_SHIFT = 512
 
 # a new row layout leaves room for this many layers of window growth
 _SPARE_LAYERS = 2
+
+_LOUD = contextlib.nullcontext()  # numpy's warnings as the caller set them
 
 
 class ResourceGuardError(RuntimeError):
@@ -139,11 +142,7 @@ class WalkTable:
         # layers n with n % stride == 0 (and the last) are kept; stride 0 keeps none
         keeps = mode == "exact" or keep_layers
         self._stride = max(1, math.isqrt(n_max)) if keeps else 0
-        # the guard counts the windows of a build that drops no zero faces
-        windows = itertools.accumulate(
-            range(n_max), lambda w, _: _reach(model.steps, self._lattice, w),
-            initial=(self.start, self.start))
-        cells = [math.prod(_shape(w, self._lattice)) for w in windows]
+        cells = _window_cells(model.steps, self._lattice, self.start, n_max)
         if mode == "exact":
             # draws fill in the layers between checkpoints, up to every layer
             held = sum(cells)
@@ -159,59 +158,42 @@ class WalkTable:
         self._windows, self._totals, self._kept = [], [], {}
         self._first = None  # sample_walk's last first pick: n, cells, cumsum, shape, corner
         self._readers: dict[int, tuple] = {}  # sample_walk's view of each kept layer
+        tracked = list(self._tracked.items())
         for n, arr, exp, window, total in _layers(model, self.start, n_max, mode, guard,
                                                   self._keeps):
-            block = (arr, exp, window)
             self._windows.append(window)
             self._totals.append((total, exp))
-            for p, series in self._tracked.items():
-                series.append((self._cell(block, p), exp))
+            for p, series in tracked:
+                index = _index(window, p, self._lattice)
+                series.append((0 if index is None else arr[index], exp))
             if self._keeps(n):
-                self._kept[n] = block
+                self._kept[n] = (arr, exp, window)
 
     def _keeps(self, n: int) -> bool:
         return bool(self._stride) and (n % self._stride == 0 or n == self.n_max)
 
-    def _cell(self, block: Block, point: Vector):
-        """Raw entry of `block` at `point`, 0 off its window's lattice points."""
-        arr, _, (lo, hi) = block
-        if all(l <= c <= h and (c - l) % m == 0
-               for c, l, h, m in zip(point, lo, hi, self._lattice)):
-            return arr[tuple((c - l) // m for c, l, m in zip(point, lo, self._lattice))]
-        return 0
-
-    def _cone(self, point: Vector, m: int, j: int) -> Window:
-        """The cells of layer j's window from which `point` can be reached at layer m."""
-        (lo, hi), k = self._windows[j], m - j
-        neg, pos, _ = _extents(self.model.steps, self._lattice)
-        return _align(tuple([max(l, c - k * p) for l, c, p in zip(lo, point, pos)]),
-                      tuple([min(h, c - k * q) for h, c, q in zip(hi, point, neg)]),
-                      lo, self._lattice)
-
-    def _replay(self, n: int, cone: Optional[tuple[Vector, int]] = None,
-                segment: bool = False) -> dict[int, Block]:
-        """Layer n, replayed from the highest kept layer j <= n; with `segment`, layers j..n.
-
-        The kept layer comes whole.  Replayed layers cover the backward cone
-        of `point` at layer m when cone = (point, m), else their windows; a
-        cone cell sums the build's terms in the build's order and takes the
-        build's recorded exponent, so it equals the build's bit for bit.
-        """
+    def _base(self, n: int) -> int:
+        """The highest kept layer j <= n."""
         if not self._kept:
             raise ValueError("scaled table was built without keep_layers=True")
-        base = n
-        while base not in self._kept:
-            base -= 1
+        while n not in self._kept:
+            n -= 1
+        return n
+
+    def _replay(self, n: int, segment: bool = False) -> dict[int, Block]:
+        """Layer n, replayed whole from the highest kept layer j <= n; with `segment`, j..n."""
+        base = self._base(n)
         blocks = {base: self._kept[base]}
         if base == n:
             return blocks
+        steps, lattice = self.model.steps, self._lattice
         arr, exp, src = blocks[base]
-        at = _offset(arr)
+        cells, at, layout = arr.base, _offset(arr), _layout(steps, lattice, _rows(arr))
         with np.errstate(over="ignore", invalid="ignore"):  # only ghosts, zeroed after
             for j in range(base + 1, n + 1):
-                dst = self._cone(*cone, j) if cone else self._windows[j]
-                arr, _ = _advance_layer(arr, at, self.model.steps, self._weights, src, dst,
-                                        self._lattice)
+                dst = self._windows[j]
+                arr, cells, layout = _advance_layer(arr, cells, at, layout, steps, self._weights,
+                                                    src, dst, _shape(dst, lattice), lattice)
                 at = 0
                 if self._totals[j][1] != exp:
                     arr *= 2.0 ** (exp - self._totals[j][1])
@@ -220,6 +202,69 @@ class WalkTable:
                     blocks[j] = (arr, exp, dst)
                 src = dst
         return blocks
+
+    def _stretch(self, point: Vector, m: int, top: int) -> tuple[np.ndarray, int, int, list, int]:
+        """Layers j..top replayed over one box, for the highest kept layer j <= top <= m.
+
+        The box is the backward cone of `point` at layer m, taken at layer j
+        and not clipped to the window: the cells of layer j's coset from which
+        `point` can be reached in m - j steps.  Layer j + t lies over the box
+        moved by t * steps[0], on that layer's coset, so step s reads one flat
+        offset D_s below on every layer and one plan of flat ranges replays
+        them all.  The layers are stacked in one flat array, `size` cells
+        apart.  A cone cell's predecessors lie in the cone one layer down,
+        inside the box, so it sums the build's nonzero terms in the build's
+        step order (other reads add exact zeros), takes the build's exponent
+        and equals the build's bit for bit; cells outside the cone may hold
+        junk and are never read.  Cells with a negative coordinate are zeroed
+        after each layer: that is the orthant boundary.
+
+        Returns the stack, the index `point` has at layer m (a layer past the
+        stack when top < m), `size`, each step's D_s, and j.
+        """
+        j = self._base(top)
+        steps, lattice = self.model.steps, self._lattice
+        neg, pos, _ = _extents(steps, lattice)
+        k = m - j
+        box = _align(tuple([c - k * p for c, p in zip(point, pos)]),
+                     tuple([c - k * q for c, q in zip(point, neg)]), self._windows[j][0], lattice)
+        shape = _shape(box, lattice)
+        _, strides, offsets = _layout(steps, lattice, shape[1:])
+        size = shape[0] * strides[0]
+        arr, exp, window = self._kept[j]
+        stack = np.empty((top - j + 1) * size, dtype=arr.dtype)
+        stack[:size] = 0
+        for _, into, out_of in _step_slices([(0,) * len(point)], window, box, lattice):
+            stack[:size].reshape(shape)[into] = arr[out_of]
+        plan = _plan(self._weights, offsets, 0, size, size)
+        corner = box[0]
+        with np.errstate(over="ignore", invalid="ignore"):  # junk off the cone may overflow
+            for t in range(1, top - j + 1):
+                layer = stack[t * size:(t + 1) * size]
+                _sum_steps(layer, stack[(t - 1) * size:t * size], plan)
+                corner = tuple(map(operator.add, corner, steps[0]))
+                for axis, (c, q) in enumerate(zip(corner, lattice)):
+                    if c < 0:
+                        layer.reshape(shape)[(slice(None),) * axis + (slice(-(c // q)),)] = 0
+                if self._totals[j + t][1] != exp:
+                    layer *= 2.0 ** (exp - self._totals[j + t][1])
+                    exp = self._totals[j + t][1]
+        apex = [(c - l - k * t) // q for c, l, t, q in zip(point, box[0], steps[0], lattice)]
+        return stack, k * size + sum(map(operator.mul, apex, strides)), size, offsets, j
+
+    def _reader(self, n: int, point: Vector) -> tuple[np.ndarray, int, list[int]]:
+        """Kept layer n's buffer, the index there of point - steps[0], and each step's
+        flat offset from steps[0]: point - s lies within the ghosts of layer n on every
+        axis but the first, and the buffer holds layer n alone, so any index inside it
+        reads point - s or 0."""
+        steps = self.model.steps
+        if n not in self._readers:
+            arr, _, (lo, _) = self._kept[n]
+            self._readers[n] = (arr.base, _offset(arr), lo,
+                                *_layout(steps, self._lattice, _rows(arr))[1:])
+        cells, at, lo, strides, offsets = self._readers[n]
+        return cells, at + sum([(c - t - l) // q * p for c, t, l, q, p in zip(
+            point, steps[0], lo, self._lattice, strides)]), offsets
 
     def _kept_block(self, n: int) -> Optional[Block]:
         """Layer n if the table keeps it; an exact table first keeps the stretch up to n."""
@@ -254,10 +299,14 @@ class WalkTable:
         if not self._kept:
             raise ValueError(
                 f"endpoint {end} was not tracked; pass track=[{end}] to count_walks")
-        if self._cone(end, n, n) != (end, end):
-            return self._value(0, 0, n)  # outside layer n's window, the cone is empty
-        block = self._replay(n, (end, n))[n]
-        return self._value(self._cell(block, end), block[1], n)
+        exp = self._totals[n][1]
+        index = _index(self._windows[n], end, self._lattice)
+        if index is None:
+            return self._value(0, exp, n)
+        if n in self._kept:
+            return self._value(self._kept[n][0][index], exp, n)
+        stack, at = self._stretch(end, n, n)[:2]
+        return self._value(stack[at], exp, n)
 
     def layer(self, n: int) -> dict[Vector, Count]:
         """Endpoint -> count map of the nonzero entries of layer n; scaled entries are
@@ -280,28 +329,38 @@ def _layers(model: StepSet, start: Vector, n_max: int, mode: str,
     and layer n's untrimmed window: more than `guard` cells raise.
     """
     weights, _ = _kernel_weights(model, mode)
-    lattice = _lattice(model.steps)
+    steps, lattice = model.steps, _lattice(model.steps)
     dtype = float if mode == "scaled" else object
     # layer 0 is the start cell, in the rows the step to layer 1 picks for it
-    rows = _pitch([0] * (model.dimension - 1), [1] * model.dimension, _shape(_reach(
-        model.steps, lattice, (start, start)), lattice), _extents(model.steps, lattice)[2])
-    arr = _zero_ghosts(np.ones(math.prod(rows), dtype).reshape(1, *rows), [1] * model.dimension)
+    ones = [1] * model.dimension
+    rows = _pitch([0] * (model.dimension - 1), ones, _shape(_reach(steps, lattice, (start, start)),
+                                                            lattice), _extents(steps, lattice)[2])
+    arr = _zero_ghosts(np.ones(math.prod(rows), dtype).reshape(1, *rows), ones)
     cells, exp, window, at, spares = arr.base, 0, (start, start), 0, []
+    layout = _layout(steps, lattice, rows)
+    # A scaled layer's cells end below 2**512, so no product, cell or layer sum can overflow
+    # unless the weights sum to 2**256 or more; only then is the finite check the report.
+    quiet = mode == "scaled" and sum(weights) >= 2.0 ** 256
     for n in range(n_max + 1):
-        with np.errstate(over="ignore", invalid="ignore"):  # the finite check reports an inf
+        with np.errstate(over="ignore", invalid="ignore") if quiet else _LOUD:
             if n:
-                reach = _reach(model.steps, lattice, window)
-                held = arr.size + math.prod(_shape(reach, lattice))
+                reach = _reach(steps, lattice, window)
+                shape = _shape(reach, lattice)
+                held = arr.size + math.prod(shape)
                 if held > guard:
                     raise ResourceGuardError(f"{mode} layers {n - 1} and {n} hold "
                                              f"{held} cells, over the guard of {guard}")
                 kept = keep(n)
                 if not kept and not spares:
-                    spares = _spares(model.steps, lattice, start, n_max, dtype)
-                arr, cells = _advance_layer(arr, at, model.steps, weights, window, reach,
-                                            lattice, () if kept else spares)
+                    spares = _spares(steps, lattice, start, n_max, dtype)
+                arr, cells, layout = _advance_layer(arr, cells, at, layout, steps, weights, window,
+                                                    reach, shape, lattice, () if kept else spares)
                 arr, window = _trim(arr, reach, lattice)
-                at = 0 if window[0] == reach[0] else _offset(arr)  # where _trim left arr
+                if window[0] != reach[0]:  # where _trim left arr
+                    at = sum([(l - r) // q * p for l, r, q, p in zip(
+                        window[0], reach[0], lattice, layout[1])])
+                else:
+                    at = 0
             # all rows, ghosts included (and _trim's zero faces); Python sums ints faster
             total = cells.sum() if mode == "scaled" else sum(cells.tolist())
             # max <= computed sum <= 2 * cells * max, so a sum in range clears the max
@@ -330,25 +389,64 @@ def _align(lo: Vector, hi: Vector, coset: Vector, lattice: Vector) -> Window:
             tuple(h - (h - r) % m for h, r, m in zip(hi, coset, lattice)))
 
 
+def _reach_axis(l: int, h: int, q: int, p: int, t: int, m: int) -> tuple[int, int]:
+    """One axis of `_reach`: the window [l, h] moved by steps from q to p on the axis,
+    clipped at 0 and aligned to the coset l + t (mod m) of the step steps[0] = t."""
+    a, b, r = (l + q if l + q > 0 else 0), h + p, l + t
+    return a + (r - a) % m, b - (b - r) % m
+
+
 def _reach(steps, lattice: Vector, window: Window) -> Window:
     """The next layer's window: what one step from `window` reaches in the orthant."""
-    (lo, hi), (neg, pos, _) = window, _extents(steps, lattice)
-    return _align(tuple([l + q if l + q > 0 else 0 for l, q in zip(lo, neg)]),
-                  tuple(map(operator.add, hi, pos)),
-                  tuple(map(operator.add, lo, steps[0])), lattice)
+    neg, pos, _ = _extents(steps, lattice)
+    lo, hi = zip(*map(_reach_axis, *window, neg, pos, steps[0], lattice))
+    return lo, hi
+
+
+def _window_cells(steps, lattice: Vector, start: Vector, n_max: int) -> list[int]:
+    """The cells of each window of layers 0..n_max in a build that drops no zero faces:
+    `_reach` iterated from `start`, one axis at a time.  A window that empties out stays
+    empty, which no closed form in n gives."""
+    neg, pos, _ = _extents(steps, lattice)
+    cells = [1] * (n_max + 1)
+    for l, q, p, t, m in zip(start, neg, pos, steps[0], lattice):
+        h = l
+        for n in range(1, n_max + 1):
+            l, h = _reach_axis(l, h, q, p, t, m)
+            cells[n] *= (h - l) // m + 1 if h >= l else 0
+    return cells
+
+
+def _index(window: Window, point: Vector, lattice: Vector) -> Optional[tuple[int, ...]]:
+    """The index of `point` in an array over `window`, None off the window's lattice points."""
+    index = []
+    for c, l, h, m in zip(point, *window, lattice):
+        q, r = divmod(c - l, m)
+        if r or not l <= c <= h:
+            return None
+        index.append(q)
+    return tuple(index)
+
+
+@functools.cache
+def _faces(ndim: int) -> list[tuple]:
+    """Per axis k: the indices of an array's first and last faces across k, and of the
+    array less each of them."""
+    return [((slice(None),) * k + (0, ...), (slice(None),) * k + (-1, ...),
+             (slice(None),) * k + (slice(1, None),), (slice(None),) * k + (slice(-1),))
+            for k in range(ndim)]
 
 
 def _trim(arr: np.ndarray, window: Window, lattice: Vector) -> tuple[np.ndarray, Window]:
     """Drop the all-zero faces of `arr`, keeping at least one cell per axis."""
-    lo, hi = list(window[0]), list(window[1])
-    for k, m in enumerate(lattice):
-        face = (slice(None),) * k
-        # `...` keeps a face an array in 1-D, where an object cell is a Python int
-        while arr.shape[k] > 1 and not np.count_nonzero(arr[face + (0, ...)]):
-            arr, lo[k] = arr[face + (slice(1, None),)], lo[k] + m
-        while arr.shape[k] > 1 and not np.count_nonzero(arr[face + (-1, ...)]):
-            arr, hi[k] = arr[face + (slice(-1),)], hi[k] - m
-    return arr, (tuple(lo), tuple(hi))
+    lo, hi = window
+    # `...` keeps a face an array in 1-D, where an object cell is a Python int
+    for k, (first, last, rest, front) in enumerate(_faces(arr.ndim)):
+        while arr.shape[k] > 1 and not np.count_nonzero(arr[first]):
+            arr, lo = arr[rest], lo[:k] + (lo[k] + lattice[k],) + lo[k + 1:]
+        while arr.shape[k] > 1 and not np.count_nonzero(arr[last]):
+            arr, hi = arr[front], hi[:k] + (hi[k] - lattice[k],) + hi[k + 1:]
+    return arr, (lo, hi)
 
 
 def _shape(window: Window, lattice: Vector) -> list[int]:
@@ -404,7 +502,7 @@ def _pitch(lengths: list[int], old: Sequence[int], new: Sequence[int],
 
     The current `lengths` serve while they hold both layers with their ghosts
     and are at most twice a new layout, which leaves room for _SPARE_LAYERS
-    layers of growth (a cone replay shrinks its layers).
+    layers of growth.
     """
     fits, want = True, []
     for r, a, b, g in zip(lengths, old[1:], new[1:], ghosts[1:]):
@@ -429,67 +527,94 @@ def _zero_ghosts(pad: np.ndarray, shape: Sequence[int]) -> np.ndarray:
     return pad[tuple(map(slice, shape))]
 
 
+def _rows(arr: np.ndarray) -> list[int]:
+    """The row lengths of `arr`'s buffer on axes 1.., read off its strides."""
+    return [a // b for a, b in zip(arr.strides, arr.strides[1:])]
+
+
 def _offset(arr: np.ndarray) -> int:
     """Index of the first cell of `arr` in its buffer."""
     data = arr.__array_interface__["data"][0] - arr.base.__array_interface__["data"][0]
     return data // arr.itemsize
 
 
-def _advance_layer(arr: np.ndarray, at: int, steps, weights, src: Window, dst: Window,
-                   lattice: Vector, out: Sequence[np.ndarray] = ()
-                   ) -> tuple[np.ndarray, np.ndarray]:
+def _layout(steps, lattice: Vector, rows: Sequence[int]) -> tuple[list, list, list]:
+    """Row lengths on axes 1.., the strides in cells of an array with those rows, and each
+    step's flat offset D_s = (s - steps[0]) / m there, the same for every layer it holds."""
+    strides = list(itertools.accumulate(reversed(rows), operator.mul, initial=1))[::-1]
+    return list(rows), strides, [sum([(c - t) // q * p for c, t, q, p in zip(
+        s, steps[0], lattice, strides)]) for s in steps]
+
+
+def _plan(weights, offsets: Sequence[int], shift: int, size: int, read: int) -> list[tuple]:
+    """The flat range of each step, as (w_s, a, b, c).
+
+    Cell f of a flat layer of `size` cells reads cell f + shift - D_s of a
+    flat layer of `read` cells for step s (`offsets` holds D_s).  Cells a..b-1
+    collect w_s times the cells from c on: the cells whose read lies inside.
+    """
+    plan = []
+    for w, d in zip(weights, offsets):
+        c = shift - d
+        a, b = (-c if c < 0 else 0), (read - c if read - c < size else size)
+        if a < b:
+            plan.append((w, a, b, c + a))
+    return plan
+
+
+def _sum_steps(flat: np.ndarray, cells: np.ndarray, plan: list[tuple]) -> None:
+    """The transfer kernel: flat[a:b] collects w * cells[c:c + b - a] for each (w, a, b, c)
+    of `plan`, in plan order; the first range assigns, and the cells it misses are zeroed."""
+    if not plan:
+        flat[...] = 0
+        return
+    w, a, b, c = plan[0]
+    if a:
+        flat[:a] = 0
+    if b < flat.size:
+        flat[b:] = 0
+    if w == 1:
+        flat[a:b] = cells[c:c + b - a]
+    else:
+        np.multiply(cells[c:c + b - a], w, out=flat[a:b])
+    for w, a, b, c in plan[1:]:
+        part, cell = cells[c:c + b - a], flat[a:b]
+        cell += part if w == 1 else w * part
+
+
+def _advance_layer(arr: np.ndarray, cells: np.ndarray, at: int, layout: tuple, steps, weights,
+                   src: Window, dst: Window, shape: list[int], lattice: Vector,
+                   out: Sequence[np.ndarray] = ()) -> tuple[np.ndarray, np.ndarray, tuple]:
     """One transfer step of the orthant-restricted recurrence on row-padded layers.
 
-    Cell p of the new layer (window dst) collects w_s times cell p - s of the
-    old one (window src, its first cell at index `at` of its buffer) for every
-    step s, in step order.  Step s adds one flat range of arr's buffer to one
-    of the result's, whose rows are as long as arr's (arr is first copied to
-    longer rows when dst outgrows them).  The first step assigns; the ghosts
-    the steps wrote are zeroed after.  The result, and such a copy, start a
-    buffer of `out` that does not hold the layer read, or a new one.
-    Returns the result and all of its rows, ghosts included, as a flat array.
+    Cell p of the new layer (window dst, array shape `shape`) collects w_s
+    times cell p - s of the old one for every step s, in step order.  The old
+    layer `arr` starts at index `at` of `cells`, the flat rows written for it,
+    laid out by `layout`.  The new layer takes the same rows (arr is first
+    copied to longer ones when dst outgrows them), so step s reads one flat
+    offset below on every cell, and its flat range holds every cell whose
+    read lies in `cells`.  A cell of dst reads p - s, a ghost or a zero face
+    _trim dropped: the ghosts of a row outnumber the cells a read can lie
+    outside the old window, on every axis but the first, and rows past the
+    first or last lie outside `cells` or were dropped as zero.  So every
+    cell of dst adds the exact zeros a window-clipped range would skip.  The
+    ghosts the steps wrote are zeroed after.  The result, and such a copy,
+    start a buffer of `out` that does not hold the layer read, or a new one.
+    Returns the result, all of its rows as a flat array, and their layout.
     """
-    shape = _shape(dst, lattice)
-    lengths = [a // b for a, b in zip(arr.strides, arr.strides[1:])]  # rows on axes 1..
-    pitch = _pitch(lengths, arr.shape, shape, _extents(steps, lattice)[2])
-    if pitch != lengths:
-        pad = _pad(arr.shape[0] * math.prod(pitch), arr.dtype, out, arr.base).reshape(-1, *pitch)
-        pad[tuple(map(slice, arr.shape))] = arr
-        arr, at = _zero_ghosts(pad, arr.shape), 0
-    cells, size = arr.base, arr.itemsize
-    strides = [s // size for s in arr.strides]
-    flat = _pad(shape[0] * strides[0], arr.dtype, out, cells)
-    new = flat.reshape(shape[0], *pitch)
-    # per axis, in points from dst's first: src's first and last, dst's last
-    axes = [(l - k, h - k, e - k, m, p) for l, h, k, e, m, p
-            in zip(*src, *dst, lattice, strides)]
-    first = True
-    for w, s in zip(weights, steps):
-        a, b, c = 0, 0, at  # flat index of the first and last cell written, of the first read
-        for x, (l, h, e, m, p) in zip(s, axes):
-            i, j = l + x, (h + x if h + x < e else e)  # src moved by s, clipped to dst
-            if i < 0:
-                c -= i // m * p
-                i = 0
-            if i > j:
-                break
-            a += i // m * p
-            b += j // m * p
-        else:
-            part, cell = cells[c:c + b - a + 1], flat[a:b + 1]
-            if first:
-                flat[:a] = 0
-                flat[b + 1:] = 0
-                if w == 1:
-                    cell[...] = part
-                else:
-                    np.multiply(part, w, out=cell)
-                first = False
-            else:
-                cell += part if w == 1 else w * part
-    if first:
-        flat[...] = 0
-    return _zero_ghosts(new, shape), flat
+    rows, strides, offsets = layout
+    pitch = _pitch(rows, arr.shape, shape, _extents(steps, lattice)[2])
+    if pitch != rows:
+        layout = rows, strides, offsets = _layout(steps, lattice, pitch)
+        pad = _pad(arr.shape[0] * strides[0], arr.dtype, out, arr.base)
+        rows = pad.reshape(-1, *pitch)
+        rows[tuple(map(slice, arr.shape))] = arr
+        arr, cells, at = _zero_ghosts(rows, arr.shape), pad, 0
+    flat = _pad(shape[0] * strides[0], arr.dtype, out, arr.base)
+    shift = at + sum([(e - l - t) // q * p for e, l, t, q, p in zip(
+        dst[0], src[0], steps[0], lattice, strides)])
+    _sum_steps(flat, cells, _plan(weights, offsets, shift, flat.size, cells.size))
+    return _zero_ghosts(flat.reshape(shape[0], *pitch), shape), flat, layout
 
 
 def count_walks(model: StepSet, start: Sequence[int], n_max: int,
@@ -538,11 +663,12 @@ def sample_walk(table: WalkTable, n: int, seed: int) -> Walk:
     a draw needs it and keeps it, so later draws read every layer whole.  In
     a scaled table a layer n that is not kept is replayed whole for the first
     pick (the table keeps that pick's cumulative weights for the last n
-    drawn), and each stretch between checkpoints is replayed once per draw,
-    over the backward cone of the walk's point above it.  Exact tables draw
-    with `randrange` over integer cumulative weights, so every choice is
-    exact; scaled tables draw from float64 cumulative weights with relative
-    bias below n * 2**-50.
+    drawn), and each stretch between checkpoints is replayed once per draw
+    over one box, the backward cone of the walk's point above it, with its
+    layers stacked in one array: a step then moves the walk's index by one
+    constant per step.  Exact tables draw with `randrange` over integer
+    cumulative weights, so every choice is exact; scaled tables draw from
+    float64 cumulative weights with relative bias below n * 2**-50.
     """
     table._check_n(n)
     rng = random.Random(seed)
@@ -553,53 +679,31 @@ def sample_walk(table: WalkTable, n: int, seed: int) -> Walk:
     _, cells, cumulative, shape, lo = table._first
     index = np.unravel_index(cells[_pick(rng, cumulative)], shape)
     point = tuple(l + q * int(i) for l, q, i in zip(lo, table._lattice, index))
-    steps, lattice = table.model.steps, table._lattice
-    # point - s is within the ghosts of the layer below on every axis but the first,
-    # and that layer's buffer holds it alone: any index inside reads point - s or 0
-    shifts: dict[tuple, list[int]] = {}
+    steps, weights = table.model.steps, table._weights
     steps_taken: list[Vector] = []
-    segment: dict[int, Block] = {}
+    # cells.item(at - offsets[i]) is the count at point - steps[i] one layer down, for
+    # every layer from `low` up; after step i the index moves down by size + offsets[i]
+    low = n
     for m in range(n, 0, -1):
-        reader = table._readers.get(m - 1)
-        if reader is None:
-            block = table._kept_block(m - 1)
-            if block is not None:
-                reader = table._readers[m - 1] = _reader(block, _offset(block[0]), steps,
-                                                         lattice, shifts)
+        if m - 1 < low:
+            if table._kept_block(m - 1) is None:
+                cells, at, size, offsets, low = table._stretch(point, m, m - 1)
+                at -= size
             else:
-                if m - 1 not in segment:
-                    segment = table._replay(m - 1, (point, m), segment=True)
-                # a replayed layer starts its buffer
-                reader = _reader(segment[m - 1], 0, steps, lattice, shifts)
-        cells, at, below, strides, offsets, size = reader
-        at += sum([(c - t - b) // q * p for c, t, b, q, p
-                   in zip(point, steps[0], below, lattice, strides)]) // size
+                cells, at, offsets = table._reader(m - 1, point)
+                low, size = m - 1, 0
         total, candidates, cumulative = 0, [], []
-        for s, d, w in zip(steps, offsets, table._weights):
+        for i, (d, w) in enumerate(zip(offsets, weights)):
             count = cells.item(at - d) if 0 <= at - d < cells.size else 0
             if count > 0:
                 total += w * count
-                candidates.append(s)
+                candidates.append(i)
                 cumulative.append(total)
-        step = candidates[_pick(rng, cumulative)]
-        steps_taken.append(step)
-        point = tuple(map(operator.sub, point, step))
+        i = candidates[_pick(rng, cumulative)]
+        steps_taken.append(steps[i])
+        point = tuple(map(operator.sub, point, steps[i]))
+        at -= size + offsets[i]
     return Walk(table.start, tuple(reversed(steps_taken)))
-
-
-def _reader(block: Block, at: int, steps, lattice: Vector, shifts: dict) -> tuple:
-    """What the sampler reads of a layer whose first cell is at index `at` of its buffer.
-
-    Returns the buffer, `at`, the window's corner, the strides in bytes, each
-    step's flat offset from steps[0] in cells (cached in `shifts` by strides)
-    and the cell size.
-    """
-    arr, _, (lo, _) = block
-    strides = arr.strides
-    if strides not in shifts:
-        shifts[strides] = [sum([(c - t) // q * p for c, t, q, p in zip(
-            s, steps[0], lattice, strides)]) // arr.itemsize for s in steps]
-    return arr.base, at, lo, strides, shifts[strides], arr.itemsize
 
 
 def _pick(rng: random.Random, cumulative: Sequence) -> int:

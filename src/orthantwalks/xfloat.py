@@ -11,6 +11,9 @@ precision relative accuracy.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
+from fractions import Fraction
 
 
 class XFloat:
@@ -57,9 +60,20 @@ class XFloat:
             return 0.0
         return math.ldexp(self.man, self.exp)
 
+    @classmethod
+    def _of(cls, value) -> "XFloat":
+        """`value` as an XFloat, exactly rounded also for ints and Fractions past the float range."""
+        if isinstance(value, XFloat):
+            return value
+        if not isinstance(value, numbers.Rational) or value == 0:
+            return cls(float(value))
+        n, d = value.numerator, value.denominator
+        shift = n.bit_length() - d.bit_length()
+        # n / d over 2**shift lies in [1/2, 2]: float() rounds it once
+        return cls(float(Fraction(n, d << shift) if shift >= 0 else Fraction(n << -shift, d)), shift)
+
     def __truediv__(self, other) -> "XFloat":
-        if not isinstance(other, XFloat):
-            other = XFloat(float(other))
+        other = XFloat._of(other)
         if other.man == 0.0:
             raise ZeroDivisionError("XFloat division by zero")
         if self.man == 0.0:
@@ -67,12 +81,32 @@ class XFloat:
         return XFloat(self.man / other.man, self.exp - other.exp)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, XFloat):
-            return float(self) == other
-        return self.man == other.man and (self.man == 0.0 or self.exp == other.exp)
+        """Exact equality with an XFloat, int, Fraction or float; inf and nan equal nothing."""
+        if isinstance(other, XFloat):
+            return self.man == other.man and (self.man == 0.0 or self.exp == other.exp)
+        if isinstance(other, float):
+            if not math.isfinite(other):
+                return False
+            other = Fraction(other)
+        elif not isinstance(other, numbers.Rational):
+            return NotImplemented
+        if self.man == 0.0 or other <= 0:
+            return self.man == 0.0 and other == 0
+        n, d = other.numerator, other.denominator
+        # n / d lies in [2**(b - 1), 2**(b + 1)) for b = bits(n) - bits(d), self in [2**exp, 2**(exp + 1))
+        if not 0 <= n.bit_length() - d.bit_length() - self.exp <= 1:
+            return False
+        m, k = self.man.as_integer_ratio()  # man = m / k
+        if self.exp >= 0:
+            return (m * d) << self.exp == n * k
+        return m * d == (n * k) << -self.exp
 
-    def __hash__(self):
-        return hash((self.man, self.exp))
+    def __hash__(self) -> int:
+        """Python's numeric hash of the value: equal numbers of every type hash alike.
+        The modulus is 2**61 - 1, so 2**e reduces to 2**(e mod 61)."""
+        m, k = self.man.as_integer_ratio()  # k is a power of two
+        modulus = sys.hash_info.modulus
+        return m % modulus * pow(2, (self.exp - k.bit_length() + 1) % 61, modulus) % modulus
 
     def __repr__(self) -> str:
         if self.man == 0.0:

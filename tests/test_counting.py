@@ -380,6 +380,118 @@ class TestConeReplay:
             assert sample_walk(longer, n, seed) == sample_walk(shorter, n, seed), seed
 
 
+    # Draws at n = n_max * 5 // 6 + 1, a layer that is no checkpoint, for seeds 0-4, as
+    # step indices into model.steps: every stretch below n is replayed from a checkpoint.
+    CONE_WALKS = {
+        "gb n=400": [
+            "020002032300020300211111002002302332012103313011102000102103002123100202123222203332"
+            "200031220331001303032002302002132023033310133212001021211231201002112223111300012020"
+            "311221101211320320332103002012000103300030031122202232020031300203212033321232333021"
+            "2333333012200021212232322203210133020310310231202303133210123213333023023211312013",
+            "000213120020000222002201013222300002022232113330112130020211331302100131030020321132"
+            "300021221223000203323111322130020312313320133100331112001201122330233030013313133102"
+            "121302330222020003202300110111210200120020002303333200012221112023012232333032112320"
+            "3233201232001123211222013102233212313221033022301101011101013200330210213003211123",
+            "000000002013020320013202032220312321110320102331213022023202122010233001031032321010"
+            "133331203111332023230001311203031102011102310201312321300210221333021120000020100211"
+            "232201033322000002012030212031012012333231010221003012003002030201021300320300202032"
+            "3023200222123130302101232133131312123033133333302320100223111000123331102221233003",
+            "020002000330202021322303003000200101222323010230330002101212111231321001220101221112"
+            "023000002112000320323203201213012312210202333230302001022320331333003111103001323003"
+            "302001321031311021003013203102111121032002212120220210223102123222221133130021002013"
+            "2331202032101303301230223330233323221121213000331313232130122022232021313013002212",
+            "023200230322001020133200023213032222032321203223300012031021213030002130122303131222"
+            "321300121210232120030213103023123200310131203302210231200212312132322020301322210230"
+            "302330331222322213331022223132300300010233110101312203110020000130112000131010132312"
+            "3103233201010220003212112010311212003101212332312330102220332210223300012023310010",
+        ],
+        "gb(2/3,5/7) from (3,2)": [
+            "020002232023233202123333330132000202122323222032101230203003102312022031332101232133"
+            "33023013211312112",
+            "000000122203100231031231002320010131112220130022332123132210330223011100110011132003"
+            "31210213003211122",
+            "002121131030020203230232002222231303020012321331323121220331333233033201002231110001"
+            "23331102221233003",
+            "020112312002200201323312020321012033002302233302333232211212131103313132321301230232"
+            "32021313113003212",
+            "201210003101002231231032332010102300032131020103112120031012123323123301012203322112"
+            "33310012123310110",
+        ],
+        "tandem(5/7,2) from (1,4)": [
+            "000000010002011101002222210011000001011201111021000120102002101101011021221001121022"
+            "22011012110111011",
+            "100000022102100120020121001210000111001110010011121011121110220112001000110010021002"
+            "20110111001111112",
+            "001020010010000101110120001100120102010001210220112110110220112112012100001120010001"
+            "12210101110112002",
+            "010001101001000000102101000110001021000101012101212111100101020001201021211100110111"
+            "11011112001001111",
+            "100110001100001110121021221010001100021010010002011010010001001112011201011101111001"
+            "11210001011210011",
+        ],
+        "3d five steps from (1,0,2)": [
+            "0001044100014104444014014210411014",
+            "4041023101004100440410414004422044",
+            "0430200114111000014431101110244004",
+            "0001142040014014144021414014003414",
+            "0140101110244200444410001044441031",
+        ],
+        "stride (2,2) odd steps from (1,1)": [
+            "022110211210221202212133220223213233122123221222122",
+            "211212222123122212221122112122200221220222012222122",
+            "213112133122322212321101223212001223322212222222003",
+            "012221121213111221213222120122022222122223112002212",
+            "212103101211222212220212220222221222311112122320121",
+        ],
+        "stride (3,1) from (1,1)": [
+            "0000012100001102222012012110211002",
+            "0211011101002100220210212002211022",
+            "0120200012101000012220001110112002",
+            "0001021020012011122011212002002212",
+            "0120100110121110222210001022220020",
+        ],
+        "3d stride (1,1,3) from (1,2,1)": [
+            "001000200200010000101033000002102133012003110200002",
+            "000102210023021200100011000003100330210203002211022",
+            "000000012001212201310000012000000003310000000112003",
+            "001000000003000220103121020012012122011213002001101",
+            "201001000000121201230000110221100112200001022210000",
+        ],
+    }
+
+    @pytest.mark.parametrize("name,model,start,n_max", CONE_CASES, ids=[c[0] for c in CONE_CASES])
+    def test_pinned_draws(self, name, model, start, n_max):
+        table = count_walks(model, start, n_max, "scaled", keep_layers=True)
+        for seed, want in enumerate(self.CONE_WALKS[name]):
+            steps = sample_walk(table, n_max * 5 // 6 + 1, seed).steps
+            assert "".join(str(model.steps.index(s)) for s in steps) == want, seed
+
+    @pytest.mark.parametrize("name,model,start,n_max",
+                             CONE_CASES + [("gb n=16", builtin_model("gb", 1, 1), (0, 0), 16)],
+                             ids=[c[0] for c in CONE_CASES] + ["gb n=16"])
+    def test_stretch_stays_within_two_working_layers(self, name, model, start, n_max,
+                                                     monkeypatch):
+        # a stretch stacks at most `stride` layers over the box of a backward cone at most
+        # `stride` layers deep, within the two working layers the scaled guard counts
+        table = count_walks(model, start, n_max, "scaled", keep_layers=True)
+        stretch, held = table._stretch, []
+
+        def spy(*args):
+            out = stretch(*args)
+            held.append(out[0].size)
+            return out
+
+        monkeypatch.setattr(table, "_stretch", spy)
+        n = n_max * 5 // 6 + 1
+        for seed in range(5):
+            assert not table.endpoint(sample_walk(table, n, seed).end, n).is_zero()
+        stride, cols = table._stride, list(zip(*model.steps))
+        box = math.prod(stride * (max(0, *c) - min(0, *c)) // m + 1
+                        for c, m in zip(cols, table._lattice))
+        windows = counting._window_cells(model.steps, table._lattice, start, n_max)
+        assert len(held) > 5 and max(held) <= stride * box <= 2 * max(windows)
+
+
 class TestLayerBuffers:
     """Builds write the layers they do not keep into two reused buffers."""
 

@@ -1,6 +1,7 @@
 """The extended-range float value type: normalization, range and quotients."""
 
 import math
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
@@ -57,3 +58,51 @@ def test_equality_hash_and_repr():
     assert XFloat(0.0) == XFloat(0.0, 7) and hash(XFloat(0.0)) == hash(XFloat(0.0, 7))
     assert repr(XFloat(0.0)) == "XFloat(0)"
     assert repr(XFloat(6.0, 10)) == "XFloat(1.5*2**12)"
+
+
+@pytest.mark.parametrize("x,other,equal", [
+    (XFloat(1.0, 2000), math.inf, False),
+    (XFloat(1.0, 2000), 2 ** 2000, True),
+    (XFloat(1.0, 2000), 2 ** 2000 + 1, False),
+    (XFloat(1.5, 2000), 3 * 2 ** 1999, True),
+    (XFloat(1.0, -2000), 0, False),
+    (XFloat(1.0, -2000), 0.0, False),
+    (XFloat(1.0, -2000), F(1, 2 ** 2000), True),
+    (XFloat(1.5, -2000), F(3, 2 ** 2001), True),
+    (XFloat(1.5, -2000), F(1, 3 * 2 ** 2000), False),
+    (XFloat(0.0), 0, True),
+    (XFloat(0.0), -0.0, True),
+    (XFloat(0.0), F(1, 2 ** 2000), False),
+    (XFloat(3.0, 1), 6, True),
+    (XFloat(1.0, -1074), 5e-324, True),
+    (XFloat(1.0), math.nan, False),
+    (XFloat(1.0), -1, False),
+    (XFloat(1.0), "1", False),
+], ids=["inf", "2**2000", "2**2000+1", "3*2**1999", "tiny-vs-0", "tiny-vs-0.0", "2**-2000",
+        "3*2**-2001", "third", "zero", "minus-zero", "zero-vs-tiny", "int", "subnormal", "nan",
+        "negative", "str"])
+def test_exact_equality_beyond_the_float_range(x, other, equal):
+    assert (x == other) is equal and (x != other) is not equal and (other == x) is equal
+    if equal:
+        assert hash(x) == hash(other)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 60), st.integers(min_value=-3000, max_value=3000))
+@settings(max_examples=200)
+def test_hash_is_the_numeric_hash(mantissa, exp):
+    # every XFloat is the rational mantissa * 2**exp, and hashes as that Fraction does
+    x = XFloat(float(mantissa), exp)
+    value = F(x.man) * F(2) ** x.exp if mantissa else F(0)
+    assert x == value and hash(x) == hash(value)
+    assert len({x, value}) == 1 and {x: "a"}.get(value) == "a"
+    if -1074 <= x.exp <= 1023:
+        assert x == float(value) and hash(x) == hash(float(value))
+
+
+@pytest.mark.parametrize("divisor", [10 ** 400, F(1, 10 ** 400), F(10 ** 400, 7), 3, F(2, 3)],
+                         ids=["int", "small-fraction", "large-fraction", "small-int", "fraction"])
+def test_division_beyond_the_float_range(divisor):
+    got = XFloat(1.5, 2000) / divisor
+    want = F(3 * 2 ** 1999) / F(divisor)
+    # the divisor and the quotient of the mantissas are each rounded once
+    assert abs(F(got.man) * F(2) ** got.exp / want - 1) <= F(1, 2 ** 51)

@@ -1,0 +1,100 @@
+"""Time the fixed cost of a counting layer and of a scaled draw, for one or two checkouts.
+
+Usage:
+
+    python tools/layer_cost.py CHECKOUT [CHECKOUT] [--rounds R]
+
+Each checkout's package is imported from CHECKOUT/src under a name of its own,
+so two checkouts run in this one process, in alternating rounds: round r times
+the first checkout first when r is even and the second first when r is odd.
+Every figure is a median over the rounds:
+
+* `layer_us`: microseconds per layer of GB(1,1) tables from the origin to
+  n = 40, scaled and exact (the build's time over 40 layers, median of 20
+  builds per round).  Layers this small cost their bookkeeping, not their
+  cells.
+* `build_ms`: the scaled GB(1,1) build to n = 600 with keep_layers, tracking
+  the origin, as the `scaled-sample` benchmark workload builds it.
+* `draw_ms`: one scaled draw at n = 600 from that table, median of 5 draws
+  per round, each with a seed not drawn before.
+
+With two checkouts the last column is the second's median over the first's.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib.util
+import itertools
+import statistics
+import sys
+import time
+from pathlib import Path
+
+TINY_N, TINY_BUILDS = 40, 20
+DRAW_N, DRAWS = 600, 5
+
+
+def load(checkout: Path, name: str):
+    """The package under CHECKOUT/src/orthantwalks, imported as `name`."""
+    package = checkout.resolve() / "src" / "orthantwalks"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def clock(call) -> float:
+    gc.collect()
+    begin = time.perf_counter()
+    call()
+    return time.perf_counter() - begin
+
+
+def measure(ow, seeds) -> dict[str, float]:
+    gb = ow.builtin_model("gb", 1, 1)
+    out = {}
+    for mode in ("scaled", "exact"):
+        times = [clock(lambda: ow.count_walks(gb, (0, 0), TINY_N, mode))
+                 for _ in range(TINY_BUILDS)]
+        out[f"layer_us {mode}"] = statistics.median(times) / TINY_N * 1e6
+    table = []
+    out["build_ms"] = 1e3 * clock(lambda: table.append(ow.count_walks(
+        gb, (0, 0), DRAW_N, "scaled", track=[(0, 0)], keep_layers=True)))
+    ow.sample_walk(table[0], DRAW_N, next(seeds))  # the first draw keeps the first pick
+    out["draw_ms"] = 1e3 * statistics.median(
+        clock(lambda: ow.sample_walk(table[0], DRAW_N, next(seeds))) for _ in range(DRAWS))
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkouts", nargs="+", type=Path)
+    parser.add_argument("--rounds", type=int, default=15)
+    args = parser.parse_args()
+    if len(args.checkouts) > 2:
+        parser.error("give one or two checkouts")
+    packages = [load(c, f"orthantwalks_{i}") for i, c in enumerate(args.checkouts)]
+    seeds = itertools.count(1)
+    runs: list[list[dict]] = [[] for _ in packages]
+    for r in range(args.rounds):
+        order = range(len(packages)) if r % 2 == 0 else reversed(range(len(packages)))
+        for i in order:
+            runs[i].append(measure(packages[i], seeds))
+    names = list(runs[0][0])
+    medians = [{k: statistics.median(run[k] for run in side) for k in names} for side in runs]
+    print(f"{'metric':<18}" + "".join(f"{str(c):>24}" for c in args.checkouts)
+          + ("     ratio" if len(packages) == 2 else ""))
+    for k in names:
+        row = f"{k:<18}" + "".join(f"{m[k]:>24.3f}" for m in medians)
+        if len(packages) == 2:
+            row += f"{medians[1][k] / medians[0][k]:>10.3f}"
+        print(row)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
