@@ -15,10 +15,12 @@ are computed as over the whole box.  The array is a view into a C-ordered
 buffer whose rows on axes 1.. run on past the window in zero ghost cells, as
 many as a step can read outside it ((max(0, s_k) - min(0, s_k)) / m_k), so the
 cells of consecutive rows never touch.  Layers n-1 and n share one row length,
-so step s is one flat offset and one contiguous multiply-add over the cells it
-reaches, first to last; a read that leaves the old window lands on a ghost
-zero, which acts as the orthant boundary.  A window that outgrows its rows is
-first copied into longer ones.  Only the array's dtype depends on the mode:
+so step s is one flat offset and one contiguous multiply-add over every cell
+whose read lies in the old layer's rows; a read that leaves the old window
+lands on a ghost zero, which acts as the orthant boundary.  A window that
+outgrows its rows is first copied into longer ones.  The stream carries the
+row layout, and with it each step's flat offset, from layer to layer.  Only
+the array's dtype depends on the mode:
 
 * exact mode: object arrays of Python ints.  Rational weights are cleared to
   integers by the common denominator L, so layer n stores L**n times the true
@@ -39,11 +41,15 @@ hold.  Exact tables, and scaled tables built for sampling (keep_layers), keep
 a checkpoint every isqrt(n_max) layers, so an exact table holds about
 n**3.5 bits where every layer would take n**4 (Griewank & Walther,
 "Algorithm 799: revolve", ACM TOMS 2000); scaled tables keep none otherwise.
-A layer between checkpoints is replayed from the one below it, whole or over
-the backward cone of the cell asked for, the cells that can still reach it
-(Frigo & Strumpen, "Cache oblivious stencil computations", ICS 2005).  An
-exact table keeps the stretches a draw replays, so its guard counts every
-layer.
+A layer between checkpoints is replayed from the one below it: whole, or
+for a scaled draw and an untracked endpoint, the stretch from the checkpoint
+up over one box, the backward cone of the cell asked for at the checkpoint
+(the cells that can still reach it; Frigo & Strumpen, "Cache oblivious
+stencil computations", ICS 2005).  Each layer of the stretch lies over that
+box moved by steps[0], so one plan of flat step ranges replays them all, and
+the stretch stacks at most isqrt(n_max) boxes, within the two working layers
+the guard counts.  An exact table keeps the stretches a draw replays, so its
+guard counts every layer.
 """
 
 from __future__ import annotations
@@ -142,13 +148,14 @@ class WalkTable:
         # layers n with n % stride == 0 (and the last) are kept; stride 0 keeps none
         keeps = mode == "exact" or keep_layers
         self._stride = max(1, math.isqrt(n_max)) if keeps else 0
+        checkpoints = {*range(0, n_max, self._stride), n_max} if keeps else set()
         cells = _window_cells(model.steps, self._lattice, self.start, n_max)
         if mode == "exact":
             # draws fill in the layers between checkpoints, up to every layer
             held = sum(cells)
         else:
             # the checkpoints and two working layers, of the build or of a replay
-            held = sum(c for n, c in enumerate(cells) if self._keeps(n)) + 2 * max(cells)
+            held = sum(cells[n] for n in checkpoints) + 2 * max(cells)
         if held > guard:
             raise ResourceGuardError(
                 f"{mode} table of {held} cells exceeds guard of {guard}")
@@ -158,19 +165,15 @@ class WalkTable:
         self._windows, self._totals, self._kept = [], [], {}
         self._first = None  # sample_walk's last first pick: n, cells, cumsum, shape, corner
         self._readers: dict[int, tuple] = {}  # sample_walk's view of each kept layer
-        tracked = list(self._tracked.items())
         for n, arr, exp, window, total in _layers(model, self.start, n_max, mode, guard,
-                                                  self._keeps):
+                                                  checkpoints.__contains__):
             self._windows.append(window)
             self._totals.append((total, exp))
-            for p, series in tracked:
+            for p, series in self._tracked.items():
                 index = _index(window, p, self._lattice)
                 series.append((0 if index is None else arr[index], exp))
-            if self._keeps(n):
+            if n in checkpoints:
                 self._kept[n] = (arr, exp, window)
-
-    def _keeps(self, n: int) -> bool:
-        return bool(self._stride) and (n % self._stride == 0 or n == self.n_max)
 
     def _base(self, n: int) -> int:
         """The highest kept layer j <= n."""
@@ -592,14 +595,14 @@ def _advance_layer(arr: np.ndarray, cells: np.ndarray, at: int, layout: tuple, s
     layer `arr` starts at index `at` of `cells`, the flat rows written for it,
     laid out by `layout`.  The new layer takes the same rows (arr is first
     copied to longer ones when dst outgrows them), so step s reads one flat
-    offset below on every cell, and its flat range holds every cell whose
-    read lies in `cells`.  A cell of dst reads p - s, a ghost or a zero face
-    _trim dropped: the ghosts of a row outnumber the cells a read can lie
-    outside the old window, on every axis but the first, and rows past the
-    first or last lie outside `cells` or were dropped as zero.  So every
-    cell of dst adds the exact zeros a window-clipped range would skip.  The
-    ghosts the steps wrote are zeroed after.  The result, and such a copy,
-    start a buffer of `out` that does not hold the layer read, or a new one.
+    offset away on every cell, over every cell whose read lies in `cells`.
+    A cell of dst reads p - s, a ghost, or a zero face `_trim` dropped: on
+    every axis but the first, a read lies at most as many cells outside the
+    old window as a row has ghosts, and on the first it leaves `cells` or
+    lands on a dropped row.  So a cell of dst adds only exact zeros beyond
+    the terms of a window-clipped range.  The ghosts the steps wrote are
+    zeroed after.  The result, and such a copy, start a buffer of `out` that
+    does not hold the layer read, or a new one.
     Returns the result, all of its rows as a flat array, and their layout.
     """
     rows, strides, offsets = layout

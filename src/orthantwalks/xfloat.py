@@ -93,7 +93,7 @@ class XFloat:
         if self.man == 0.0 or other <= 0:
             return self.man == 0.0 and other == 0
         n, d = other.numerator, other.denominator
-        # n / d lies in [2**(b - 1), 2**(b + 1)) for b = bits(n) - bits(d), self in [2**exp, 2**(exp + 1))
+        # n / d lies in (2**(b - 1), 2**(b + 1)) for b = bits(n) - bits(d), self in [2**exp, 2**(exp + 1))
         if not 0 <= n.bit_length() - d.bit_length() - self.exp <= 1:
             return False
         m, k = self.man.as_integer_ratio()  # man = m / k
@@ -103,10 +103,11 @@ class XFloat:
 
     def __hash__(self) -> int:
         """Python's numeric hash of the value: equal numbers of every type hash alike.
-        The modulus is 2**61 - 1, so 2**e reduces to 2**(e mod 61)."""
+        The modulus is a Mersenne prime 2**b - 1, so 2**e reduces to 2**(e mod b)."""
         m, k = self.man.as_integer_ratio()  # k is a power of two
         modulus = sys.hash_info.modulus
-        return m % modulus * pow(2, (self.exp - k.bit_length() + 1) % 61, modulus) % modulus
+        e = (self.exp - k.bit_length() + 1) % modulus.bit_length()
+        return m % modulus * pow(2, e, modulus) % modulus
 
     def __repr__(self) -> str:
         if self.man == 0.0:
