@@ -609,10 +609,10 @@ def _advance_layer(arr: np.ndarray, cells: np.ndarray, at: int, layout: tuple, s
     pitch = _pitch(rows, arr.shape, shape, _extents(steps, lattice)[2])
     if pitch != rows:
         layout = rows, strides, offsets = _layout(steps, lattice, pitch)
-        pad = _pad(arr.shape[0] * strides[0], arr.dtype, out, arr.base)
-        rows = pad.reshape(-1, *pitch)
-        rows[tuple(map(slice, arr.shape))] = arr
-        arr, cells, at = _zero_ghosts(rows, arr.shape), pad, 0
+        cells = _pad(arr.shape[0] * strides[0], arr.dtype, out, arr.base)
+        padded = cells.reshape(-1, *pitch)
+        padded[tuple(map(slice, arr.shape))] = arr
+        arr, at = _zero_ghosts(padded, arr.shape), 0
     flat = _pad(shape[0] * strides[0], arr.dtype, out, arr.base)
     shift = at + sum([(e - l - t) // q * p for e, l, t, q, p in zip(
         dst[0], src[0], steps[0], lattice, strides)])
