@@ -207,23 +207,17 @@ class WalkTable:
         return blocks
 
     def _stretch(self, point: Vector, m: int, top: int) -> tuple[np.ndarray, int, int, list, int]:
-        """Layers j..top replayed over one box, for the highest kept layer j <= top <= m.
+        """Layers j..top, for the highest kept j <= top <= m, over one box stacked `size` apart.
 
-        The box is the backward cone of `point` at layer m, taken at layer j
-        and not clipped to the window: the cells of layer j's coset from which
-        `point` can be reached in m - j steps.  Layer j + t lies over the box
-        moved by t * steps[0], on that layer's coset, so step s reads one flat
-        offset D_s below on every layer and one plan of flat ranges replays
-        them all.  The layers are stacked in one flat array, `size` cells
-        apart.  A cone cell's predecessors lie in the cone one layer down,
-        inside the box, so it sums the build's nonzero terms in the build's
-        step order (other reads add exact zeros), takes the build's exponent
-        and equals the build's bit for bit; cells outside the cone may hold
-        junk and are never read.  Cells with a negative coordinate are zeroed
-        after each layer: that is the orthant boundary.
-
-        Returns the stack, the index `point` has at layer m (a layer past the
-        stack when top < m), `size`, each step's D_s, and j.
+        The box is layer j's part of the backward cone of `point` at layer m,
+        not clipped to the window; layer j + t lies over it moved by
+        t * steps[0], so one plan of flat step ranges replays every layer.  A
+        cone cell's predecessors lie in the cone one layer down, so it adds the
+        build's terms in the build's order (other reads add exact zeros) and
+        equals the build's bit for bit; other cells may hold junk and are never
+        read.  Cells with a negative coordinate are zeroed: the orthant boundary.
+        Returns the stack, `point`'s index at layer m (past the stack when
+        top < m), `size`, each step's flat offset D_s, and j.
         """
         j = self._base(top)
         steps, lattice = self.model.steps, self._lattice
@@ -408,8 +402,7 @@ def _reach(steps, lattice: Vector, window: Window) -> Window:
 
 def _window_cells(steps, lattice: Vector, start: Vector, n_max: int) -> list[int]:
     """The cells of each window of layers 0..n_max in a build that drops no zero faces:
-    `_reach` iterated from `start`, one axis at a time.  A window that empties out stays
-    empty, which no closed form in n gives."""
+    `_reach` iterated from `start` one axis at a time (the clip at 0 allows no closed form)."""
     neg, pos, _ = _extents(steps, lattice)
     cells = [1] * (n_max + 1)
     for l, q, p, t, m in zip(start, neg, pos, steps[0], lattice):
@@ -591,19 +584,16 @@ def _advance_layer(arr: np.ndarray, cells: np.ndarray, at: int, layout: tuple, s
     """One transfer step of the orthant-restricted recurrence on row-padded layers.
 
     Cell p of the new layer (window dst, array shape `shape`) collects w_s
-    times cell p - s of the old one for every step s, in step order.  The old
-    layer `arr` starts at index `at` of `cells`, the flat rows written for it,
-    laid out by `layout`.  The new layer takes the same rows (arr is first
-    copied to longer ones when dst outgrows them), so step s reads one flat
-    offset away on every cell, over every cell whose read lies in `cells`.
-    A cell of dst reads p - s, a ghost, or a zero face `_trim` dropped: on
-    every axis but the first, a read lies at most as many cells outside the
-    old window as a row has ghosts, and on the first it leaves `cells` or
-    lands on a dropped row.  So a cell of dst adds only exact zeros beyond
-    the terms of a window-clipped range.  The ghosts the steps wrote are
-    zeroed after.  The result, and such a copy, start a buffer of `out` that
-    does not hold the layer read, or a new one.
-    Returns the result, all of its rows as a flat array, and their layout.
+    times cell p - s of the old one, `arr` at index `at` of `cells` (its
+    written rows, laid out by `layout`), for every step s in step order.
+    Both take the same rows (arr is first copied to longer ones when dst
+    outgrows them), so step s is one flat offset over every cell whose read
+    lies in `cells`.  Off the old window a read lands on a ghost (a row has
+    as many as a step can read outside it) or on a zero face `_trim`
+    dropped, so it adds an exact zero.  The ghosts the steps wrote are zeroed
+    after.  The result, and such a copy, start a buffer of `out` that does
+    not hold the layer read, or a new one.  Returns the result, all of its
+    rows as a flat array, and their layout.
     """
     rows, strides, offsets = layout
     pitch = _pitch(rows, arr.shape, shape, _extents(steps, lattice)[2])

@@ -60,20 +60,14 @@ class XFloat:
             return 0.0
         return math.ldexp(self.man, self.exp)
 
-    @classmethod
-    def _of(cls, value) -> "XFloat":
-        """`value` as an XFloat, exactly rounded also for ints and Fractions past the float range."""
-        if isinstance(value, XFloat):
-            return value
-        if not isinstance(value, numbers.Rational) or value == 0:
-            return cls(float(value))
-        n, d = value.numerator, value.denominator
-        shift = n.bit_length() - d.bit_length()
-        # n / d over 2**shift lies in [1/2, 2]: float() rounds it once
-        return cls(float(Fraction(n, d << shift) if shift >= 0 else Fraction(n << -shift, d)), shift)
-
     def __truediv__(self, other) -> "XFloat":
-        other = XFloat._of(other)
+        if isinstance(other, numbers.Rational) and other:
+            # ints and Fractions past the float range too: n / d over 2**b lies in (1/2, 2)
+            n, d = other.numerator, other.denominator
+            b = n.bit_length() - d.bit_length()
+            other = XFloat(float(Fraction(n, d << b) if b >= 0 else Fraction(n << -b, d)), b)
+        elif not isinstance(other, XFloat):
+            other = XFloat(float(other))
         if other.man == 0.0:
             raise ZeroDivisionError("XFloat division by zero")
         if self.man == 0.0:
