@@ -63,7 +63,7 @@ class XFloat:
     def __truediv__(self, other) -> "XFloat":
         if isinstance(other, numbers.Rational) and other:
             # ints and Fractions past the float range too: n / d over 2**b lies in (1/2, 2)
-            n, d = other.numerator, other.denominator
+            n, d = int(other.numerator), int(other.denominator)
             b = n.bit_length() - d.bit_length()
             other = XFloat(float(Fraction(n, d << b) if b >= 0 else Fraction(n << -b, d)), b)
         elif not isinstance(other, XFloat):
@@ -86,7 +86,7 @@ class XFloat:
             return NotImplemented
         if self.man == 0.0 or other <= 0:
             return self.man == 0.0 and other == 0
-        n, d = other.numerator, other.denominator
+        n, d = int(other.numerator), int(other.denominator)
         # n / d lies in (2**(b - 1), 2**(b + 1)) for b = bits(n) - bits(d), self in [2**exp, 2**(exp + 1))
         if not 0 <= n.bit_length() - d.bit_length() - self.exp <= 1:
             return False

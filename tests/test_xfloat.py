@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,9 +79,11 @@ def test_equality_hash_and_repr():
     (XFloat(1.0), math.nan, False),
     (XFloat(1.0), -1, False),
     (XFloat(1.0), "1", False),
+    (XFloat(3.0, 1), np.int64(6), True),
+    (XFloat(3.0, 1), np.float32(6.0), True),
 ], ids=["inf", "2**2000", "2**2000+1", "3*2**1999", "tiny-vs-0", "tiny-vs-0.0", "2**-2000",
         "3*2**-2001", "third", "zero", "minus-zero", "zero-vs-tiny", "int", "subnormal", "nan",
-        "negative", "str"])
+        "negative", "str", "numpy-int", "numpy-float32"])
 def test_exact_equality_beyond_the_float_range(x, other, equal):
     assert (x == other) is equal and (x != other) is not equal and (other == x) is equal
     if equal:
@@ -99,8 +102,10 @@ def test_hash_is_the_numeric_hash(mantissa, exp):
         assert x == float(value) and hash(x) == hash(float(value))
 
 
-@pytest.mark.parametrize("divisor", [10 ** 400, F(1, 10 ** 400), F(10 ** 400, 7), 3, F(2, 3)],
-                         ids=["int", "small-fraction", "large-fraction", "small-int", "fraction"])
+@pytest.mark.parametrize("divisor", [10 ** 400, F(1, 10 ** 400), F(10 ** 400, 7), 3, F(2, 3),
+                                     np.int64(3)],
+                         ids=["int", "small-fraction", "large-fraction", "small-int", "fraction",
+                              "numpy-int"])
 def test_division_beyond_the_float_range(divisor):
     got = XFloat(1.5, 2000) / divisor
     want = F(3 * 2 ** 1999) / F(divisor)
