@@ -38,18 +38,20 @@ sized once to the largest padded layer, so the build allocates no layer it
 drops.  A stream holds two layers at a time and raises when they exceed its
 guard; a table checks its guard before the build, over every layer it may
 hold.  Exact tables, and scaled tables built for sampling (keep_layers), keep
-a checkpoint every isqrt(n_max) layers, so an exact table holds about
+a checkpoint every isqrt(n_max) layers, so a built exact table holds about
 n**3.5 bits where every layer would take n**4 (Griewank & Walther,
 "Algorithm 799: revolve", ACM TOMS 2000); scaled tables keep none otherwise.
-A layer between checkpoints is replayed from the one below it: whole, or
-for a scaled draw and an untracked endpoint, the stretch from the checkpoint
+A layer the table does not keep is replayed from the highest kept layer below
+it: whole by `_replay`, for `layer`, a draw's first pick and an exact draw; or,
+for a scaled draw and an untracked endpoint, by `_stretch` from the checkpoint
 up over one box, the backward cone of the cell asked for at the checkpoint
 (the cells that can still reach it; Frigo & Strumpen, "Cache oblivious
 stencil computations", ICS 2005).  Each layer of the stretch lies over that
 box moved by steps[0], so one plan of flat step ranges replays them all, and
 the stretch stacks at most isqrt(n_max) boxes, within the two working layers
-the guard counts.  An exact table keeps the stretches a draw replays, so its
-guard counts every layer.
+the guard counts.  The keep policy: an exact table keeps every layer it
+replays whole, as its guard counts every layer; a scaled table keeps only its
+checkpoints; cell reads keep nothing.
 """
 
 from __future__ import annotations
@@ -151,7 +153,7 @@ class WalkTable:
         checkpoints = {*range(0, n_max, self._stride), n_max} if keeps else set()
         cells = _window_cells(model.steps, self._lattice, self.start, n_max)
         if mode == "exact":
-            # draws fill in the layers between checkpoints, up to every layer
+            # whole-layer replays keep the layers between checkpoints, up to every layer
             held = sum(cells)
         else:
             # the checkpoints and two working layers, of the build or of a replay
@@ -183,28 +185,26 @@ class WalkTable:
             n -= 1
         return n
 
-    def _replay(self, n: int, segment: bool = False) -> dict[int, Block]:
-        """Layer n, replayed whole from the highest kept layer j <= n; with `segment`, j..n."""
+    def _replay(self, n: int) -> Block:
+        """Layer n whole, the only way to one: kept, or replayed from the highest kept layer
+        below it.  An exact table keeps every layer it replays, as its guard counts every
+        layer; a scaled table keeps only its checkpoints."""
         base = self._base(n)
-        blocks = {base: self._kept[base]}
-        if base == n:
-            return blocks
+        arr, exp, src = self._kept[base]
         steps, lattice = self.model.steps, self._lattice
-        arr, exp, src = blocks[base]
         cells, at, layout = arr.base, _offset(arr), _layout(steps, lattice, _rows(arr))
         with np.errstate(over="ignore", invalid="ignore"):  # only ghosts, zeroed after
             for j in range(base + 1, n + 1):
                 dst = self._windows[j]
                 arr, cells, layout = _advance_layer(arr, cells, at, layout, steps, self._weights,
                                                     src, dst, _shape(dst, lattice), lattice)
-                at = 0
+                at, src = 0, dst
                 if self._totals[j][1] != exp:
                     arr *= 2.0 ** (exp - self._totals[j][1])
                     exp = self._totals[j][1]
-                if segment or j == n:
-                    blocks[j] = (arr, exp, dst)
-                src = dst
-        return blocks
+                if self.mode == "exact":
+                    self._kept[j] = (arr, exp, dst)
+        return arr, exp, src
 
     def _stretch(self, point: Vector, m: int, top: int) -> tuple[np.ndarray, int, int, list, int]:
         """Layers j..top, for the highest kept j <= top <= m, over one box stacked `size` apart.
@@ -250,24 +250,18 @@ class WalkTable:
         return stack, k * size + sum(map(operator.mul, apex, strides)), size, offsets, j
 
     def _reader(self, n: int, point: Vector) -> tuple[np.ndarray, int, list[int]]:
-        """Kept layer n's buffer, the index there of point - steps[0], and each step's
-        flat offset from steps[0]: point - s lies within the ghosts of layer n on every
-        axis but the first, and the buffer holds layer n alone, so any index inside it
-        reads point - s or 0."""
+        """Layer n's buffer, the index there of point - steps[0], and each step's flat
+        offset from steps[0]: point - s lies within the ghosts of layer n on every axis
+        but the first, and the buffer holds layer n alone, so any index inside it reads
+        point - s or 0.  Layer n comes from `_replay`, so an exact table keeps it."""
         steps = self.model.steps
         if n not in self._readers:
-            arr, _, (lo, _) = self._kept[n]
+            arr, _, (lo, _) = self._replay(n)
             self._readers[n] = (arr.base, _offset(arr), lo,
                                 *_layout(steps, self._lattice, _rows(arr))[1:])
         cells, at, lo, strides, offsets = self._readers[n]
         return cells, at + sum([(c - t - l) // q * p for c, t, l, q, p in zip(
             point, steps[0], lo, self._lattice, strides)]), offsets
-
-    def _kept_block(self, n: int) -> Optional[Block]:
-        """Layer n if the table keeps it; an exact table first keeps the stretch up to n."""
-        if n not in self._kept and self.mode == "exact":
-            self._kept.update(self._replay(n, segment=True))
-        return self._kept.get(n)
 
     def _value(self, raw, exp: int, n: int) -> Count:
         if self.mode == "scaled":
@@ -300,8 +294,6 @@ class WalkTable:
         index = _index(self._windows[n], end, self._lattice)
         if index is None:
             return self._value(0, exp, n)
-        if n in self._kept:
-            return self._value(self._kept[n][0][index], exp, n)
         stack, at = self._stretch(end, n, n)[:2]
         return self._value(stack[at], exp, n)
 
@@ -309,7 +301,7 @@ class WalkTable:
         """Endpoint -> count map of the nonzero entries of layer n; scaled entries are
         XFloats, and a scaled table has whole layers only if built with keep_layers."""
         self._check_n(n)
-        arr, exp, (lo, _) = self._replay(n)[n]
+        arr, exp, (lo, _) = self._replay(n)
         nonzero = np.nonzero(arr)
         points = zip(*((m * i + l).tolist() for i, l, m in zip(nonzero, lo, self._lattice)))
         return {p: self._value(c, exp, n) for p, c in zip(points, arr[nonzero].tolist())}
@@ -651,22 +643,22 @@ def sample_walk(table: WalkTable, n: int, seed: int) -> Walk:
     """Draw a length-n walk with probability proportional to its weight product.
 
     Backward sampling on the counting table: pick the endpoint from layer n,
-    then repeatedly pick the previous point.  Kept layers are read whole.  An
-    exact table replays each stretch between checkpoints whole the first time
-    a draw needs it and keeps it, so later draws read every layer whole.  In
-    a scaled table a layer n that is not kept is replayed whole for the first
-    pick (the table keeps that pick's cumulative weights for the last n
-    drawn), and each stretch between checkpoints is replayed once per draw
-    over one box, the backward cone of the walk's point above it, with its
-    layers stacked in one array: a step then moves the walk's index by one
-    constant per step.  Exact tables draw with `randrange` over integer
-    cumulative weights, so every choice is exact; scaled tables draw from
-    float64 cumulative weights with relative bias below n * 2**-50.
+    read whole through `_replay` (the table keeps that pick's cumulative
+    weights for the last n drawn), then repeatedly pick the previous point.
+    An exact draw reads every layer below n whole through `_replay`, which
+    keeps what it replays, so later draws replay nothing.  A scaled draw keeps
+    nothing: it reads every layer below n through `_stretch`, once per stretch
+    between checkpoints (from a checkpoint, a stretch of depth one), over one
+    box, the backward cone of the walk's point above it, with its layers
+    stacked in one array: a step then moves the walk's index by one constant
+    per step.  Exact tables draw with `randrange` over integer cumulative
+    weights, so every choice is exact; scaled tables draw from float64
+    cumulative weights with relative bias below n * 2**-50.
     """
     table._check_n(n)
     rng = random.Random(seed)
     if table._first is None or table._first[0] != n:
-        arr, _, (lo, _) = table._kept_block(n) or table._replay(n)[n]
+        arr, _, (lo, _) = table._replay(n)
         cells = np.flatnonzero(arr)
         table._first = (n, cells, np.cumsum(arr.ravel()[cells]), arr.shape, lo)
     _, cells, cumulative, shape, lo = table._first
@@ -679,7 +671,7 @@ def sample_walk(table: WalkTable, n: int, seed: int) -> Walk:
     low = n
     for m in range(n, 0, -1):
         if m - 1 < low:
-            if table._kept_block(m - 1) is None:
+            if table.mode == "scaled":
                 cells, at, size, offsets, low = table._stretch(point, m, m - 1)
                 at -= size
             else:

@@ -29,6 +29,8 @@ class XFloat:
     def __init__(self, man: float, exp: int = 0):
         if man < 0.0:
             raise ValueError("XFloat is restricted to nonnegative values")
+        if not math.isfinite(man):
+            raise ValueError("XFloat mantissa must be finite")
         if man == 0.0:
             self.man = 0.0
             self.exp = 0

@@ -539,13 +539,59 @@ class TestLayerBuffers:
             assert table.layer(n) == want, n
             for p in itertools.product(range(n + 2), repeat=2):
                 assert table.endpoint(p, n) == want.get(p, 0), (p, n)
-        assert sorted(table._kept) == [0, 4, 8, 12, 16]
-        # the draw replays and keeps the stretches 9-10, 5-7 and 1-3, not 13-15
+        assert sorted(table._kept) == list(range(9)) + [12, 16]
+        # the draw replays and keeps the stretch 9-10, not 13-15
         sample_walk(table, 10, seed=0)
         assert sorted(table._kept) == list(range(11)) + [12, 16]
         blocks = [arr for arr, _, _ in table._kept.values()]
         for x, y in itertools.combinations(blocks + spares, 2):
             assert not np.shares_memory(x, y)
+
+    def test_exact_layers_are_kept_once_replayed(self, monkeypatch):
+        # every whole layer an exact table replays is kept, so each is replayed once;
+        # cell reads replay a cone and keep nothing
+        model, checkpoints = builtin_model("gb", 1, 1), list(range(0, 150, 12)) + [150]
+        cells = count_walks(model, (0, 0), 150)
+        for n in range(151):
+            cells.endpoint((0, 0), n)
+        assert sorted(cells._kept) == checkpoints
+        table, advance, replayed = count_walks(model, (0, 0), 150), counting._advance_layer, []
+
+        def spy(*args, **kwargs):
+            replayed.append(1)
+            return advance(*args, **kwargs)
+
+        monkeypatch.setattr(counting, "_advance_layer", spy)
+        layers = [table.layer(n) for n in range(151)]
+        assert len(replayed) == 151 - len(checkpoints) == 137
+        assert sorted(table._kept) == list(range(151))
+        blocks = [arr for arr, _, _ in table._kept.values()]
+        for x, y in itertools.combinations(blocks, 2):
+            assert not np.shares_memory(x, y)
+        assert [table.layer(n) for n in range(151)] == layers and len(replayed) == 137
+
+    # the first five draws at n=270, by their endpoints
+    RENORMALIZED_ENDS = [(22, 4), (6, 5), (28, 7), (8, 7), (8, 7)]
+
+    def test_whole_layer_replay_across_a_renormalization(self):
+        # layer 261 renormalizes just above the checkpoint at 260, so the replay of
+        # layers 261..279 rescales from the checkpoint's exponent to the build's
+        model = builtin_model("gb", 1, 1)
+        table = count_walks(model, (0, 0), 400, "scaled", keep_layers=True)
+        assert table._stride == 20 and table._totals[260][1] != table._totals[261][1]
+        layers = {n: table.layer(n) for n in range(261, 280)}
+        assert sorted(table._kept) == list(range(0, 400, 20)) + [400]
+        points = sorted(set().union(*layers.values()))[::7]
+        streamed = count_walks(model, (0, 0), 279, "scaled", track=points)
+        for n, layer in layers.items():
+            for p in points:
+                x, y = streamed.endpoint(p, n), layer.get(p, XFloat(0.0))
+                assert (x.man, x.exp) == (y.man, y.exp), (p, n)
+        # the first pick draws from the replayed layer's raw cells, in the layer's order
+        assert [sample_walk(table, 270, seed).end for seed in range(5)] == self.RENORMALIZED_ENDS
+        exp = table._totals[270][1]
+        raw = [math.ldexp(x.man, x.exp - exp) for x in layers[270].values()]
+        assert table._first[0] == 270 and np.array_equal(table._first[2], np.cumsum(raw))
 
     @pytest.mark.parametrize("name", ["gb", "tandem", "gessel", "simple"])
     def test_streamed_equals_kept(self, name):

@@ -46,11 +46,22 @@ def test_div_and_ratio(p, q):
     (lambda: XFloat(-1.0), ValueError, "XFloat is restricted to nonnegative values"),
     (lambda: XFloat(0.0).log2(), ValueError, "log2 of zero"),
     (lambda: XFloat(1.0) / XFloat(0.0), ZeroDivisionError, "XFloat division by zero"),
-], ids=["negative", "log2-zero", "divide-zero"])
+    (lambda: XFloat(math.inf), ValueError, "XFloat mantissa must be finite"),
+    (lambda: XFloat(math.nan), ValueError, "XFloat mantissa must be finite"),
+    (lambda: XFloat(2.0) / math.inf, ValueError, "XFloat mantissa must be finite"),
+    (lambda: XFloat(2.0) / math.nan, ValueError, "XFloat mantissa must be finite"),
+], ids=["negative", "log2-zero", "divide-zero", "inf", "nan", "divide-inf", "divide-nan"])
 def test_rejected_operation(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error and str(info.value) == message
+
+
+def test_division_by_a_float_and_of_zero():
+    x = XFloat(3.0, 1) / 4.0
+    assert (x.man, x.exp) == (1.5, 0)
+    for divisor in (2.5, 3, F(2, 3), XFloat(5.0, 900)):
+        assert (XFloat(0.0) / divisor).is_zero()
 
 
 def test_equality_hash_and_repr():

@@ -1,4 +1,4 @@
-"""Time the fixed cost of a counting layer and of a scaled draw, for one or two checkouts.
+"""Time counting layers, a scaled draw and exact-table reads, for one or two checkouts.
 
 Usage:
 
@@ -17,6 +17,10 @@ Every figure is a median over the rounds:
   the origin, as the `scaled-sample` benchmark workload builds it.
 * `draw_ms`: one scaled draw at n = 600 from that table, median of 5 draws
   per round, each with a seed not drawn before.
+* `exact_layers_ms`: every `layer(n)` of a new exact GB(1,1) table from the
+  origin to n = 150, the table the `exact-algebra` workload builds.
+* `exact_draw_ms`: 100 draws at n = 120 from another new table like it, as
+  the `exact-algebra` workload draws them, each with a seed not drawn before.
 
 With two checkouts the last column is the second's median over the first's.
 """
@@ -34,6 +38,7 @@ from pathlib import Path
 
 TINY_N, TINY_BUILDS = 40, 20
 DRAW_N, DRAWS = 600, 5
+EXACT_N, EXACT_DRAW_N, EXACT_DRAWS = 150, 120, 100
 
 
 def load(checkout: Path, name: str):
@@ -67,6 +72,12 @@ def measure(ow, seeds) -> dict[str, float]:
     ow.sample_walk(table[0], DRAW_N, next(seeds))  # the first draw keeps the first pick
     out["draw_ms"] = 1e3 * statistics.median(
         clock(lambda: ow.sample_walk(table[0], DRAW_N, next(seeds))) for _ in range(DRAWS))
+    exact = ow.count_walks(gb, (0, 0), EXACT_N, "exact")
+    out["exact_layers_ms"] = 1e3 * clock(lambda: [exact.layer(n) for n in range(EXACT_N + 1)])
+    exact = ow.count_walks(gb, (0, 0), EXACT_N, "exact")
+    draws = list(itertools.islice(seeds, EXACT_DRAWS))
+    out["exact_draw_ms"] = 1e3 * clock(
+        lambda: [ow.sample_walk(exact, EXACT_DRAW_N, seed) for seed in draws])
     return out
 
 
