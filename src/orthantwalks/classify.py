@@ -21,7 +21,8 @@ has S_w(x) = beta S_1(alpha x), so when its steps have zero unweighted drift
 its critical point is (1/alpha_1, 1/alpha_2), and c and p1 are those of the
 unweighted model at (1, 1); where p1 = pi / arccos(-c) is rational (Niven's
 theorem), alpha is exact.  `drift_diagram` solves only the cells these rules
-leave open; `classify` solves every model for its float fields.
+leave open; `classify` solves every model for its float fields.  Only the
+solve converts weights to float64, so a decided cell may hold any weight.
 
 Otherwise equality decisions (is the minimizer on a boundary, is a gradient
 zero) use absolute tolerance 1e-8 on the log-scale variables; quantities
@@ -136,7 +137,6 @@ class _Cell(NamedTuple):
     """The exact work on one model, done before anything is solved."""
 
     model: StepSet
-    floats: list[float]
     drift: tuple[Fraction, Fraction]
 
 
@@ -145,10 +145,7 @@ def _prepare(model: StepSet) -> _Cell:
         raise ClassifyError("classification is implemented for d = 2 models")
     if is_singular(model):
         raise ClassifyError("classification requires a non-singular model")
-    try:
-        return _Cell(model, _float_weights(model.weights), drift(model))
-    except OverflowError as exc:
-        raise ClassifyError(str(exc)) from None
+    return _Cell(model, drift(model))
 
 
 _POWERS = np.array([[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]])
@@ -168,8 +165,12 @@ def _solve(cell: _Cell, exact: Optional[tuple]) -> Classification:
     ambiguity band, unless `exact`, the (family, p1, band hits) of `_exact`,
     is given, as it always is for a corner cell.
     """
+    try:
+        floats = np.array(_float_weights(cell.model.weights))
+    except OverflowError as exc:
+        raise ClassifyError(str(exc)) from None
     # moment rows 1, s1, s2, s1^2, s1 s2, s2^2 of the three problems
-    steps, floats = cell.model.steps, np.array(cell.floats)
+    steps = cell.model.steps
     q = _KEPT[:, :, None] * (np.array(steps, dtype=float) ** _POWERS[:, None, :]).prod(axis=2)
     # far from the minimizer a damped step moves about one unit of log scale
     spread = max(abs(math.log(w.numerator) - math.log(w.denominator)) for w in cell.model.weights)

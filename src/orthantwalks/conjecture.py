@@ -61,7 +61,8 @@ def _lengths(model: StepSet, n_cap: int, guard: int) -> Iterator[tuple[int, list
     """
     lattice = _lattice(model.steps)
     origin = (0,) * model.dimension
-    for n, arr, _, window, _ in _layers(model.unweighted(), origin, n_cap - 1, "exact", guard):
+    for n, (arr, _, window, *_), _ in _layers(model.unweighted(), origin, n_cap - 1, "exact",
+                                              guard):
         reach = _reach(model.steps, lattice, window)
         cells = np.zeros(_shape(reach, lattice) + [model.size], dtype=object)
         for i, into, out_of in _step_slices(model.steps, window, reach, lattice):

@@ -1,7 +1,7 @@
 """Counting tables for weighted walks confined to the nonnegative orthant.
 
 Every layer comes out of one stream, `_layers`, the only loop over layers.
-It yields layer n as (n, raw array, exponent, window, raw total) and builds
+It yields layer n as (n, layer, raw total), the layer a `Layer`, and builds
 layer n+1 only when asked.  `WalkTable` records totals, tracked endpoints and
 kept layers from it; the null-space checker and the relation checks read it
 directly, keep no table, and stop pulling once they have their answer.
@@ -41,17 +41,19 @@ hold.  Exact tables, and scaled tables built for sampling (keep_layers), keep
 a checkpoint every isqrt(n_max) layers, so a built exact table holds about
 n**3.5 bits where every layer would take n**4 (Griewank & Walther,
 "Algorithm 799: revolve", ACM TOMS 2000); scaled tables keep none otherwise.
-A layer the table does not keep is replayed from the highest kept layer below
-it: whole by `_replay`, for `layer`, a draw's first pick and an exact draw; or,
-for a scaled draw and an untracked endpoint, by `_stretch` from the checkpoint
-up over one box, the backward cone of the cell asked for at the checkpoint
-(the cells that can still reach it; Frigo & Strumpen, "Cache oblivious
-stencil computations", ICS 2005).  Each layer of the stretch lies over that
-box moved by steps[0], so one plan of flat step ranges replays them all, and
-the stretch stacks at most isqrt(n_max) boxes, within the two working layers
-the guard counts.  The keep policy: an exact table keeps every layer it
-replays whole, as its guard counts every layer; a scaled table keeps only its
-checkpoints; cell reads keep nothing.
+A kept layer keeps the rows it was built in.  Two paths read a table.
+`_replay` gives a whole layer: kept, or replayed from the highest kept layer
+below it.  It serves `layer`, a draw's first pick, and the missing layers of
+an exact draw.  `_stretch` gives cells.  At a kept layer it reads that
+layer's buffer in place.  Elsewhere it replays from the checkpoint up over
+one box: the backward cone, at the checkpoint, of the cell asked for (Frigo &
+Strumpen, "Cache oblivious stencil computations", ICS 2005).  It serves every
+draw's layers below n and every untracked endpoint.  Each layer of the
+stretch lies over that box moved by steps[0], so one plan of flat step ranges
+replays them all.  The stretch stacks at most isqrt(n_max) boxes, within the
+two working layers the guard counts.  An exact table keeps every layer it
+replays whole, as its guard counts every layer.  A scaled table keeps only
+its checkpoints.  Cell reads keep nothing.
 """
 
 from __future__ import annotations
@@ -74,7 +76,9 @@ from .stepset import StepSet, StepSetError, Vector, _float_weights
 
 Count = Union[int, Fraction, XFloat]
 Window = tuple[tuple[int, ...], tuple[int, ...]]
-Block = tuple[np.ndarray, int, Window]  # cells of one layer over a box, with its exponent
+# a layer: its raw cells as an array, their exponent and its window, then the rows they were
+# built in: the written rows as one flat buffer, the index of the first cell there, the layout
+Layer = tuple[np.ndarray, int, Window, np.ndarray, int, tuple]
 
 DEFAULT_GUARD = 50_000_000
 BRUTE_FORCE_GUARD = 10 ** 8
@@ -126,12 +130,14 @@ class WalkTable:
 
     Layer n maps endpoints to the weighted number of n-step walks; layer 0 is
     {start: 1} and each layer is one application of the transfer recurrence.
+    Exact tables always keep checkpoints; keep_layers makes a scaled table keep
+    them too, for whole layers, untracked endpoints and draws.
     """
 
     def __init__(self, model: StepSet, start: Vector, n_max: int, mode: str,
                  guard: int = DEFAULT_GUARD,
                  track: Iterable[Vector] = (),
-                 keep_layers: Optional[bool] = None):
+                 keep_layers: bool = False):
         if any(c < 0 for c in start):
             raise StepSetError(f"start {start} lies outside the orthant")
         if len(start) != model.dimension:
@@ -166,16 +172,16 @@ class WalkTable:
             raise StepSetError("tracked point dimension mismatch")
         self._windows, self._totals, self._kept = [], [], {}
         self._first = None  # sample_walk's last first pick: n, cells, cumsum, shape, corner
-        self._readers: dict[int, tuple] = {}  # sample_walk's view of each kept layer
-        for n, arr, exp, window, total in _layers(model, self.start, n_max, mode, guard,
-                                                  checkpoints.__contains__):
+        for n, layer, total in _layers(model, self.start, n_max, mode, guard,
+                                       checkpoints.__contains__):
+            arr, exp, window = layer[:3]
             self._windows.append(window)
             self._totals.append((total, exp))
             for p, series in self._tracked.items():
                 index = _index(window, p, self._lattice)
                 series.append((0 if index is None else arr[index], exp))
             if n in checkpoints:
-                self._kept[n] = (arr, exp, window)
+                self._kept[n] = layer
 
     def _base(self, n: int) -> int:
         """The highest kept layer j <= n."""
@@ -185,14 +191,15 @@ class WalkTable:
             n -= 1
         return n
 
-    def _replay(self, n: int) -> Block:
+    def _replay(self, n: int) -> Layer:
         """Layer n whole, the only way to one: kept, or replayed from the highest kept layer
-        below it.  An exact table keeps every layer it replays, as its guard counts every
-        layer; a scaled table keeps only its checkpoints."""
+        below it, starting in the rows that layer was kept in.  An exact table keeps every
+        layer it replays, as its guard counts every layer; a scaled table keeps only its
+        checkpoints."""
         base = self._base(n)
-        arr, exp, src = self._kept[base]
+        layer = self._kept[base]
+        arr, exp, src, cells, at, layout = layer
         steps, lattice = self.model.steps, self._lattice
-        cells, at, layout = arr.base, _offset(arr), _layout(steps, lattice, _rows(arr))
         with np.errstate(over="ignore", invalid="ignore"):  # only ghosts, zeroed after
             for j in range(base + 1, n + 1):
                 dst = self._windows[j]
@@ -202,33 +209,44 @@ class WalkTable:
                 if self._totals[j][1] != exp:
                     arr *= 2.0 ** (exp - self._totals[j][1])
                     exp = self._totals[j][1]
+                layer = (arr, exp, dst, cells, 0, layout)
                 if self.mode == "exact":
-                    self._kept[j] = (arr, exp, dst)
-        return arr, exp, src
+                    self._kept[j] = layer
+        return layer
 
     def _stretch(self, point: Vector, m: int, top: int) -> tuple[np.ndarray, int, int, list, int]:
-        """Layers j..top, for the highest kept j <= top <= m, over one box stacked `size` apart.
+        """Layers j..top, for the highest kept j <= top <= m, as one flat array: the cells
+        to read, `point`'s index at layer m there (past them when top < m), the distance
+        `size` between layers, each step's flat offset D_s there, and j.
 
-        The box is layer j's part of the backward cone of `point` at layer m,
-        not clipped to the window; layer j + t lies over it moved by
-        t * steps[0], so one plan of flat step ranges replays every layer.  A
-        cone cell's predecessors lie in the cone one layer down, so it adds the
-        build's terms in the build's order (other reads add exact zeros) and
-        equals the build's bit for bit; other cells may hold junk and are never
-        read.  Cells with a negative coordinate are zeroed: the orthant boundary.
-        Returns the stack, `point`'s index at layer m (past the stack when
-        top < m), `size`, each step's flat offset D_s, and j.
+        A kept `top` is read in place, with no box, copy or plan.  The cells
+        are the span of its own buffer that holds point - (m - top) * steps[0]
+        and its reads one step down; the index is that point's, the D_s are
+        the layer's own, and size is 0.  Otherwise the stretch is replayed over
+        one box stacked `size` apart: layer j's part of the backward cone of
+        `point` at layer m, not clipped to the window.  Layer j + t lies over
+        it moved by t * steps[0], so one plan of flat step ranges replays
+        every layer.  A cone cell's predecessors lie in the cone one layer
+        down, so it adds the build's terms in the build's order (other reads
+        add exact zeros) and equals the build's bit for bit; other cells may
+        hold junk and are never read.  Cells with a negative coordinate are
+        zeroed: the orthant boundary.
         """
         j = self._base(top)
-        steps, lattice = self.model.steps, self._lattice
+        steps, lattice, k = self.model.steps, self._lattice, m - j
+        if j == top:
+            _, _, (lo, _), cells, at, (_, strides, offsets) = self._kept[j]
+            at += sum([(c - k * t - l) // q * p for c, t, l, q, p in zip(
+                point, steps[0], lo, lattice, strides)])
+            first = max(0, at - max(offsets))
+            return cells[first:at - min(offsets) + 1], at - first, 0, offsets, j
         neg, pos, _ = _extents(steps, lattice)
-        k = m - j
         box = _align(tuple([c - k * p for c, p in zip(point, pos)]),
                      tuple([c - k * q for c, q in zip(point, neg)]), self._windows[j][0], lattice)
         shape = _shape(box, lattice)
         _, strides, offsets = _layout(steps, lattice, shape[1:])
         size = shape[0] * strides[0]
-        arr, exp, window = self._kept[j]
+        arr, exp, window = self._kept[j][:3]
         stack = np.empty((top - j + 1) * size, dtype=arr.dtype)
         stack[:size] = 0
         for _, into, out_of in _step_slices([(0,) * len(point)], window, box, lattice):
@@ -248,20 +266,6 @@ class WalkTable:
                     exp = self._totals[j + t][1]
         apex = [(c - l - k * t) // q for c, l, t, q in zip(point, box[0], steps[0], lattice)]
         return stack, k * size + sum(map(operator.mul, apex, strides)), size, offsets, j
-
-    def _reader(self, n: int, point: Vector) -> tuple[np.ndarray, int, list[int]]:
-        """Layer n's buffer, the index there of point - steps[0], and each step's flat
-        offset from steps[0]: point - s lies within the ghosts of layer n on every axis
-        but the first, and the buffer holds layer n alone, so any index inside it reads
-        point - s or 0.  Layer n comes from `_replay`, so an exact table keeps it."""
-        steps = self.model.steps
-        if n not in self._readers:
-            arr, _, (lo, _) = self._replay(n)
-            self._readers[n] = (arr.base, _offset(arr), lo,
-                                *_layout(steps, self._lattice, _rows(arr))[1:])
-        cells, at, lo, strides, offsets = self._readers[n]
-        return cells, at + sum([(c - t - l) // q * p for c, t, l, q, p in zip(
-            point, steps[0], lo, self._lattice, strides)]), offsets
 
     def _value(self, raw, exp: int, n: int) -> Count:
         if self.mode == "scaled":
@@ -301,7 +305,7 @@ class WalkTable:
         """Endpoint -> count map of the nonzero entries of layer n; scaled entries are
         XFloats, and a scaled table has whole layers only if built with keep_layers."""
         self._check_n(n)
-        arr, exp, (lo, _) = self._replay(n)
+        arr, exp, (lo, _) = self._replay(n)[:3]
         nonzero = np.nonzero(arr)
         points = zip(*((m * i + l).tolist() for i, l, m in zip(nonzero, lo, self._lattice)))
         return {p: self._value(c, exp, n) for p, c in zip(points, arr[nonzero].tolist())}
@@ -310,7 +314,7 @@ class WalkTable:
 def _layers(model: StepSet, start: Vector, n_max: int, mode: str,
             guard: int = DEFAULT_GUARD,
             keep: Callable[[int], bool] = lambda n: True) -> Iterator[tuple]:
-    """Layers 0..n_max from `start` as (n, raw array, exponent, window, raw total).
+    """Layers 0..n_max from `start` as (n, `Layer`, raw total).
 
     Raw exact cells are L**n times the weighted counts.  Layer n goes into a
     buffer of its own when keep(n), else into one of two spare buffers, both
@@ -364,7 +368,7 @@ def _layers(model: StepSet, start: Vector, n_max: int, mode: str,
                     cells *= 2.0 ** _NORM_SHIFT
                     exp -= _NORM_SHIFT
                 total = cells.sum()
-        yield n, arr, exp, window, total
+        yield n, (arr, exp, window, cells, at, layout), total
 
 
 def _lattice(steps) -> Vector:
@@ -515,17 +519,6 @@ def _zero_ghosts(pad: np.ndarray, shape: Sequence[int]) -> np.ndarray:
     return pad[tuple(map(slice, shape))]
 
 
-def _rows(arr: np.ndarray) -> list[int]:
-    """The row lengths of `arr`'s buffer on axes 1.., read off its strides."""
-    return [a // b for a, b in zip(arr.strides, arr.strides[1:])]
-
-
-def _offset(arr: np.ndarray) -> int:
-    """Index of the first cell of `arr` in its buffer."""
-    data = arr.__array_interface__["data"][0] - arr.base.__array_interface__["data"][0]
-    return data // arr.itemsize
-
-
 def _layout(steps, lattice: Vector, rows: Sequence[int]) -> tuple[list, list, list]:
     """Row lengths on axes 1.., the strides in cells of an array with those rows, and each
     step's flat offset D_s = (s - steps[0]) / m there, the same for every layer it holds."""
@@ -605,9 +598,10 @@ def _advance_layer(arr: np.ndarray, cells: np.ndarray, at: int, layout: tuple, s
 def count_walks(model: StepSet, start: Sequence[int], n_max: int,
                 mode: str = "exact", *,
                 track: Iterable[Sequence[int]] = (),
-                keep_layers: Optional[bool] = None,
+                keep_layers: bool = False,
                 guard: int = DEFAULT_GUARD) -> WalkTable:
-    """Build the layered counting table for walks from `start` up to length n_max."""
+    """Build the layered counting table for walks from `start` up to length n_max; exact
+    tables always keep checkpoints, and keep_layers makes a scaled table keep them too."""
     return WalkTable(model, tuple(start), n_max, mode, guard=guard,
                      track=[tuple(p) for p in track], keep_layers=keep_layers)
 
@@ -645,20 +639,21 @@ def sample_walk(table: WalkTable, n: int, seed: int) -> Walk:
     Backward sampling on the counting table: pick the endpoint from layer n,
     read whole through `_replay` (the table keeps that pick's cumulative
     weights for the last n drawn), then repeatedly pick the previous point.
-    An exact draw reads every layer below n whole through `_replay`, which
-    keeps what it replays, so later draws replay nothing.  A scaled draw keeps
-    nothing: it reads every layer below n through `_stretch`, once per stretch
-    between checkpoints (from a checkpoint, a stretch of depth one), over one
-    box, the backward cone of the walk's point above it, with its layers
-    stacked in one array: a step then moves the walk's index by one constant
-    per step.  Exact tables draw with `randrange` over integer cumulative
-    weights, so every choice is exact; scaled tables draw from float64
-    cumulative weights with relative bias below n * 2**-50.
+    Both modes read every layer below n through `_stretch`.  At a kept layer
+    it reads in place.  Between checkpoints it replays one stretch over one
+    box, the backward cone of the walk's point, with its layers stacked in
+    one array; a step then moves the walk's index by one constant per step.
+    An exact draw first replays a missing layer whole through `_replay`,
+    which keeps it and the layers below it down to the checkpoint, so all of
+    them are read in place and later draws replay nothing.  A scaled draw
+    keeps nothing.  Exact tables draw with `randrange` over integer
+    cumulative weights, so every choice is exact; scaled tables draw from
+    float64 cumulative weights with relative bias below n * 2**-50.
     """
     table._check_n(n)
     rng = random.Random(seed)
     if table._first is None or table._first[0] != n:
-        arr, _, (lo, _) = table._replay(n)
+        arr, _, (lo, _) = table._replay(n)[:3]
         cells = np.flatnonzero(arr)
         table._first = (n, cells, np.cumsum(arr.ravel()[cells]), arr.shape, lo)
     _, cells, cumulative, shape, lo = table._first
@@ -671,12 +666,10 @@ def sample_walk(table: WalkTable, n: int, seed: int) -> Walk:
     low = n
     for m in range(n, 0, -1):
         if m - 1 < low:
-            if table.mode == "scaled":
-                cells, at, size, offsets, low = table._stretch(point, m, m - 1)
-                at -= size
-            else:
-                cells, at, offsets = table._reader(m - 1, point)
-                low, size = m - 1, 0
+            if m - 1 not in table._kept and table.mode == "exact":
+                table._replay(m - 1)  # keeps it and the layers down to the checkpoint
+            cells, at, size, offsets, low = table._stretch(point, m, m - 1)
+            at -= size
         total, candidates, cumulative = 0, [], []
         for i, (d, w) in enumerate(zip(offsets, weights)):
             count = cells.item(at - d) if 0 <= at - d < cells.size else 0

@@ -42,7 +42,7 @@ def _relation_holds(model: StepSet, dec: CentralDecomposition, n_max: int,
     beta = (dec.beta.raised(model.weights, d) * scale ** d).as_integer_ratio()
     alphas = [alpha.raised(model.weights, d).as_integer_ratio() for alpha in dec.alpha]
     beta_n = (1, 1)
-    for (_, w, _, window, _), (_, u, _, other, _) in zip(
+    for (_, (w, _, window, *_), _), (_, (u, _, other, *_), _) in zip(
             _layers(model, origin, n_max, "exact"),
             _layers(model.unweighted(), origin, n_max, "exact")):
         if window != other:

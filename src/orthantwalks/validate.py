@@ -4,7 +4,8 @@ A validation run counts walks in scaled mode, evaluates the closed-form
 estimate at each length, and measures the ratio count/estimate.  The leading
 term carries a relative error O(1/n), so a run passes when the final ratio is
 within tolerance of 1 and the log-log slope of |ratio - 1| against n is at
-most -0.8.
+most -0.8.  The fit needs ratios at two lengths n >= 50 at least, so a run
+with fewer raises ValueError.
 
 Ratios below the scaled-arithmetic noise floor (~1e-11) are excluded from the
 slope fit: classes whose relative error decays exponentially bottom out at
@@ -59,14 +60,12 @@ def _fit_slope(ns, errors) -> Optional[float]:
     points = [(math.log(n), math.log(e)) for n, e in zip(ns, errors)
               if n >= FIT_MIN_N and e > NOISE_FLOOR]
     if len(points) < 2:
-        return None  # everything at the noise floor: decay faster than any fit
+        return None  # fewer than two ratios above the noise floor: decay faster than any fit
     mean_x = sum(x for x, _ in points) / len(points)
     mean_y = sum(y for _, y in points) / len(points)
     sxx = sum((x - mean_x) ** 2 for x, _ in points)
     sxy = sum((x - mean_x) * (y - mean_y) for x, y in points)
-    if sxx == 0:
-        return None
-    return sxy / sxx
+    return sxy / sxx  # the lengths differ, so sxx > 0
 
 
 def _ratio(count: XFloat, estimate: XFloat) -> Optional[float]:
@@ -113,7 +112,10 @@ def _validate(params: GBParams, what: str, n_max: int, tolerance: float,
         if r is not None:
             ns.append(n)
             ratios.append(r)
-    final = ratios[-1] if ratios else math.nan
+    if sum(n >= FIT_MIN_N for n in ns) < 2:
+        raise ValueError(f"validation needs ratios at two lengths n >= {FIT_MIN_N} "
+                         "for the slope fit")
+    final = ratios[-1]
     slope = _fit_slope(ns, [abs(r - 1.0) for r in ratios])
     passed = abs(final - 1.0) <= tolerance and (slope is None or slope <= -0.8)
     return ValidationReport(params=params, what=what, n_max=n_max,

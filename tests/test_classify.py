@@ -319,12 +319,20 @@ class TestClassify:
 
     def test_weight_below_float_range_rejected(self):
         # as 0.0, the two tiny weights would drop their steps from the solve
-        tiny = F(1, 10 ** 400)
-        model = make_stepset([(1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1)], [tiny, 1, 1, 1, tiny])
         with pytest.raises(ClassifyError, match="a weight lies outside the float range"):
-            classify(model)
+            classify(TINY)
         with pytest.raises(ClassifyError, match="a weight lies outside the float range"):
-            drift_diagram(lambda a, b: model, [1], [1])
+            drift_diagram(lambda a, b: TINY, [1], [1])
+
+    @pytest.mark.parametrize("a", [F(1, 10 ** 400), F(10 ** 400)], ids=["1e-400", "1e400"])
+    def test_diagram_decides_float_range_cells_exactly(self, a):
+        # the exact drift and the central rule decide these cells with no float;
+        # classify always solves, so it still rejects the weights
+        rows = drift_diagram(lambda a, b: builtin_model("gb", a, b), [a], [F(1)])
+        assert [row["class"] for row in rows] == [gb_classify(a, 1).family]
+        assert rows[0]["class"] == ("transitional" if a < 1 else "directed")
+        with pytest.raises(ClassifyError, match="a weight lies outside the float range"):
+            classify(builtin_model("gb", a, 1))
 
     @pytest.mark.parametrize("a,family", [(10 ** 90, "directed"), (10 ** 150, "directed"),
                                           (F(1, 10 ** 90), "transitional")],
@@ -420,6 +428,9 @@ def grid_rows(factory, a_values, b_values):
 NOT_2D = make_stepset([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
                       [1] * 6)
 SINGULAR = make_stepset([(1, 0), (0, 1)], [1, 1])
+# a non-central weighting with two weights below the float range: only a solve decides it
+TINY = make_stepset([(1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1)],
+                    [F(1, 10 ** 400), 1, 1, 1, F(1, 10 ** 400)])
 
 
 class TestDiagramBatch:
@@ -467,7 +478,7 @@ class TestDiagramBatch:
 
     @pytest.mark.parametrize("bad,message", [
         (SINGULAR, "non-singular"), (NOT_2D, "d = 2"),
-        (builtin_model("gb", 10 ** 400, 1), "float range")], ids=["singular", "not-2d", "float"])
+        (TINY, "float range")], ids=["singular", "not-2d", "float"])
     def test_first_failing_cell_raises(self, bad, message):
         # the bad cell lies deep in the grid, and a cell failing differently follows it
         values = [F(k, 3) for k in range(1, 21)]

@@ -299,10 +299,13 @@ class TestClassifyAndDiagram:
                                "--a", str(10 ** 400), "--b", "1")
         assert code == 2
         assert err.startswith("error:") and "float range" in err
-        code, _, err = run_cli(capsys, "diagram", "--model", "gb",
-                               "--a-range", "1e400:1e400:1", "--b-range", "1:1:1")
-        assert code == 2
-        assert err.startswith("error:") and "float range" in err
+
+    def test_diagram_decides_a_cell_beyond_float_range(self, capsys):
+        # the exact drift and the central rule decide GB(10**400, 1) with no float
+        code, out, err = run_cli(capsys, "diagram", "--model", "gb",
+                                 "--a-range", "1e400:1e400:1", "--b-range", "1:1:1")
+        assert code == 0, err
+        assert [cell["class"] for cell in json.loads(out)["cells"]] == ["directed"]
 
     def test_diagram_guard_checked_before_grid_is_built(self):
         # 10**12 values would exhaust any memory: the child gets a 1 GiB address

@@ -492,6 +492,30 @@ class TestConeReplay:
         assert len(held) > 5 and max(held) <= stride * box <= 2 * max(windows)
 
 
+IN_PLACE_CASES = [("gb", builtin_model("gb", 1, 1), (0, 0)), CONE_CASES[4][:3]]
+
+
+class TestInPlaceReads:
+    """A read at a kept layer reads that layer's own buffer, in the rows it was built in."""
+
+    @pytest.mark.parametrize("mode", ["exact", "scaled"])
+    @pytest.mark.parametrize("name,model,start", IN_PLACE_CASES, ids=[c[0] for c in IN_PLACE_CASES])
+    def test_kept_endpoint_bitwise_equals_tracked(self, name, model, start, mode):
+        kept = count_walks(model, start, 36, mode, keep_layers=True)
+        windows = {n: kept._windows[n] for n in sorted(kept._kept)}
+        points = {n: list(itertools.product(*(range(l, h + 1, q) for l, h, q in zip(
+            *window, kept._lattice)))) for n, window in windows.items()}
+        tracked = count_walks(model, start, 36, mode, track=set().union(*points.values()))
+        for n, cells in points.items():
+            for p in cells:
+                got, want = kept.endpoint(p, n), tracked.endpoint(p, n)
+                if mode == "exact":
+                    assert got == want, (p, n)
+                else:
+                    assert (got.man, got.exp) == (want.man, want.exp), (p, n)
+        assert sorted(kept._kept) == list(windows) == list(range(0, 37, 6))
+
+
 class TestLayerBuffers:
     """Builds write the layers they do not keep into two reused buffers."""
 
@@ -518,7 +542,7 @@ class TestLayerBuffers:
                              ids=[n if m == "scaled" else f"{n}-{m}" for n, m in CHECKPOINT_CASES])
     def test_checkpoints_share_no_memory(self, name, mode):
         table = count_walks(builtin_model(name, 2, 3), (0, 0), 100, mode, keep_layers=True)
-        blocks = [arr for arr, _, _ in table._kept.values()]
+        blocks = [arr for arr, *_ in table._kept.values()]
         assert len(blocks) == 11
         for x, y in itertools.combinations(blocks, 2):
             assert not np.shares_memory(x, y)
@@ -543,7 +567,7 @@ class TestLayerBuffers:
         # the draw replays and keeps the stretch 9-10, not 13-15
         sample_walk(table, 10, seed=0)
         assert sorted(table._kept) == list(range(11)) + [12, 16]
-        blocks = [arr for arr, _, _ in table._kept.values()]
+        blocks = [arr for arr, *_ in table._kept.values()]
         for x, y in itertools.combinations(blocks + spares, 2):
             assert not np.shares_memory(x, y)
 
@@ -565,7 +589,7 @@ class TestLayerBuffers:
         layers = [table.layer(n) for n in range(151)]
         assert len(replayed) == 151 - len(checkpoints) == 137
         assert sorted(table._kept) == list(range(151))
-        blocks = [arr for arr, _, _ in table._kept.values()]
+        blocks = [arr for arr, *_ in table._kept.values()]
         for x, y in itertools.combinations(blocks, 2):
             assert not np.shares_memory(x, y)
         assert [table.layer(n) for n in range(151)] == layers and len(replayed) == 137
@@ -680,7 +704,8 @@ class TestFlatKernel:
         for got, want in itertools.zip_longest(
                 counting._layers(model, start, n_max, mode, keep=kept),
                 slice_layers(model, start, n_max, mode)):
-            (n, arr, exp, window, total), (_, cells, want_exp, want_window, want_total) = got, want
+            (n, (arr, exp, window, *_), total), (_, cells, want_exp, want_window, want_total) = \
+                got, want
             assert (exp, window) == (want_exp, want_window), n
             assert arr.shape == cells.shape and np.array_equal(arr, cells), n
             if mode == "exact":
@@ -854,6 +879,14 @@ class TestSampling:
           "011001001011011010110101011001111100000011100011111110111111",
           "000010110110011001110111011101000100100001010101011111001111",
           "001101101101010000111011111000100110110111100101101110101101"]),
+        # n_max <= 3 gives stride 1: every layer is kept, so every read below n is in place
+        ("gb(1,1)", builtin_model("gb", 1, 1), (0, 0), 3, "scaled", True,
+         ["000", "023", "000", "001", "010"]),
+        ("gessel(2,3) from (1,2)", builtin_model("gessel", 2, 3), (1, 2), 3, "scaled", True,
+         ["222", "022", "222", "211", "211"]),
+        (*CONE_CASES[3][:3], 3, "scaled", True, ["111", "044", "101", "404", "404"]),
+        (*CONE_CASES[4][:3], 3, "scaled", True, ["202", "122", "203", "212", "212"]),
+        (*ONE_D_CASES[1], 2, "scaled", True, ["01", "01", "00", "01", "01"]),
     ]
 
     @pytest.mark.parametrize("name,model,start,n,mode,keep,walks", PINNED,

@@ -32,6 +32,21 @@ class TestTotals:
         with pytest.raises(ValueError):
             validate_totals(GBParams(1, 1), 40, 0.05)
 
+    def test_slope_needs_two_fitted_lengths(self):
+        # one ratio at n >= 50 fits no slope, so the run raises rather than pass untested;
+        # from two on the slope test decides (+11.06 from n = 50 and 51 fails)
+        with pytest.raises(ValueError, match="two lengths"):
+            validate_totals(GBParams(1, 1), 50, 0.5)
+        with pytest.raises(ValueError, match="two lengths"):
+            validate_excursions(GBParams(1, 1), 51, 0.5)
+        report = validate_totals(GBParams(1, 1), 51, 0.5)
+        assert report.error_slope == pytest.approx(11.06, abs=0.01) and not report.passed
+
+    def test_slope_below_noise_floor_passes(self, monkeypatch):
+        monkeypatch.setattr(validate, "NOISE_FLOOR", 1.0)
+        report = validate_totals(GBParams(1, 1), 60, 0.5)
+        assert report.error_slope is None and report.passed
+
     def test_report_summary_shape(self):
         report = validate_totals(GBParams(1, 1), 60, 0.5)
         summary = report.summary()

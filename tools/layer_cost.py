@@ -21,6 +21,11 @@ Every figure is a median over the rounds:
   origin to n = 150, the table the `exact-algebra` workload builds.
 * `exact_draw_ms`: 100 draws at n = 120 from another new table like it, as
   the `exact-algebra` workload draws them, each with a seed not drawn before.
+* `endpoint_ms`: the 151 untracked origin reads of another new table like
+  it, as the `exact-algebra` workload's check makes them.
+
+Each timed call runs with the garbage collector collected and then disabled,
+so no collection lands inside a reading.
 
 With two checkouts the last column is the second's median over the first's.
 """
@@ -54,9 +59,13 @@ def load(checkout: Path, name: str):
 
 def clock(call) -> float:
     gc.collect()
-    begin = time.perf_counter()
-    call()
-    return time.perf_counter() - begin
+    gc.disable()
+    try:
+        begin = time.perf_counter()
+        call()
+        return time.perf_counter() - begin
+    finally:
+        gc.enable()
 
 
 def measure(ow, seeds) -> dict[str, float]:
@@ -78,6 +87,9 @@ def measure(ow, seeds) -> dict[str, float]:
     draws = list(itertools.islice(seeds, EXACT_DRAWS))
     out["exact_draw_ms"] = 1e3 * clock(
         lambda: [ow.sample_walk(exact, EXACT_DRAW_N, seed) for seed in draws])
+    exact = ow.count_walks(gb, (0, 0), EXACT_N, "exact")
+    out["endpoint_ms"] = 1e3 * clock(
+        lambda: [exact.endpoint((0, 0), n) for n in range(EXACT_N + 1)])
     return out
 
 
