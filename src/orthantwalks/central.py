@@ -192,9 +192,6 @@ class Monomial:
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 
-    def __pow__(self, k: int) -> "Monomial":
-        return Monomial(tuple(q * k for q in self.exponents))
-
 
 @dataclass(frozen=True)
 class CentralDecomposition:
@@ -221,19 +218,15 @@ class CentralDecomposition:
     def beta_exact(self) -> Optional[Fraction]:
         return self.beta.exact_value(self.model.weights)
 
-    def step_exponents(self, step: Vector) -> tuple[Fraction, ...]:
-        """Exponent vector of beta * prod_k alpha_k**step_k as a weight monomial."""
-        return tuple(b + sum(c * a.exponents[r] for c, a in zip(step, self.alpha))
-                     for r, b in enumerate(self.beta.exponents))
-
     @property
     def denominator(self) -> int:
         """The lcm D of every exponent denominator: beta**D and alpha_k**D are rational."""
         return lcm(*(q.denominator for m in (self.beta, *self.alpha) for q in m.exponents))
 
     def verify(self) -> bool:
-        """Whether beta**D * prod_k alpha_k**(D*s_k) == a_s**D for every step s, in the
-        integer exponents D times `step_exponents`, which `central_weights` forms exactly."""
+        """Whether beta**D * prod_k alpha_k**(D*s_k) == a_s**D for every step s: each
+        side's weight exponents are D times those of beta * prod_k alpha_k**s_k, integers
+        that `central_weights` forms exactly."""
         d = self.denominator
         beta, *alphas = ([int(q * d) for q in m.exponents] for m in (self.beta, *self.alpha))
         powers = [[b + sum(c * a[r] for c, a in zip(s, alphas)) for r, b in enumerate(beta)]

@@ -240,8 +240,8 @@ def _cmd_gb(args) -> int:
         _emit(payload, args.emit, ("n", "mantissa", "exponent2"))
         return 0
     if args.action == "harmonic":
-        ok = check_harmonicity(GBParams(a, b), args.grid)
-        _emit({"harmonic": ok, "grid": args.grid}, args.emit, ("harmonic", "grid"))
+        ok = check_harmonicity(GBParams(a, b))
+        _emit({"harmonic": ok}, args.emit, ("harmonic",))
         return 0 if ok else CHECK_FAILED
     if args.action == "critical":
         points = gb_critical_points(a, b)
@@ -339,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", type=int, default=0)
     p.add_argument("--j", type=int, default=0)
     p.add_argument("--n", type=int, default=100)
-    p.add_argument("--grid", type=int, default=20)
     common(p, guard=False)
     p.set_defaults(handler=_cmd_gb)
 

@@ -219,18 +219,17 @@ class WalkTable:
         to read, `point`'s index at layer m there (past them when top < m), the distance
         `size` between layers, each step's flat offset D_s there, and j.
 
-        A kept `top` is read in place, with no box, copy or plan.  The cells
-        are the span of its own buffer that holds point - (m - top) * steps[0]
-        and its reads one step down; the index is that point's, the D_s are
-        the layer's own, and size is 0.  Otherwise the stretch is replayed over
-        one box stacked `size` apart: layer j's part of the backward cone of
-        `point` at layer m, not clipped to the window.  Layer j + t lies over
-        it moved by t * steps[0], so one plan of flat step ranges replays
-        every layer.  A cone cell's predecessors lie in the cone one layer
-        down, so it adds the build's terms in the build's order (other reads
-        add exact zeros) and equals the build's bit for bit; other cells may
-        hold junk and are never read.  Cells with a negative coordinate are
-        zeroed: the orthant boundary.
+        A kept `top` is read in place, with no box, copy or plan: the cells
+        are its own buffer whole, the index is that of point - (m - top) *
+        steps[0], the D_s are the layer's own, and size is 0.  Otherwise the
+        stretch is replayed over one box stacked `size` apart: layer j's part
+        of the backward cone of `point` at layer m, not clipped to the
+        window.  Layer j + t lies over it moved by t * steps[0], so one plan
+        of flat step ranges replays every layer.  A cone cell's predecessors
+        lie in the cone one layer down, so it adds the build's terms in the
+        build's order (other reads add exact zeros) and equals the build's
+        bit for bit; other cells may hold junk and are never read.  Cells
+        with a negative coordinate are zeroed: the orthant boundary.
         """
         j = self._base(top)
         steps, lattice, k = self.model.steps, self._lattice, m - j
@@ -238,8 +237,7 @@ class WalkTable:
             _, _, (lo, _), cells, at, (_, strides, offsets) = self._kept[j]
             at += sum([(c - k * t - l) // q * p for c, t, l, q, p in zip(
                 point, steps[0], lo, lattice, strides)])
-            first = max(0, at - max(offsets))
-            return cells[first:at - min(offsets) + 1], at - first, 0, offsets, j
+            return cells, at, 0, offsets, j
         neg, pos, _ = _extents(steps, lattice)
         box = _align(tuple([c - k * p for c, p in zip(point, pos)]),
                      tuple([c - k * q for c, q in zip(point, neg)]), self._windows[j][0], lattice)

@@ -18,14 +18,11 @@ estimates are floats.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from functools import total_ordering
 from fractions import Fraction
 from typing import Callable, Optional, Union
-
-import numpy as np
 
 from .linalg import _rational_root
 from .stepset import StepSet, builtin_model
@@ -286,41 +283,42 @@ def gb_kappa_V(params: GBParams) -> tuple[Optional[float], Exact, Exact]:
 
 
 def _form(label: str, a: Fraction, b: Fraction) -> tuple:
-    """V as (lam, mu, R, plus, minus), with R rational and read from power tables:
+    """V as (lam, mu, R, plus, minus), with R rational:
 
     V^[n](i, j) = lam**i mu**j R(i, j) (plus + (-1)**(n+i) minus), and plus != 0.
     """
-    return _V[label](a, b, _root(b), functools.cache(a.__pow__), functools.cache(b.__pow__))
+    return _V[label](a, b, _root(b))
 
 
 _1 = Fraction(1)
 
-# (lam, mu, R, plus, minus) per class from a, b, sqrt(b) and power tables of a and b
+# (lam, mu, R, plus, minus) per class from a, b and sqrt(b)
 _V = {
-    "balanced": lambda a, b, rb, pa, pb: (_1, _1, universal_harmonic, _1, 0),
-    "free": lambda a, b, rb, pa, pb: (1 / pa(2), 1 / (pa(2) * pb(2)), lambda i, j: (
-        (pa(2 + 2 * j) - 1) * (pa(4 + 2 * i + 2 * j) - pb(4 + 2 * i + 2 * j)) / pb(i + 1)
-        - (pa(4 + 2 * i + 2 * j) - 1) * (pa(2 + 2 * j) - pb(2 + 2 * j))),
-        1 / (pa(4) * pb(2)), 0),
-    "reluctant": lambda a, b, rb, pa, pb: (
+    "balanced": lambda a, b, rb: (_1, _1, universal_harmonic, _1, 0),
+    "free": lambda a, b, rb: (1 / a ** 2, 1 / (a ** 2 * b ** 2), lambda i, j: (
+        (a ** (2 + 2 * j) - 1) * (a ** (4 + 2 * i + 2 * j) - b ** (4 + 2 * i + 2 * j))
+        / b ** (i + 1) - (a ** (4 + 2 * i + 2 * j) - 1) * (a ** (2 + 2 * j) - b ** (2 + 2 * j))),
+        1 / (a ** 4 * b ** 2), 0),
+    "reluctant": lambda a, b, rb: (
         1 / a, 1 / b, universal_harmonic,
         6 * (a * a * b * b + a * a * b - 4 * a * b + b + 1) / (a - 1) ** 4,
         6 * (a * a * b * b + a * a * b + 4 * a * b + b + 1) / (a + 1) ** 4),
     # lam = 1 / (a sqrt(b)) takes every sqrt(b) out of R
-    "directed1": lambda a, b, rb, pa, pb: (1 / (a * rb), 1 / pb(2), lambda i, j: (
-        pb(3 + i + 2 * j) * (1 + i) + (pb(1 + j) - pb(2 + i + j)) * (3 + i + 2 * j) - i - 1),
+    "directed1": lambda a, b, rb: (1 / (a * rb), 1 / b ** 2, lambda i, j: (
+        b ** (3 + i + 2 * j) * (1 + i) + (b ** (1 + j) - b ** (2 + i + j)) * (3 + i + 2 * j)
+        - i - 1),
         1 / (rb - a) ** 2, 1 / (rb + a) ** 2),
-    "directed2": lambda a, b, rb, pa, pb: (1 / a, 1 / b, lambda i, j: (
-        (2 + i + j) * (pa(-3 - j) - pa(j - 1)) + (1 + j) * (pa(i + j) - pa(-4 - i - j))),
-        _1, 0),
-    "axial1": lambda a, b, rb, pa, pb: (_1, _1, lambda i, j: (
-        (j + 1) * (1 - pb(-4 - 2 * i - 2 * j))
-        + pb(-1 - i) * (i + 2 + j) * (pb(-2 - 2 * j) - 1)), _1, 0),
-    "axial2": lambda a, b, rb, pa, pb: (_1, _1, lambda i, j: (
-        (pa(6) - pa(-2 * i - 4 * j)) * (1 + i)
-        + (pa(2 - 2 * i - 2 * j) - pa(4 - 2 * j)) * (3 + i + 2 * j)), _1, 0),
-    "transitional1": lambda a, b, rb, pa, pb: (_1, 1 / b, universal_harmonic, 6 * _1, 0),
-    "transitional2": lambda a, b, rb, pa, pb: (
+    "directed2": lambda a, b, rb: (1 / a, 1 / b, lambda i, j: (
+        (2 + i + j) * (a ** (-3 - j) - a ** (j - 1))
+        + (1 + j) * (a ** (i + j) - a ** (-4 - i - j))), _1, 0),
+    "axial1": lambda a, b, rb: (_1, _1, lambda i, j: (
+        (j + 1) * (1 - b ** (-4 - 2 * i - 2 * j))
+        + b ** (-1 - i) * (i + 2 + j) * (b ** (-2 - 2 * j) - 1)), _1, 0),
+    "axial2": lambda a, b, rb: (_1, _1, lambda i, j: (
+        (a ** 6 - a ** (-2 * i - 4 * j)) * (1 + i)
+        + (a ** (2 - 2 * i - 2 * j) - a ** (4 - 2 * j)) * (3 + i + 2 * j)), _1, 0),
+    "transitional1": lambda a, b, rb: (_1, 1 / b, universal_harmonic, 6 * _1, 0),
+    "transitional2": lambda a, b, rb: (
         1 / a, _1, universal_harmonic, 6 / (1 - a) ** 2, 6 / (1 + a) ** 2),
 }
 
@@ -399,36 +397,37 @@ def gb_excursion_estimate(params: GBParams, n: int) -> XFloat:
                        + 2.0 * n - 5.0 * math.log2(n))
 
 
-def check_harmonicity(params: GBParams, grid_size: int) -> bool:
-    """Verify rho * V^[n+1](i,j) = sum_s w_s V^[n]((i,j)+s) on a grid.
+def check_harmonicity(params: GBParams, grid_size: int = 4) -> bool:
+    """Verify rho * V^[n+1](i,j) = sum_s w_s V^[n]((i,j)+s) for 0 <= i, j <= grid_size.
 
     V is extended by zero outside the quarter plane.  A GB step keeps n + i's
     parity, so both sides share the factor plus +- minus of V (see _form).
-    Divided by it and by lam**i mu**j, the identity is rho R = sum_s w_s
-    lam**dx mu**dy R((i,j)+s), with coefficients rational for the true rho;
-    cleared to integers, it is decided cell by cell with no tolerance.
+    Divided by it and by lam**i mu**j, the identity is f(i, j) = 0 for
+    f = rho R(i,j) - sum_s w_s lam**dx mu**dy R((i,j)+s), compared exactly in
+    Q(sqrt(b)) on [0, min(grid_size, 4)]**2 only.  That decides every cell:
+    each R is a sum of c x**i y**j P(i, j) of order at most 4 in i and in j
+    (tests/test_gb.py checks _V with sympy), and an exponential polynomial of
+    order r that vanishes at r consecutive integers vanishes everywhere
+    (Everest, van der Poorten, Shparlinski & Ward, "Recurrence Sequences",
+    AMS 2003).  For i, j >= 1 every neighbour lies in the quarter plane, so f
+    has that order in each coordinate there and [1, 4]**2 decides the
+    interior.  On an axis the neighbour off the plane is a zero, so i = 1..4
+    decides j = 0 and j = 1..4 decides i = 0; (0, 0) is compared itself.
+    This holds for any rho and R of that order, right or wrong.
     """
     if grid_size < 0:
         raise ValueError(f"grid size must be nonnegative, got {grid_size}")
     a, b = params.a, params.b
     cls = gb_classify(a, b)
     lam, mu, r, *_ = _form(cls.label, a, b)
-    moves = ((1, 0, a), (-1, 0, 1 / a), (-1, 1, b / a), (1, -1, a / b))
-    coeffs = [cls.rho] + [w * lam ** dx * mu ** dy for dx, dy, w in moves]
-    coeffs = [c / coeffs[1] for c in coeffs]
-    scale = math.lcm(*(c.denominator for c in coeffs if isinstance(c, Fraction)))
-    rho, *weights = [c * scale if isinstance(c, Surd) else (c * scale).numerator
-                     for c in coeffs]
-    # R on [-1, grid_size + 1]**2, zero off the quarter plane, at index (i+1, j+1)
-    size = grid_size + 2
-    values = [r(i, j) for i in range(size) for j in range(size)]
-    den = math.lcm(*(v.denominator for v in values))
-    grid = np.zeros((size + 1, size + 1), dtype=object)
-    grid[1:, 1:] = np.array([v.numerator * (den // v.denominator) for v in values],
-                            dtype=object).reshape(size, size)
-    total = sum(grid[1 + dx:size + dx, 1 + dy:size + dy] * w for (dx, dy, _), w
-                in zip(moves, weights))
-    return bool((grid[1:size, 1:size] * rho == total).all())
+    moves = [(dx, dy, w * lam ** dx * mu ** dy)
+             for dx, dy, w in ((1, 0, a), (-1, 0, 1 / a), (-1, 1, b / a), (1, -1, a / b))]
+    cells = range(min(grid_size, 4) + 1)
+    # R on [0, 5]**2 at most: each cell and its neighbours, zero off the quarter plane
+    values = {(i, j): r(i, j) for i in range(len(cells) + 1) for j in range(len(cells) + 1)}
+    return all(cls.rho * values[i, j]
+               == sum(w * values.get((i + dx, j + dy), 0) for dx, dy, w in moves)
+               for i in cells for j in cells)
 
 
 @dataclass(frozen=True)

@@ -87,16 +87,16 @@ class TestGBCommands:
         assert code == 0, err
         assert "c13-,V13,-1e-200,1," in out
 
-    def test_harmonic_pass_and_grid(self, capsys):
-        code, out, _ = run_cli(capsys, "gb", "harmonic", "--a", "1", "--b", "4",
-                               "--grid", "8")
+    def test_harmonic_pass(self, capsys):
+        code, out, _ = run_cli(capsys, "gb", "harmonic", "--a", "1", "--b", "4")
         assert code == 0
-        assert json.loads(out) == {"grid": 8, "harmonic": True}
+        assert json.loads(out) == {"harmonic": True}
 
-    def test_harmonic_negative_grid_is_a_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "gb", "harmonic", "--grid", "-1")
+    def test_harmonic_grid_is_a_usage_error(self, capsys):
+        # the verdict holds for every (i, j), so there is no grid to choose
+        code, out, err = run_cli(capsys, "gb", "harmonic", "--grid", "6")
         assert code == 2 and out == ""
-        assert err.startswith("error:") and "grid size" in err
+        assert "unrecognized arguments: --grid 6" in err
 
     def test_critical_and_contributing(self, capsys):
         code, out, _ = run_cli(capsys, "gb", "critical", "--a", "2", "--b", "3")

@@ -478,7 +478,9 @@ class TestConeReplay:
 
         def spy(*args):
             out = stretch(*args)
-            held.append(out[0].size)
+            # a read in place returns a kept buffer, which the guard already counts
+            if not np.shares_memory(out[0], table._kept[out[4]][3]):
+                held.append(out[0].size)
             return out
 
         monkeypatch.setattr(table, "_stretch", spy)

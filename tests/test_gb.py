@@ -3,8 +3,10 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from orthantwalks import (GBParams, check_harmonicity,
@@ -260,6 +262,45 @@ class TestEstimates:
         assert est.log2() == pytest.approx(expected, rel=1e-12)
 
 
+def harmonic_on_grid(params, grid_size):
+    """The reference harmonicity check: every cell of [0, grid_size]**2, cleared to integers.
+
+    The identity rho R = sum_s w_s lam**dx mu**dy R((i,j)+s), divided by the
+    first move's coefficient and scaled by the lcm of the rational ones, on a
+    numpy object grid of R cleared to integers and zero off the quarter plane.
+    """
+    a, b = params.a, params.b
+    cls = gb.gb_classify(a, b)
+    lam, mu, r, *_ = gb._form(cls.label, a, b)
+    moves = ((1, 0, a), (-1, 0, 1 / a), (-1, 1, b / a), (1, -1, a / b))
+    coeffs = [cls.rho] + [w * lam ** dx * mu ** dy for dx, dy, w in moves]
+    coeffs = [c / coeffs[1] for c in coeffs]
+    scale = math.lcm(*(c.denominator for c in coeffs if isinstance(c, F)))
+    rho, *weights = [c * scale if isinstance(c, Surd) else (c * scale).numerator
+                     for c in coeffs]
+    # R on [-1, grid_size + 1]**2, zero off the quarter plane, at index (i+1, j+1)
+    size = grid_size + 2
+    values = [r(i, j) for i in range(size) for j in range(size)]
+    den = math.lcm(*(v.denominator for v in values))
+    grid = np.zeros((size + 1, size + 1), dtype=object)
+    grid[1:, 1:] = np.array([v.numerator * (den // v.denominator) for v in values],
+                            dtype=object).reshape(size, size)
+    total = sum(grid[1 + dx:size + dx, 1 + dy:size + dy] * w for (dx, dy, _), w
+                in zip(moves, weights))
+    return bool((grid[1:size, 1:size] * rho == total).all())
+
+
+def seeded_weighting(label, rng):
+    """A random rational weighting of class `label`; sqrt(b) is often irrational."""
+    f, g, h = (F(rng.randint(1, 30), rng.randint(1, 9)),
+               F(rng.randint(1, 98), 99), F(rng.randint(1, 98), 99))
+    a = 1 + f
+    return {"balanced": (1, 1), "free": (a, a * (1 + f * g)), "reluctant": (g, h),
+            "directed1": (f, max(1, f * f) * (1 + g)), "directed2": (a, a * g),
+            "axial1": (a, a), "axial2": (a, a * a), "transitional1": (1, g),
+            "transitional2": (g, 1)}[label]
+
+
 class TestHarmonicity:
     def test_balanced_corner_identity(self):
         _, v00, _ = gb_kappa_V(GBParams(1, 1, 0, 0))
@@ -307,6 +348,97 @@ class TestHarmonicity:
     def test_extreme_weights(self):
         # directed-2 with weights far beyond the float range; kappa is never computed
         assert check_harmonicity(GBParams(10 ** 200, 10 ** 100), 3)
+
+    @pytest.mark.parametrize("label", [c[0] for c in CLASS_REPS])
+    def test_agrees_with_every_cell_of_the_grid(self, label, monkeypatch):
+        # ten seeded weightings per class (balanced is the one point (1, 1), so it takes
+        # every other class's R that has no pole there), each with rho as given,
+        # rho + 1e-30 and another class's R: the 5x5 decision equals the whole grid's
+        rng, labels = random.Random(f"harmonic {label}"), [c[0] for c in CLASS_REPS]
+        weightings = {seeded_weighting(label, rng) for _ in range(40)}
+        weightings = sorted(weightings)[:10]
+        assert len(weightings) == (1 if label == "balanced" else 10)
+        classify, form, verdicts = gb.gb_classify, gb._form, []
+
+        def perturbed(a, b):
+            cls = classify(a, b)
+            return dataclasses.replace(cls, rho=cls.rho + F(1, 10 ** 30))
+
+        def pole(other, a, b):
+            # whether the other class's plus or minus divides by zero at (a, b)
+            try:
+                form(other, F(a), F(b))
+            except ZeroDivisionError:
+                return True
+            return False
+
+        def borrowed(other):
+            def patched(lbl, a, b):
+                lam, mu, _, *rest = form(lbl, a, b)
+                return (lam, mu, form(other, a, b)[2], *rest)
+            return patched
+
+        for a, b in weightings:
+            assert classify(a, b).label == label
+            k = labels.index(label)
+            others = [other for other in labels[k + 1:] + labels[:k] if not pole(other, a, b)]
+            variants = [(gb, "_form", form), (gb, "gb_classify", perturbed)] + [
+                (gb, "_form", borrowed(other))
+                for other in (others if label == "balanced" else others[:1])]
+            for variant in variants:
+                with monkeypatch.context() as patch:
+                    patch.setattr(*variant)
+                    params = GBParams(a, b)
+                    for grid in (30, 0, 1, 2, 3):
+                        want = harmonic_on_grid(params, grid)
+                        assert check_harmonicity(params, grid) == want, (a, b, variant, grid)
+                    verdicts.append(want)
+        assert len(verdicts) >= 3 * len(weightings) and False in verdicts
+
+    def test_grid_400_stays_small(self, monkeypatch):
+        # the 5x5 decision does not grow with the grid: at most 6x6 values of R
+        tracemalloc.start()
+        try:
+            assert check_harmonicity(GBParams(2, 3), 400)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        form, reads = gb._form, []
+
+        def counted(label, a, b):
+            lam, mu, r, *rest = form(label, a, b)
+            return (lam, mu, lambda i, j: reads.append((i, j)) or r(i, j), *rest)
+
+        monkeypatch.setattr(gb, "_form", counted)
+        assert check_harmonicity(GBParams(2, 3), 400)
+        assert 0 < len(reads) <= 36 and max(map(max, reads)) <= 5
+
+    def test_every_R_has_order_at_most_four_in_each_coordinate(self):
+        # the premise of the 5x5 decision: each R is a sum of c x**i y**j i**d j**e
+        # whose shift-invariant span, sum over bases of (top degree + 1), is <= 4
+        # in i and in j
+        sympy = pytest.importorskip("sympy")
+        i, j = sympy.symbols("i j", integer=True)
+        a, b = sympy.symbols("a b", positive=True)
+        for label, entry in gb._V.items():
+            r = entry(a, b, sympy.sqrt(b))[2]
+            if r is universal_harmonic:
+                r = (i + 1) * (j + 1) * (i + j + 2) * (i + 2 * j + 3) / sympy.Integer(6)
+                assert all(r.subs({i: x, j: y}) == universal_harmonic(x, y)
+                           for x in range(6) for y in range(6))
+            else:
+                r = r(i, j)
+            terms = sympy.Add.make_args(sympy.expand(r))
+            for var in (i, j):
+                top = {}
+                for term in terms:
+                    powers = term.as_powers_dict()
+                    base = sympy.Mul(*(x ** sympy.diff(e, var) for x, e in powers.items()
+                                       if x not in (i, j)))
+                    assert not base.free_symbols & {i, j}, (label, term)
+                    top[base] = max(top.get(base, 0), int(powers.get(var, 0)))
+                assert sum(d + 1 for d in top.values()) <= 4, (label, var, top)
 
     def test_negative_grid_rejected(self):
         # a negative grid holds no cell, so the identity would hold vacuously

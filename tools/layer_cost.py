@@ -23,6 +23,8 @@ Every figure is a median over the rounds:
   the `exact-algebra` workload draws them, each with a seed not drawn before.
 * `endpoint_ms`: the 151 untracked origin reads of another new table like
   it, as the `exact-algebra` workload's check makes them.
+* `harmonic_ms`: `check_harmonicity` at grid 30 on the nine GB class
+  representatives, as the `exact-algebra` workload runs it.
 
 Each timed call runs with the garbage collector collected and then disabled,
 so no collection lands inside a reading.
@@ -39,11 +41,15 @@ import itertools
 import statistics
 import sys
 import time
+from fractions import Fraction as F
 from pathlib import Path
 
 TINY_N, TINY_BUILDS = 40, 20
 DRAW_N, DRAWS = 600, 5
 EXACT_N, EXACT_DRAW_N, EXACT_DRAWS = 150, 120, 100
+# bench/workloads.py's CLASS_REPS: one (a, b) per GB class
+CLASS_REPS = ((1, 1), (2, 3), (F(1, 2), F(1, 2)), (1, 4), (3, 2), (2, 2), (2, 4),
+              (1, F(1, 2)), (F(1, 2), 1))
 
 
 def load(checkout: Path, name: str):
@@ -90,6 +96,8 @@ def measure(ow, seeds) -> dict[str, float]:
     exact = ow.count_walks(gb, (0, 0), EXACT_N, "exact")
     out["endpoint_ms"] = 1e3 * clock(
         lambda: [exact.endpoint((0, 0), n) for n in range(EXACT_N + 1)])
+    reps = [ow.gb.GBParams(a, b) for a, b in CLASS_REPS]
+    out["harmonic_ms"] = 1e3 * clock(lambda: [ow.gb.check_harmonicity(p, 30) for p in reps])
     return out
 
 

@@ -86,7 +86,7 @@ ERRORS = (
     ["count", "--model", "gb", "--json", '{"dimension": 2, "steps": []}', "--n", "2"],
     ["count", "--model", "king", "--n", "2"],
     ["count", "--model", "gb", "--start", "0,x", "--n", "2"],
-    ["gb", "harmonic", "--grid", "-1"],
+    ["gb", "harmonic", "--grid", "6"],
     ["central", "check", "--json", NON_CENTRAL],
     ["central", "equiv", "--json", NON_CENTRAL, "--json2", NON_CENTRAL],
     ["central", "equiv", "--model", "gb", "--a", "2", "--a2", "3"],
@@ -117,8 +117,6 @@ def invocations() -> list[list[str]]:
             argv = ["gb", action, "--a", a, "--b", b]
             if action == "estimate":
                 argv += ["--i", "3", "--j", "1", "--n", "40"]
-            if action == "harmonic":
-                argv += ["--grid", "6"]
             runs.append(argv)
     for what in ("totals", "excursions"):
         runs.append(["validate", "--a", "2", "--b", "3", "--n-max", "60", "--what", what,
