@@ -22,7 +22,7 @@ from .gb import (GBClassification, GBParams, check_harmonicity, gb_classify,
 from .relations import check_excursion_relation, check_gf_relation
 from .stepset import (StepSet, StepSetError, builtin_model, central_weights,
                       drift, inventory_eval, is_singular, make_stepset,
-                      parse_stepset, stepset_from_json)
+                      stepset_from_json)
 from .validate import ValidationReport, validate_excursions, validate_totals
 from .xfloat import XFloat
 
@@ -40,7 +40,7 @@ __all__ = [
     "find_path_pairs", "gb_classify", "gb_contributing", "gb_critical_points",
     "gb_estimate", "gb_excursion_estimate", "gb_kappa_V", "inventory_eval",
     "is_central", "is_singular", "make_stepset", "minimal_refutation_length",
-    "parse_stepset", "rank_full", "sample_walk", "solve_central",
+    "rank_full", "sample_walk", "solve_central",
     "step_matrix", "stepset_from_json", "universal_harmonic",
     "validate_excursions", "validate_totals",
 ]

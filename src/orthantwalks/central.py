@@ -189,9 +189,6 @@ class Monomial:
         """The monomial to the power d, exact for d a multiple of every exponent denominator."""
         return Fraction(*_power_product(weights, (int(q * d) for q in self.exponents)))
 
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
 
 @dataclass(frozen=True)
 class CentralDecomposition:

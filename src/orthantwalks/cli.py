@@ -82,22 +82,35 @@ def _emit(payload, fmt: str, header, rows=None) -> None:
     sys.stdout.write(buf.getvalue())
 
 
-def _add_model_options(parser: argparse.ArgumentParser) -> None:
+def _add_model_options(parser: argparse.ArgumentParser, weights: bool = True) -> None:
     parser.add_argument("--model", help="built-in model name (gb, tandem, gessel, simple)")
-    parser.add_argument("--a", default="1", help="weight parameter a as p/q")
-    parser.add_argument("--b", default="1", help="weight parameter b as p/q")
+    if weights:
+        parser.add_argument("--a", help="weight parameter a of --model as p/q (default 1)")
+        parser.add_argument("--b", help="weight parameter b of --model as p/q (default 1)")
     parser.add_argument("--json", dest="json_spec",
                         help="path to a step-set JSON file (or inline JSON)")
 
 
+def _add_gb_options(parser: argparse.ArgumentParser, start: bool = False) -> None:
+    parser.add_argument("--a", default="1", help="GB weight parameter a as p/q")
+    parser.add_argument("--b", default="1", help="GB weight parameter b as p/q")
+    if start:
+        parser.add_argument("--i", type=int, default=0, help="start abscissa")
+        parser.add_argument("--j", type=int, default=0, help="start ordinate")
+
+
 def _resolve_model(args) -> StepSet:
+    """The --json step set, or the --model weighted by --a and --b where the command has them."""
+    a, b = getattr(args, "a", None), getattr(args, "b", None)
     if args.json_spec:
         if args.model:
             raise _CliError("pass exactly one of --model and --json")
+        if a is not None or b is not None:
+            raise _CliError("--a and --b weight a --model; a --json step set has its own weights")
         return _read_spec(args.json_spec)
     if not args.model:
         raise _CliError("a model is required: --model NAME or --json PATH")
-    return builtin_model(args.model, as_fraction(args.a), as_fraction(args.b))
+    return builtin_model(args.model, *(as_fraction("1" if w is None else w) for w in (a, b)))
 
 
 def _read_spec(text: str) -> StepSet:
@@ -178,13 +191,18 @@ def _cmd_central(args) -> int:
               [*((f"alpha{k}", v) for k, v in enumerate(payload["alpha_values"], 1)),
                ("beta", payload["beta_value"])])
         return 0
-    # equiv
-    if args.json2:
+    # equiv: a --json step set against --json2, a --model against itself at --a2 and --b2
+    if args.json_spec:
+        if args.a2 is not None or args.b2 is not None:
+            raise _CliError("--a2 and --b2 weight the second --model; with --json pass --json2")
+        if not args.json2:
+            raise _CliError("central equiv --json needs the second step set as --json2")
         other = _read_spec(args.json2)
-    elif args.model:
-        other = builtin_model(args.model, as_fraction(args.a2), as_fraction(args.b2))
+    elif args.json2:
+        raise _CliError("--json2 pairs with --json; compare a --model with --a2 and --b2")
     else:
-        raise _CliError("central equiv --json needs the second step set as --json2")
+        other = builtin_model(args.model, *(as_fraction("1" if w is None else w)
+                                            for w in (args.a2, args.b2)))
     equivalent = are_equivalent(model, other)
     _emit({"equivalent": equivalent}, args.emit, ("equivalent",))
     return 0 if equivalent else CHECK_FAILED
@@ -287,11 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, guard=True):
+    def common(p, guard="maximum number of table cells held"):
         p.add_argument("--emit", choices=("json", "csv"), default="json")
         if guard:
-            p.add_argument("--guard", type=int, default=DEFAULT_GUARD,
-                           help="maximum number of table cells held")
+            p.add_argument("--guard", type=int, default=DEFAULT_GUARD, help=guard)
 
     p = sub.add_parser("count", help="count confined walks by length")
     _add_model_options(p)
@@ -311,48 +328,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_sample)
 
     p = sub.add_parser("central", help="centrality checks and the alpha/beta solve")
-    p.add_argument("action", choices=("check", "solve", "equiv"))
-    _add_model_options(p)
-    p.add_argument("--a2", default="1", help="second weighting parameter a (equiv)")
-    p.add_argument("--b2", default="1", help="second weighting parameter b (equiv)")
-    p.add_argument("--json2", help="second step-set JSON (equiv)")
-    common(p, guard=False)
     p.set_defaults(handler=_cmd_central)
+    actions = p.add_subparsers(dest="action", required=True)
+    for action in ("check", "solve", "equiv"):
+        q = actions.add_parser(action)
+        _add_model_options(q)
+        if action == "equiv":
+            q.add_argument("--a2", help="parameter a of the second --model weighting (default 1)")
+            q.add_argument("--b2", help="parameter b of the second --model weighting (default 1)")
+            q.add_argument("--json2", help="second step-set JSON, beside --json")
+        common(q, guard=None)
 
     p = sub.add_parser("classify", help="universality class by convex minimization")
     _add_model_options(p)
-    common(p, guard=False)
+    common(p, guard=None)
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("diagram", help="class of every cell of an (a, b) grid")
     p.add_argument("--model", required=True)
     p.add_argument("--a-range", required=True, help="lo:hi:step with exact rationals")
     p.add_argument("--b-range", required=True, help="lo:hi:step with exact rationals")
-    common(p)
+    common(p, guard="maximum number of (a, b) cells in the grid")
     p.set_defaults(handler=_cmd_diagram)
 
     p = sub.add_parser("gb", help="closed-form GB asymptotics")
-    p.add_argument("action", choices=("classify", "estimate", "harmonic",
-                                      "critical", "contributing"))
-    p.add_argument("--a", default="1")
-    p.add_argument("--b", default="1")
-    p.add_argument("--i", type=int, default=0)
-    p.add_argument("--j", type=int, default=0)
-    p.add_argument("--n", type=int, default=100)
-    common(p, guard=False)
     p.set_defaults(handler=_cmd_gb)
+    actions = p.add_subparsers(dest="action", required=True)
+    for action in ("classify", "estimate", "harmonic", "critical", "contributing"):
+        q = actions.add_parser(action)
+        _add_gb_options(q, start=action == "estimate")
+        if action == "estimate":
+            q.add_argument("--n", type=int, default=100, help="walk length")
+        common(q, guard=None)
 
-    p = sub.add_parser("conjecture2", help="null space of the walk-count system")
-    _add_model_options(p)
+    p = sub.add_parser("conjecture2", help="null space of the unweighted walk-count system")
+    _add_model_options(p, weights=False)
     p.add_argument("--cap", type=int, default=4)
     common(p)
     p.set_defaults(handler=_cmd_conjecture2)
 
     p = sub.add_parser("validate", help="counts vs closed-form asymptotics")
-    p.add_argument("--a", default="1")
-    p.add_argument("--b", default="1")
-    p.add_argument("--i", type=int, default=0)
-    p.add_argument("--j", type=int, default=0)
+    _add_gb_options(p, start=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--what", choices=("totals", "excursions"), default="totals")
     p.add_argument("--tolerance", type=float, default=0.05)

@@ -192,25 +192,6 @@ def stepset_from_json(data: Union[str, Mapping]) -> StepSet:
     return make_stepset(steps, weights, dimension)
 
 
-def parse_stepset(text: str) -> StepSet:
-    """Parse either the JSON schema or a built-in spelled like "gb --a 1/2 --b 3"."""
-    stripped = text.strip()
-    if stripped.startswith("{"):
-        return stepset_from_json(stripped)
-    tokens = stripped.split()
-    if not tokens:
-        raise StepSetError("empty step-set description")
-    name, params = tokens[0], {"a": Fraction(1), "b": Fraction(1)}
-    rest = tokens[1:]
-    if len(rest) % 2 != 0:
-        raise StepSetError(f"dangling option in {text!r}")
-    for flag, value in zip(rest[::2], rest[1::2]):
-        if not flag.startswith("--") or flag[2:] not in params:
-            raise StepSetError(f"unknown option {flag!r} in step-set description")
-        params[flag[2:]] = as_fraction(value)
-    return builtin_model(name, params["a"], params["b"])
-
-
 def drift(model: StepSet) -> tuple[Fraction, ...]:
     """The weighted vector sum of the steps, component-exact."""
     # integer numerators over the common denominator: one reduction per component

@@ -1,5 +1,7 @@
 """Command-line interface: subcommand behavior, determinism, exit codes."""
 
+import argparse
+import contextlib
 import csv
 import io
 import json
@@ -15,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from orthantwalks import builtin_model, count_walks, stepset_from_json
-from orthantwalks.cli import main
+from orthantwalks.cli import build_parser, main
 from orthantwalks.gb import GBParams, Surd, gb_critical_points, gb_kappa_V
 
 
@@ -383,6 +385,8 @@ ONE_D_SPEC = json.dumps({"dimension": 1, "steps": [{"v": [1]}, {"v": [-1], "w": 
 THREE_D_SPEC = json.dumps({"dimension": 3, "steps": [
     {"v": [1, 0, 0]}, {"v": [0, 1, 0], "w": "1/2"}, {"v": [0, 0, 1]},
     {"v": [-1, -1, -1], "w": 3}, {"v": [-1, 1, 0]}, {"v": [0, -1, 1], "w": 2}]})
+GB_SPEC = json.dumps({"dimension": 2, "steps": [{"v": [1, 0]}, {"v": [-1, 0]},
+                                               {"v": [-1, 1]}, {"v": [1, -1]}]})
 SMOKE_COMMANDS = [("count", "--n", "6"), ("count", "--n", "6", "--mode", "scaled"),
                   ("sample", "--n", "6", "--mode", "exact"),
                   ("sample", "--n", "6", "--mode", "scaled"),
@@ -471,9 +475,93 @@ class TestCsvMatchesJson:
 @pytest.mark.parametrize("argv", [("classify", "--model", "gb", "--guard", "5"),
                                   ("central", "check", "--model", "gb", "--guard", "5"),
                                   ("gb", "classify", "--guard", "5"),
-                                  ("validate", "--model", "gb", "--n-max", "20")],
+                                  ("validate", "--model", "gb", "--n-max", "20"),
+                                  ("gb", "classify", "--i", "3"),
+                                  ("gb", "harmonic", "--n", "9"),
+                                  ("central", "check", "--model", "gb", "--a2", "2"),
+                                  ("conjecture2", "--model", "gb", "--a", "2", "--cap", "3")],
                          ids=" ".join)
 def test_flags_no_handler_reads_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv,option", [
+    (("count", "--json", GB_SPEC, "--a", "2", "--n", "3"), "--a"),
+    (("central", "equiv", "--model", "gb", "--json2", GB_SPEC), "--json2"),
+    (("central", "equiv", "--json", GB_SPEC, "--json2", GB_SPEC, "--a2", "2"), "--a2"),
+], ids=["a-with-json", "json2-with-model", "a2-with-json"])
+def test_options_of_the_other_model_source_are_usage_errors(capsys, argv, option):
+    # a --json step set carries its weights, and --json2 is the second one only beside --json
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: " + option)
+
+
+class ReadRecorder(argparse.Namespace):
+    """A parse result that records the name of every attribute read from it."""
+
+    def __init__(self):
+        super().__init__()
+        object.__setattr__(self, "_reads", set())
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def parser_leaves(parser, path=()):
+    """{command path: parser} for every parser below `parser` with no subcommands."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        return {path: parser}
+    return {leaf: p for group in groups for name, sub in group.choices.items()
+            for leaf, p in parser_leaves(sub, (*path, name)).items()}
+
+
+# a minimal argv for every leaf, and a --json one for every leaf that takes --json
+LEAF_ARGVS = [
+    ("count", "--model", "gb", "--n", "2"),
+    ("count", "--json", GB_SPEC, "--n", "2"),
+    ("sample", "--model", "gb", "--n", "2"),
+    ("sample", "--json", GB_SPEC, "--n", "2"),
+    ("central", "check", "--model", "gb"),
+    ("central", "check", "--json", GB_SPEC),
+    ("central", "solve", "--model", "gb"),
+    ("central", "solve", "--json", GB_SPEC),
+    ("central", "equiv", "--model", "gb"),
+    ("central", "equiv", "--json", GB_SPEC, "--json2", GB_SPEC),
+    ("classify", "--model", "gb"),
+    ("classify", "--json", GB_SPEC),
+    ("diagram", "--model", "gb", "--a-range", "1:1:1", "--b-range", "1:1:1"),
+    *(("gb", action) for action in ("classify", "estimate", "harmonic", "critical",
+                                    "contributing")),
+    ("conjecture2", "--model", "gb", "--cap", "2"),
+    ("conjecture2", "--json", GB_SPEC, "--cap", "2"),
+    ("validate", "--n-max", "52"),
+]
+
+
+def leaf_of(leaves, argv):
+    """The longest command path at the start of `argv`."""
+    return next(argv[:k] for k in range(len(argv), 0, -1) if argv[:k] in leaves)
+
+
+def test_every_leaf_has_an_argv():
+    leaves = parser_leaves(build_parser())
+    assert set(leaves) == {leaf_of(leaves, argv) for argv in LEAF_ARGVS}
+    takes_json = {leaf for leaf, p in leaves.items() if "--json" in p._option_string_actions}
+    assert takes_json == {leaf_of(leaves, argv) for argv in LEAF_ARGVS if "--json" in argv}
+
+
+@pytest.mark.parametrize("argv", LEAF_ARGVS,
+                         ids=lambda argv: " ".join("SPEC" if a == GB_SPEC else a for a in argv))
+def test_handler_reads_every_option_it_parses(argv):
+    args = build_parser().parse_args(argv, namespace=ReadRecorder())
+    parsed = {name for name in vars(args) if not name.startswith("_")}
+    args._reads.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        args.handler(args)
+    assert parsed - {"command", "action", "handler"} - args._reads == set()

@@ -413,6 +413,11 @@ class TestHarmonicity:
         monkeypatch.setattr(gb, "_form", counted)
         assert check_harmonicity(GBParams(2, 3), 400)
         assert 0 < len(reads) <= 36 and max(map(max, reads)) <= 5
+        # and from below: grids 4 and up read all of [0, 5]**2, grid 2 all of [0, 3]**2
+        for grid, side in ((4, 6), (400, 6), (2, 4)):
+            reads.clear()
+            assert check_harmonicity(GBParams(2, 3), grid)
+            assert sorted(reads) == [(i, j) for i in range(side) for j in range(side)], grid
 
     def test_every_R_has_order_at_most_four_in_each_coordinate(self):
         # the premise of the 5x5 decision: each R is a sum of c x**i y**j i**d j**e

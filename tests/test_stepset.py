@@ -1,4 +1,4 @@
-"""Step-set construction, parsing, drift, inventory, and the singularity test."""
+"""Step-set construction, JSON reading, drift, inventory, and the singularity test."""
 
 import json
 from fractions import Fraction as F
@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthantwalks import (StepSet, StepSetError, builtin_model, central_weights, drift,
-                          inventory_eval, is_singular, make_stepset,
-                          parse_stepset, stepset_from_json)
+                          inventory_eval, is_singular, make_stepset, stepset_from_json)
 from orthantwalks.stepset import as_fraction
 
 GB_STEPS = ((1, 0), (-1, 0), (-1, 1), (1, -1))
@@ -21,11 +20,11 @@ def gb_weight_map(a, b):
 
 class TestParsing:
     def test_builtin_gb_uniform(self):
-        model = parse_stepset("gb --a 1 --b 1")
+        model = builtin_model("gb", 1, 1)
         assert model.weight_map() == {s: F(1) for s in GB_STEPS}
 
     def test_builtin_gb_weighted(self):
-        model = parse_stepset("gb --a 2 --b 3")
+        model = builtin_model("gb", 2, 3)
         assert model.weight_map() == gb_weight_map(2, 3)
         assert sorted(model.weights) == [F(1, 2), F(2, 3), F(3, 2), F(2)]
 
@@ -33,7 +32,7 @@ class TestParsing:
         text = json.dumps({"dimension": 2,
                            "steps": [{"v": [1, 0], "w": "1"}, {"v": [1, 0], "w": "2"}]})
         with pytest.raises(StepSetError, match="duplicate step"):
-            parse_stepset(text)
+            stepset_from_json(text)
 
     def test_json_roundtrip(self):
         text = json.dumps({"dimension": 2, "steps": [
@@ -44,16 +43,16 @@ class TestParsing:
 
     def test_malformed_json(self):
         with pytest.raises(StepSetError, match="malformed"):
-            parse_stepset("{not json")
+            stepset_from_json("{not json")
 
     def test_steps_not_a_list_rejected(self):
         with pytest.raises(StepSetError, match="steps"):
-            parse_stepset('{"dimension": 2, "steps": 5}')
+            stepset_from_json('{"dimension": 2, "steps": 5}')
 
     def test_fractional_coordinate_rejected(self):
         # a fractional coordinate is an error, never truncated to an integer
         with pytest.raises(StepSetError, match="not a vector of integers"):
-            parse_stepset('{"dimension": 2, "steps": [{"v": [1.5, 0]}, {"v": [-1, 0]}]}')
+            stepset_from_json('{"dimension": 2, "steps": [{"v": [1.5, 0]}, {"v": [-1, 0]}]}')
         with pytest.raises(StepSetError, match="not a vector of integers"):
             make_stepset([(1, 0), (0.5, 1)], [1, 1])
 
@@ -79,7 +78,7 @@ class TestParsing:
 
     def test_unknown_model(self):
         with pytest.raises(StepSetError, match="unknown"):
-            parse_stepset("kreweras --a 1")
+            builtin_model("kreweras", 1)
 
     @pytest.mark.parametrize("call,message", [
         (lambda: as_fraction("abc"), "not an exact rational: 'abc'"),
@@ -96,15 +95,11 @@ class TestParsing:
          "central weighting parameters must be positive"),
         (lambda: builtin_model("gb", 0, 1), "model parameters a, b must be positive rationals"),
         (lambda: stepset_from_json({"dimension": 2, "steps": [5]}), "bad step entry 5"),
-        (lambda: parse_stepset("   "), "empty step-set description"),
-        (lambda: parse_stepset("gb --a"), "dangling option in 'gb --a'"),
-        (lambda: parse_stepset("gb --c 2"), "unknown option '--c' in step-set description"),
         (lambda: inventory_eval(builtin_model("gb"), (1,)), "point dimension mismatch"),
         (lambda: inventory_eval(builtin_model("gb"), (1, "2")), "cannot evaluate at coordinate '2'"),
     ], ids=["rational-string", "rational-type", "dimension", "no-steps", "weight-count",
             "float-coordinate", "int-weight", "order", "no-steps-made", "central-parameter",
-            "model-parameter", "step-entry", "empty-description", "dangling-option",
-            "unknown-option", "point-dimension", "point-coordinate"])
+            "model-parameter", "step-entry", "point-dimension", "point-coordinate"])
     def test_rejected_input(self, call, message):
         with pytest.raises(StepSetError) as info:
             call()

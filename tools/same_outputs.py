@@ -11,11 +11,13 @@ Usage:
 
 The package is imported from CHECKOUT/src and `orthantwalks.cli.main` runs in
 this one process.  Every subcommand and every `gb` action runs in JSON and in
-CSV: the four built-ins at four weightings, a 1-D and a 3-D step set, three
+CSV: the four built-ins at four weightings (`conjecture2`, which counts
+unweighted walks, once per built-in), a 1-D and a 3-D step set, three
 diagrams, eleven GB weightings, scaled counts beyond the float range (GB to
 n = 540, weights 10**-400), a 1-D count from the default start, and the
 error paths (guard aborts, malformed step-set JSON, weights beyond the float
-range).  Each invocation prints its argv, exit code, stdout and stderr.
+range, options the command does not read).  Each invocation prints its argv,
+exit code, stdout and stderr.
 Then come seeded `sample_walk` draws: the four built-ins, exact and scaled,
 three lengths, 25 seeds.  Last come the central algebra and the classifier
 as library calls on seeded step sets: path pairs with the default base and
@@ -91,6 +93,12 @@ ERRORS = (
     ["central", "equiv", "--json", NON_CENTRAL, "--json2", NON_CENTRAL],
     ["central", "equiv", "--model", "gb", "--a", "2", "--a2", "3"],
     ["validate", "--n-max", "60", "--tolerance", "1e-12"],
+    ["gb", "classify", "--i", "3"],
+    ["gb", "harmonic", "--n", "9"],
+    ["central", "check", "--model", "gb", "--a2", "2"],
+    ["central", "equiv", "--model", "gb", "--json2", NON_CENTRAL],
+    ["conjecture2", "--model", "gb", "--a", "2", "--cap", "3"],
+    ["count", "--json", ONE_D, "--a", "2", "--n", "3"],
 )
 
 
@@ -105,7 +113,8 @@ def invocations() -> list[list[str]]:
                      ["sample", *model, "--n", "10", "--seed", "5", "--mode", "scaled"],
                      ["central", "check", *model], ["central", "solve", *model],
                      ["central", "equiv", *model, "--a2", "1", "--b2", "1"],
-                     ["classify", *model], ["conjecture2", *model, "--cap", "3"]]
+                     ["classify", *model]]
+        runs.append(["conjecture2", "--model", name, "--cap", "3"])  # unweighted counts
     for spec, start in ((ONE_D, "0"), (THREE_D, "0,0,0")):
         runs += [["count", "--json", spec, "--start", start, "--n", "6"],
                  ["sample", "--json", spec, "--start", start, "--n", "6", "--mode", "scaled"],
