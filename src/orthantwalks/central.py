@@ -64,10 +64,6 @@ class PathPair:
     steps: tuple[Vector, ...]
 
     @property
-    def length(self) -> int:
-        return sum(m for _, m in self.left)
-
-    @property
     def endpoint(self) -> Vector:
         d = len(self.steps[0])
         total = [0] * d

@@ -71,7 +71,7 @@ def _emit(payload, fmt: str, header, rows=None) -> None:
     A dict row gives its values in header order.
     """
     if fmt == "json":
-        print(json.dumps(_plain(payload), sort_keys=True))
+        print(json.dumps(_plain(payload), sort_keys=True, allow_nan=False))
         return
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -201,8 +201,7 @@ def _cmd_central(args) -> int:
     elif args.json2:
         raise _CliError("--json2 pairs with --json; compare a --model with --a2 and --b2")
     else:
-        other = builtin_model(args.model, *(as_fraction("1" if w is None else w)
-                                            for w in (args.a2, args.b2)))
+        other = builtin_model(args.model, *("1" if w is None else w for w in (args.a2, args.b2)))
     equivalent = are_equivalent(model, other)
     _emit({"equivalent": equivalent}, args.emit, ("equivalent",))
     return 0 if equivalent else CHECK_FAILED
@@ -297,8 +296,15 @@ def _cmd_validate(args) -> int:
     return 0 if report.passed else CHECK_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads each option by its full name only (no prefix matching), as do its subparsers."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orthantwalks",
         description="Weighted lattice walks in orthants: counting, central "
                     "weightings, and universality classes.")
@@ -378,9 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors and 0 on --help
         return int(exc.code) if exc.code else 0

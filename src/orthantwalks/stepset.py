@@ -37,10 +37,10 @@ class StepSetError(ValueError):
 
 
 def as_fraction(value) -> Fraction:
-    """Parse an exact rational from int, Fraction, or a 'p/q' / integer string."""
+    """Parse an exact rational from int (not bool), Fraction, or a 'p/q' / integer string."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -63,7 +63,7 @@ class StepSet:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.dimension < 1:
+        if isinstance(self.dimension, bool) or self.dimension < 1:
             raise StepSetError("dimension must be a positive integer")
         if not self.steps:
             raise StepSetError("empty step set")
@@ -73,7 +73,7 @@ class StepSet:
         for s in self.steps:
             if len(s) != self.dimension:
                 raise StepSetError(f"step {s} has dimension {len(s)}, expected {self.dimension}")
-            if not all(isinstance(c, int) for c in s):
+            if not all(type(c) is int for c in s):  # not a bool either
                 raise StepSetError(f"step {s} has non-integer coordinates")
             if s in seen:
                 raise StepSetError(f"duplicate step {s}")
@@ -87,9 +87,6 @@ class StepSet:
     @property
     def size(self) -> int:
         return len(self.steps)
-
-    def weight_map(self) -> dict[Vector, Fraction]:
-        return dict(zip(self.steps, self.weights))
 
     def with_weights(self, weights: Sequence[Rational]) -> "StepSet":
         return StepSet(self.dimension, self.steps,
@@ -105,14 +102,10 @@ class StepSet:
                        tuple(self.steps[k] for k in order),
                        tuple(self.weights[k] for k in order))
 
-    def scaled(self, factor: Rational) -> "StepSet":
-        f = as_fraction(factor)
-        return self.with_weights([w * f for w in self.weights])
-
 
 def _step(s) -> Vector:
-    try:
-        return tuple(map(operator.index, s))
+    try:  # a bool stays one, for StepSet to refuse: JSON's true is not the integer 1
+        return tuple(s) if bool in map(type, s) else tuple(map(operator.index, s))
     except TypeError:
         raise StepSetError(f"step {s!r} is not a vector of integers") from None
 
@@ -165,7 +158,7 @@ def builtin_model(name: str, a: Rational = 1, b: Rational = 1) -> StepSet:
     a, b = as_fraction(a), as_fraction(b)
     if a <= 0 or b <= 0:
         raise StepSetError("model parameters a, b must be positive rationals")
-    return make_stepset(steps, central_weights(steps, (a, b)))
+    return StepSet(2, steps, tuple(central_weights(steps, (a, b))))  # nothing for _step to convert
 
 
 def stepset_from_json(data: Union[str, Mapping]) -> StepSet:
@@ -178,7 +171,8 @@ def stepset_from_json(data: Union[str, Mapping]) -> StepSet:
     if not isinstance(data, Mapping):
         raise StepSetError("step-set JSON must be an object")
     try:
-        dimension = operator.index(data["dimension"])
+        dimension = data["dimension"]  # a bool stays one, as in _step; 2.7 and "2" raise
+        dimension = dimension if isinstance(dimension, bool) else operator.index(dimension)
         entries = list(data["steps"])
     except (KeyError, TypeError, ValueError) as exc:
         raise StepSetError(f"step-set JSON needs a dimension and a steps list: {exc}") from exc
@@ -189,6 +183,9 @@ def stepset_from_json(data: Union[str, Mapping]) -> StepSet:
             weights.append(entry.get("w", 1))
         except (KeyError, TypeError) as exc:
             raise StepSetError(f"bad step entry {entry!r}") from exc
+    for obj, keys in [(data, ("dimension", "steps")), *((e, ("v", "w")) for e in entries)]:
+        if unknown := [key for key in obj if key not in keys]:
+            raise StepSetError(f"unknown step-set JSON key {unknown[0]!r}; expected {keys}")
     return make_stepset(steps, weights, dimension)
 
 

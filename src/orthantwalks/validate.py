@@ -94,6 +94,8 @@ def _validate(params: GBParams, what: str, n_max: int, tolerance: float,
               guard: int) -> ValidationReport:
     if n_max < 50:
         raise ValueError("validation needs n_max >= 50 to clear the transient regime")
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     excursions = what == "excursions"
     table = count_walks(params.model(), (params.i, params.j), n_max, mode="scaled",
                         track=[ORIGIN] if excursions else (), guard=guard)

@@ -10,7 +10,7 @@ from orthantwalks import (NotCentralError, SingularModelError, are_equivalent,
                           builtin_model, central_weights, classify, find_path_pairs,
                           is_central, is_singular, make_stepset, rank_full,
                           solve_central, step_matrix)
-from orthantwalks.central import central_check, pair_holds
+from orthantwalks.central import CentralDecomposition, central_check, pair_holds
 
 GB_STEPS = ((1, 0), (-1, 0), (-1, 1), (1, -1))
 LONG_STEP_SET = ((2, 2), (1, 1), (-1, 0), (0, -1))
@@ -68,7 +68,7 @@ class TestPathPairs:
         assert pair.step_index == 2
         assert dict(pair.left) == {2: 1, 3: 1}    # (-1,1) then (1,-1)
         assert dict(pair.right) == {0: 1, 1: 1}   # (1,0) then (-1,0)
-        assert pair.length == 2 and pair.endpoint == (0, 0)
+        assert sum(m for _, m in pair.left) == 2 and pair.endpoint == (0, 0)
 
     def test_gb_default_base_same_relation(self):
         model = builtin_model("gb", 1, 1)
@@ -85,7 +85,7 @@ class TestPathPairs:
         assert pair.step_index == 0
         assert dict(pair.left) == {0: 3, 2: 1, 3: 1}   # 3x(2,2), (-1,0), (0,-1)
         assert dict(pair.right) == {1: 5}               # 5x(1,1)
-        assert pair.length == 5 and pair.endpoint == (5, 5)
+        assert sum(m for _, m in pair.left) == 5 and pair.endpoint == (5, 5)
 
     def test_pair_invariants(self):
         for name in ("gb", "gessel", "simple"):
@@ -94,7 +94,7 @@ class TestPathPairs:
             for pair in pairs:
                 left_len = sum(m for _, m in pair.left)
                 right_len = sum(m for _, m in pair.right)
-                assert left_len == right_len == pair.length
+                assert left_len == right_len
                 assert dict(pair.left)[pair.step_index] >= 1
                 assert pair.step_index not in dict(pair.right)
                 assert pair.step_index not in base
@@ -181,6 +181,12 @@ class TestSolveCentral:
         with pytest.raises(NotCentralError) as err:
             solve_central(model)
         assert err.value.witness is not None
+
+    def test_failed_round_trip_raises(self, monkeypatch):
+        # the last guard: alpha and beta that do not give back the weights are refused
+        monkeypatch.setattr(CentralDecomposition, "verify", lambda self: False)
+        with pytest.raises(NotCentralError, match="round-trip"):
+            solve_central(builtin_model("gb", 2, 3))
 
     def test_base_choice_changes_monomial_not_value(self):
         model = long_step_model(central_weights(LONG_STEP_SET, (F(5, 3), F(7, 2)), beta=F(2)))

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import resource
+import shlex
 import subprocess
 import sys
 import warnings
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from orthantwalks import builtin_model, count_walks, stepset_from_json
+from orthantwalks import cli
 from orthantwalks.cli import build_parser, main
 from orthantwalks.gb import GBParams, Surd, gb_critical_points, gb_kappa_V
 
@@ -159,7 +161,15 @@ class TestCount:
     @pytest.mark.parametrize("spec", ['{"dimension": 2, "steps": 5}',
                                       '{"dimension": 2, "steps": [{"v": [1.5, 0]}]}',
                                       '{"dimension": 2.7, "steps": [{"v": [1, 0]}]}',
-                                      '{"dimension": "2", "steps": [{"v": [1, 0]}]}'])
+                                      '{"dimension": "2", "steps": [{"v": [1, 0]}]}',
+                                      '{"dimension": 2, "steps": [{"v": [1, 0], "weight": "5"},'
+                                      ' {"v": [-1, 0]}, {"v": [-1, 1]}, {"v": [1, -1]}]}',
+                                      '{"dimension": 1, "steps": [{"v": [1]}, {"v": [-1]}],'
+                                      ' "name": "walk"}',
+                                      '{"dimension": true, "steps": [{"v": [true], "w": true},'
+                                      ' {"v": [-1], "w": "2"}]}',
+                                      '{"dimension": 1, "steps": [{"v": [1], "w": true},'
+                                      ' {"v": [-1], "w": "2"}]}'])
     def test_malformed_spec_is_a_usage_error(self, capsys, spec):
         code, out, err = run_cli(capsys, "count", "--json", spec, "--n", "3")
         assert code == 2 and out == ""
@@ -373,6 +383,14 @@ class TestConjectureAndValidate:
                                "--n-max", "60", "--tolerance", "1e-12")
         assert code == 1
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "0"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, tolerance):
+        # nan and inf printed NaN and Infinity, which are not JSON, and inf passed any run
+        code, out, err = run_cli(capsys, "validate", "--a", "1", "--b", "1", "--n-max", "60",
+                                 "--tolerance", tolerance)
+        assert (code, out) == (2, "")
+        assert err == f"error: tolerance must be finite and positive, got {float(tolerance)}\n"
+
     def test_determinism_byte_identical(self, capsys):
         args = ("validate", "--a", "1", "--b", "1", "--n-max", "80", "--tolerance", "0.2")
         _, out1, _ = run_cli(capsys, *args)
@@ -499,6 +517,13 @@ def test_options_of_the_other_model_source_are_usage_errors(capsys, argv, option
     assert err.startswith("error: " + option)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_report_never_prints_a_non_json_number(capsys, value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._emit({"x": value}, "json", ("x",))
+    assert capsys.readouterr().out == ""
+
+
 class ReadRecorder(argparse.Namespace):
     """A parse result that records the name of every attribute read from it."""
 
@@ -512,13 +537,22 @@ class ReadRecorder(argparse.Namespace):
         return object.__getattribute__(self, name)
 
 
-def parser_leaves(parser, path=()):
+def subcommand_groups(parser):
+    return [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+
+
+def parser_tree(parser, path=()):
+    """{command path: parser} for `parser` and every parser below it."""
+    tree = {path: parser}
+    for group in subcommand_groups(parser):
+        for name, sub in group.choices.items():
+            tree.update(parser_tree(sub, (*path, name)))
+    return tree
+
+
+def parser_leaves(parser):
     """{command path: parser} for every parser below `parser` with no subcommands."""
-    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    if not groups:
-        return {path: parser}
-    return {leaf: p for group in groups for name, sub in group.choices.items()
-            for leaf, p in parser_leaves(sub, (*path, name)).items()}
+    return {path: p for path, p in parser_tree(parser).items() if not subcommand_groups(p)}
 
 
 # a minimal argv for every leaf, and a --json one for every leaf that takes --json
@@ -565,3 +599,118 @@ def test_handler_reads_every_option_it_parses(argv):
     with contextlib.redirect_stdout(io.StringIO()):
         args.handler(args)
     assert parsed - {"command", "action", "handler"} - args._reads == set()
+
+
+# a value each option with one accepts, beside a leaf's argv in LEAF_ARGVS
+OPTION_VALUES = {"--model": "gb", "--json": GB_SPEC, "--json2": GB_SPEC, "--start": "0,0",
+                 "--seed": "3", "--mode": "exact", "--emit": "csv", "--guard": "100000",
+                 "--a-range": "1:2:1", "--b-range": "1:1:1", "--cap": "2", "--n-max": "52",
+                 "--what": "totals", "--tolerance": "0.5"}
+
+
+def spelled(path, parser, option, spelling):
+    """An argv that passes `option` as `spelling` to the parser at `path`: a leaf's argv
+    from LEAF_ARGVS (one that holds the option, if any) with the option's spelling
+    changed there or the option added, or `path` and the option alone above the leaves."""
+    leaves = parser_leaves(build_parser())
+    argvs = [argv for argv in LEAF_ARGVS if leaf_of(leaves, argv) == path] or [path]
+    argv = next((a for a in argvs if option in a), argvs[0])
+    if option in argv:
+        return tuple(spelling if a == option else a for a in argv)
+    takes_value = parser._option_string_actions[option].nargs != 0
+    return (*argv, spelling, *([OPTION_VALUES[option]] if takes_value else []))
+
+
+def long_options(parser):
+    return sorted(o for o in parser._option_string_actions if o.startswith("--"))
+
+
+# every spelling argparse's prefix matching would read as exactly one long option
+ABBREVIATIONS = [
+    (path, option, option[:k])
+    for path, parser in parser_tree(build_parser()).items() for option in long_options(parser)
+    for k in range(3, len(option))
+    if [o for o in long_options(parser) if o.startswith(option[:k])] == [option]]
+
+
+def test_abbreviations_cover_every_parser():
+    assert len(parser_tree(build_parser())) == 17
+    assert {path for path, *_ in ABBREVIATIONS} == set(parser_tree(build_parser()))
+    assert len(ABBREVIATIONS) >= 199
+
+
+@pytest.mark.parametrize("path,option,spelling", ABBREVIATIONS,
+                         ids=[" ".join((*path, spelling)) for path, _, spelling in ABBREVIATIONS])
+def test_an_abbreviated_option_is_a_usage_error(capsys, path, option, spelling):
+    # one spelling per option: `diagram --a` is not `--a-range`, `validate --n` not `--n-max`
+    parser = parser_tree(build_parser())[path]
+    code, out, err = run_cli(capsys, *spelled(path, parser, option, spelling))
+    assert code == 2 and out == ""
+    assert err.startswith("usage:")
+
+
+ABBREVIATED = sorted({(path, option) for path, option, _ in ABBREVIATIONS})
+
+
+@pytest.mark.parametrize("path,option", ABBREVIATED,
+                         ids=[" ".join((*path, option)) for path, option in ABBREVIATED])
+def test_the_full_option_name_is_accepted(capsys, path, option):
+    parser = parser_tree(build_parser())[path]
+    code, out, err = run_cli(capsys, *spelled(path, parser, option, option))
+    assert code in (0, 1) and out, err
+
+
+@pytest.mark.parametrize("argv", [("diagram", "--model", "gb", "--a", "1:2:1", "--b", "1:1:1"),
+                                  ("validate", "--n", "60", "--tolerance", "0.5")],
+                         ids=" ".join)
+def test_a_prefix_of_another_option_is_not_that_option(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "the following arguments are required" in err
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("--help",), ("--version",), ("gb", "-h"),
+                                  ("central", "equiv", "--help")], ids=" ".join)
+def test_help_and_version(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.strip()
+
+
+def readme_examples():
+    """(command, the comment below it or None) for each `orthantwalks` line of README's
+    "Command line" block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in lines.splitlines() if line.strip()]
+    return [(line, nxt[2:] if nxt.startswith("# ") else None)
+            for line, nxt in zip(lines, lines[1:] + [""]) if line.startswith("orthantwalks ")]
+
+
+README_EXAMPLES = readme_examples()
+CSV_HEADERS = {"sample": "index,dx1,dx2,x1,x2", "diagram": "a,b,dx,dy,class"}
+
+
+def test_readme_lists_every_example():
+    assert len(README_EXAMPLES) == 14
+    assert [comment for _, comment in README_EXAMPLES if comment] == [
+        '{"alpha": "2", "class": "balanced", "label": "balanced", "rho": "4"}',
+        "totals [1, 1, 3, 6], origin counts [1, 0, 1, 0]",
+        '{"harmonic": true}: V is rho-harmonic at every (i, j)']
+
+
+@pytest.mark.parametrize("command,comment", README_EXAMPLES, ids=[c for c, _ in README_EXAMPLES])
+def test_readme_example_runs(capsys, command, comment):
+    argv = shlex.split(command)[1:]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    if "--emit" in argv:
+        assert argv[argv.index("--emit") + 1] == "csv"
+        assert out.splitlines()[0] == CSV_HEADERS[argv[0]]
+        return
+    payload = json.loads(out)
+    assert isinstance(payload, dict)
+    if comment and comment.startswith("{"):  # the report, then what it means
+        assert comment.startswith(out.rstrip("\n"))
+    elif comment:
+        assert comment == (f"totals {payload['totals']}, "
+                           f"origin counts {payload['origin_counts']}")

@@ -230,6 +230,25 @@ class TestEstimates:
         with pytest.raises(ValueError):
             gb_estimate(GBParams(1, 1), 0)
 
+    @pytest.mark.parametrize("minus", [1, 2], ids=["zero", "negative"])
+    def test_harmonic_value_at_one_parity(self, monkeypatch, minus):
+        # V_odd = v * (plus - minus * plus) through the _form seam: 0 gives a zero
+        # estimate at odd lengths, a negative V raises; even lengths are untouched
+        form = gb._form
+
+        def parity_term(label, a, b):
+            lam, mu, r, plus, _ = form(label, a, b)
+            return lam, mu, r, plus, minus * plus
+
+        monkeypatch.setattr(gb, "_form", parity_term)
+        params = GBParams(1, 1)
+        assert not gb_estimate(params, 100).is_zero()
+        if minus == 1:
+            assert gb_estimate(params, 101).is_zero()
+        else:
+            with pytest.raises(ValueError, match="harmonic value must be nonnegative"):
+                gb_estimate(params, 101)
+
     def test_excursion_origin_even(self):
         est = gb_excursion_estimate(GBParams(1, 1), 100)
         assert float(est) == pytest.approx(768 / math.pi * 4.0 ** 100 / 100 ** 5, rel=1e-12)

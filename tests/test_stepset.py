@@ -21,11 +21,11 @@ def gb_weight_map(a, b):
 class TestParsing:
     def test_builtin_gb_uniform(self):
         model = builtin_model("gb", 1, 1)
-        assert model.weight_map() == {s: F(1) for s in GB_STEPS}
+        assert dict(zip(model.steps, model.weights)) == {s: F(1) for s in GB_STEPS}
 
     def test_builtin_gb_weighted(self):
         model = builtin_model("gb", 2, 3)
-        assert model.weight_map() == gb_weight_map(2, 3)
+        assert dict(zip(model.steps, model.weights)) == gb_weight_map(2, 3)
         assert sorted(model.weights) == [F(1, 2), F(2, 3), F(3, 2), F(2)]
 
     def test_duplicate_step_rejected(self):
@@ -64,6 +64,25 @@ class TestParsing:
         with pytest.raises(StepSetError, match="dimension"):
             stepset_from_json(text)
 
+    @pytest.mark.parametrize("spec,message", [
+        ({"dimension": 2, "steps": [{"v": [1, 0], "weight": "5"}, {"v": [-1, 0]}]},
+         "unknown step-set JSON key 'weight'; expected ('v', 'w')"),
+        ({"dimension": 1, "steps": [{"v": [1]}, {"v": [-1]}], "name": "walk"},
+         "unknown step-set JSON key 'name'; expected ('dimension', 'steps')"),
+        ({"dimension": True, "steps": [{"v": [1]}, {"v": [-1], "w": "2"}]},
+         "dimension must be a positive integer"),
+        ({"dimension": 1, "steps": [{"v": [True]}, {"v": [-1], "w": "2"}]},
+         "step (True,) has non-integer coordinates"),
+        ({"dimension": 1, "steps": [{"v": [1], "w": True}, {"v": [-1], "w": "2"}]},
+         "cannot interpret True as a rational"),
+    ], ids=["step-key", "top-key", "bool-dimension", "bool-coordinate", "bool-weight"])
+    def test_only_the_schema_is_read(self, spec, message):
+        # a misspelt key is not ignored, and JSON's true is not the integer 1
+        for data in (spec, json.dumps(spec)):
+            with pytest.raises(StepSetError) as info:
+                stepset_from_json(data)
+            assert str(info.value) == message
+
     def test_nonpositive_weight(self):
         with pytest.raises(StepSetError, match="positive"):
             make_stepset([(1, 0)], [0])
@@ -97,9 +116,20 @@ class TestParsing:
         (lambda: stepset_from_json({"dimension": 2, "steps": [5]}), "bad step entry 5"),
         (lambda: inventory_eval(builtin_model("gb"), (1,)), "point dimension mismatch"),
         (lambda: inventory_eval(builtin_model("gb"), (1, "2")), "cannot evaluate at coordinate '2'"),
+        (lambda: as_fraction(True), "cannot interpret True as a rational"),
+        (lambda: make_stepset([(1,), (-1,)], [True, 1]), "cannot interpret True as a rational"),
+        (lambda: make_stepset([(1, 0), (False, 1)], [1, 1]),
+         "step (False, 1) has non-integer coordinates"),
+        (lambda: make_stepset([(1,), (-1,)], [1, 1], dimension=True),
+         "dimension must be a positive integer"),
+        (lambda: builtin_model("gb", 2, True), "cannot interpret True as a rational"),
+        (lambda: StepSet(True, ((1,),), (F(1),)), "dimension must be a positive integer"),
+        (lambda: StepSet(1, ((True,),), (F(1),)), "step (True,) has non-integer coordinates"),
     ], ids=["rational-string", "rational-type", "dimension", "no-steps", "weight-count",
             "float-coordinate", "int-weight", "order", "no-steps-made", "central-parameter",
-            "model-parameter", "step-entry", "point-dimension", "point-coordinate"])
+            "model-parameter", "step-entry", "point-dimension", "point-coordinate",
+            "bool-rational", "bool-weight-made", "bool-coordinate-made", "bool-dimension-made",
+            "bool-model-parameter", "bool-dimension", "bool-coordinate"])
     def test_rejected_input(self, call, message):
         with pytest.raises(StepSetError) as info:
             call()
@@ -197,7 +227,7 @@ class TestSingularity:
         order = list(range(len(steps)))
         rng.shuffle(order)
         assert is_singular(model.reordered(order)) == base
-        assert is_singular(model.scaled(F(7, 3))) == base
+        assert is_singular(model.with_weights([w * F(7, 3) for w in model.weights])) == base
 
     def test_agrees_with_direction_enumeration_2d(self):
         # compare the dual-cone test against a brute search over normals

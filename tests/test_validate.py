@@ -8,6 +8,7 @@ import pytest
 from orthantwalks import GBParams, gb_estimate, validate_excursions, validate_totals
 from orthantwalks import validate
 from orthantwalks.validate import _fit_slope
+from orthantwalks.xfloat import XFloat
 from tests.conftest import CLASS_REPS
 
 
@@ -31,6 +32,12 @@ class TestTotals:
     def test_minimum_length_enforced(self):
         with pytest.raises(ValueError):
             validate_totals(GBParams(1, 1), 40, 0.05)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0, 0.0])
+    def test_tolerance_must_be_finite_and_positive(self, tolerance):
+        for runner in (validate_totals, validate_excursions):
+            with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+                runner(GBParams(1, 1), 60, tolerance)
 
     def test_slope_needs_two_fitted_lengths(self):
         # one ratio at n >= 50 fits no slope, so the run raises rather than pass untested;
@@ -109,6 +116,14 @@ class TestExcursions:
         report = validate_excursions(GBParams(2, 3, 1, 1), 601, 0.1)
         assert report.passed
         assert all(n % 2 == 1 for n in report.ns)
+
+    def test_parity_violation_raises(self, monkeypatch):
+        # an estimate at a length of the wrong parity, where no walk returns, is a fault
+        real = validate.gb_excursion_estimate
+        monkeypatch.setattr(validate, "gb_excursion_estimate",
+                            lambda params, n: XFloat(1.0) if n % 2 else real(params, n))
+        with pytest.raises(AssertionError, match="parity violation at n=1"):
+            validate_excursions(GBParams(1, 1), 60, 0.5)
 
     def test_ratio_positive_finite(self):
         report = validate_excursions(GBParams(1, 1), 120, 0.5)

@@ -19,6 +19,9 @@ Every figure is a median over the rounds:
   per round, each with a seed not drawn before.
 * `exact_layers_ms`: every `layer(n)` of a new exact GB(1,1) table from the
   origin to n = 150, the table the `exact-algebra` workload builds.
+* `exact_replay_ms`: `_replay(n)` for every n of another new table like it:
+  the same layers as `exact_layers_ms`, without building the dicts that
+  `layer(n)` returns.
 * `exact_draw_ms`: 100 draws at n = 120 from another new table like it, as
   the `exact-algebra` workload draws them, each with a seed not drawn before.
 * `endpoint_ms`: the 151 untracked origin reads of another new table like
@@ -89,6 +92,8 @@ def measure(ow, seeds) -> dict[str, float]:
         clock(lambda: ow.sample_walk(table[0], DRAW_N, next(seeds))) for _ in range(DRAWS))
     exact = ow.count_walks(gb, (0, 0), EXACT_N, "exact")
     out["exact_layers_ms"] = 1e3 * clock(lambda: [exact.layer(n) for n in range(EXACT_N + 1)])
+    exact = ow.count_walks(gb, (0, 0), EXACT_N, "exact")
+    out["exact_replay_ms"] = 1e3 * clock(lambda: [exact._replay(n) for n in range(EXACT_N + 1)])
     exact = ow.count_walks(gb, (0, 0), EXACT_N, "exact")
     draws = list(itertools.islice(seeds, EXACT_DRAWS))
     out["exact_draw_ms"] = 1e3 * clock(

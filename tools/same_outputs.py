@@ -16,8 +16,9 @@ unweighted walks, once per built-in), a 1-D and a 3-D step set, three
 diagrams, eleven GB weightings, scaled counts beyond the float range (GB to
 n = 540, weights 10**-400), a 1-D count from the default start, and the
 error paths (guard aborts, malformed step-set JSON, weights beyond the float
-range, options the command does not read).  Each invocation prints its argv,
-exit code, stdout and stderr.
+range, options the command does not read, abbreviated options, and step-set
+JSON with a key or a boolean outside the schema).  Each invocation prints its
+argv, exit code, stdout and stderr.
 Then come seeded `sample_walk` draws: the four built-ins, exact and scaled,
 three lengths, 25 seeds.  Last come the central algebra and the classifier
 as library calls on seeded step sets: path pairs with the default base and
@@ -99,6 +100,13 @@ ERRORS = (
     ["central", "equiv", "--model", "gb", "--json2", NON_CENTRAL],
     ["conjecture2", "--model", "gb", "--a", "2", "--cap", "3"],
     ["count", "--json", ONE_D, "--a", "2", "--n", "3"],
+    ["diagram", "--model", "gb", "--a", "1:2:1", "--b", "1:1:1"],
+    ["validate", "--n", "60", "--tolerance", "0.5"],
+    ["count", "--model", "gb", "--n", "3", "--em", "csv"],
+    ["count", "--json", '{"dimension": 2, "steps": [{"v": [1, 0], "weight": "5"}, '
+     '{"v": [-1, 0]}, {"v": [-1, 1]}, {"v": [1, -1]}]}', "--n", "3"],
+    ["count", "--json", '{"dimension": 1, "steps": [{"v": [true]}, {"v": [-1], "w": "2"}]}',
+     "--n", "3"],
 )
 
 
