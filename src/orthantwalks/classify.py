@@ -7,11 +7,15 @@ iterations with a halving line search are deterministic and certified by
 their relative gradient residuals |grad S| / S.
 
 `_prepare` does the exact checks of one model and its rational drift.
-`_solve` then runs one damped Newton, `_newton`, over three problems: the
-interior critical point, and the minimizers of S(x, 1) and S(1, y) for the
-two edges.  The covariance factor c = H_uv / sqrt(H_uu H_vv) is read from the
-log-coordinate Hessian at the critical point, and the minimizer of S on
-Q = {x >= 1, y >= 1} from the three solutions.  The branch that places that
+`_solve` then calls `_newton`, which runs one scalar damped Newton in plain
+floats for each of three problems: the interior critical point, and the
+minimizers of S(x, 1) and S(1, y) for the two edges.  Every sum of terms is
+taken in log space, relative to its largest term, so no inventory value
+overflows inside the solve; only S(1, 1), where every problem starts, is
+checked against the float range.  The covariance factor
+c = H_uv / sqrt(H_uu H_vv) is read from the log-coordinate Hessian at the
+critical point, and the minimizer of S on Q = {x >= 1, y >= 1} from the
+three solutions.  The branch that places that
 minimizer names the class from its position and the gradient signs there,
 and `_solve` builds the `Classification`.
 
@@ -38,8 +42,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from .central import _base_solve, is_central
 from .linalg import _power_product
 from .stepset import StepSet, _float_weights, drift, is_singular
@@ -64,73 +66,63 @@ class AmbiguousClassError(ClassifyError):
         self.classification = classification
 
 
-def _terms(weights: np.ndarray, q: np.ndarray, u0: np.ndarray, u1: np.ndarray) -> np.ndarray:
-    """The terms w_k exp(s_k . u) of L(u) = S(e^u, e^v), one row per problem.
+def _moments(log_weights: list[float], steps: Sequence[tuple[int, int]],
+             u: float, v: float) -> tuple[float, tuple[float, ...]]:
+    """log L(u, v) and the relative derivatives (L_u, L_v, L_uu, L_uv, L_vv) / L.
 
-    The weights are shared by all rows; q[r] (or q, shared by all rows) holds
-    the moment rows 1, s1, s2, s1^2, s1 s2, s2^2 of the row's step columns.
+    Each term w_k exp(s_k . (u, v)) of L is taken relative to the largest
+    (log-sum-exp), so no value can overflow, and each relative derivative is
+    bounded by the step lengths.
     """
-    return weights * np.exp(u0[:, None] * q[..., 1, :] + u1[:, None] * q[..., 2, :])
+    logs = [lw + s1 * u + s2 * v for lw, (s1, s2) in zip(log_weights, steps)]
+    top = max(logs)
+    total = l0 = l1 = l00 = l01 = l11 = 0.0
+    for log, (s1, s2) in zip(logs, steps):
+        term = math.exp(log - top)
+        total, l0, l1 = total + term, l0 + term * s1, l1 + term * s2
+        l00, l01, l11 = l00 + term * s1 * s1, l01 + term * s1 * s2, l11 + term * s2 * s2
+    return top + math.log(total), (l0 / total, l1 / total, l00 / total, l01 / total, l11 / total)
 
 
-def _moments(terms: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """L and the relative derivatives (L_u, L_v, L_uu, L_uv, L_vv) / L, per row.
+def _newton(log_weights: list[float], steps: Sequence[tuple[int, int]],
+            cap: int) -> list[tuple[float, float, tuple[float, ...]]]:
+    """Damped Newton from u = 0 for the minimizers of L(u, v), L(u, 0) and L(0, v).
 
-    Each relative derivative is bounded by the step lengths, so it is finite
-    wherever L is.
+    L(u, v) = sum_k exp(log_weights[k] + s_k . (u, v)) is S(e^u, e^v).  Each
+    problem stops when its relative gradient is at most GRAD_TOL, halves its
+    step until log L rises by at most 1e-12, and fails after `cap` iterations.
+    Returns each minimizer (u, v) with the relative Hessian (L_uu, L_uv, L_vv)
+    / L there, or raises the first failed problem's error.
     """
-    sums = np.einsum("...k,...mk->...m", terms, q)
-    return sums[:, 0], sums[:, 1:] / sums[:, :1]
-
-
-def _newton(weights: np.ndarray, q: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Damped Newton from u = 0 for the minimizer of L, one row per problem.
-
-    Row r minimizes sum_k weights[k] exp(s_k . u) with the step columns of
-    q[r], and has its own convergence test and halving line search; a row
-    that converges or fails stays where it is.  Every row stops after `cap`
-    iterations.  A row whose step column along an axis is zero never moves
-    along that axis.  Returns the minimizers and the relative Hessians
-    (L_uu, L_uv, L_vv) / L there, or raises the first failed row's error.
-    """
-    # q's first moment row is all ones, so these are the terms at u = 0
-    u0, u1, terms = np.zeros(len(q)), np.zeros(len(q)), q[:, 0] * weights
-    # a unit diagonal on an axis the row does not move along gives it a zero step
-    pad = np.zeros((len(q), 5))
-    pad[:, 2:5:2] = (q[:, 3:6:2] == 0).all(axis=2)
-    # a trial point may overflow L; the line search then rejects it.  A row
-    # that has stopped takes a zero step, whatever its Newton system gives.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    solutions = []
+    # an edge problem zeroes the other axis's step coordinates, and a unit pad
+    # on that axis's Hessian entry gives it a zero step
+    for keep0, keep1 in ((1, 1), (1, 0), (0, 1)):
+        kept = [(s1 * keep0, s2 * keep1) for s1, s2 in steps]
+        u = v = 0.0
+        log_l, moments = _moments(log_weights, kept, u, v)
         for iteration in range(cap + 1):
-            base, rel = _moments(terms, q)
-            g0, g1, h00, h01, h11 = (rel + pad).T
-            residual, det = np.hypot(g0, g1), h00 * h11 - h01 * h01
-            # where L is infinite the relative gradient can read 0 without a minimizer
-            converged = (residual <= GRAD_TOL) & np.isfinite(base)
-            live = ~converged & (det > 0)
-            if iteration == cap or not live.any():
+            g0, g1, h00, h01, h11 = moments
+            h00, h11 = h00 + (1 - keep0), h11 + (1 - keep1)
+            residual, det = math.hypot(g0, g1), h00 * h11 - h01 * h01
+            if residual <= GRAD_TOL:
                 break
-            # the 2x2 Newton system by Cramer's rule; a 1-D row reduces to -g / h
-            step0 = np.where(live, (h01 * g1 - h11 * g0) / det, 0.0)
-            step1 = np.where(live, (h01 * g0 - h00 * g1) / det, 0.0)
-            bound, t = base + 1e-12 * base, np.ones(len(q))
-            for _ in range(60):
-                terms = _terms(weights, q, u0 + t * step0, u1 + t * step1)
-                pending = live & ~(terms.sum(axis=1) <= bound)
-                if not pending.any():
+            if not det > 0:
+                raise ClassifyError(f"singular Hessian at u = ({u}, {v})")
+            if iteration == cap:
+                raise ClassifyError("Newton iteration failed to converge "
+                                    f"(relative residual {residual})")
+            # the 2x2 Newton system by Cramer's rule; an edge problem reduces to -g / h
+            step0, step1 = (h01 * g1 - h11 * g0) / det, (h01 * g0 - h00 * g1) / det
+            t = 2.0
+            for _ in range(61):  # t = 2**-60, the last, is taken whatever it gives
+                t *= 0.5
+                trial = _moments(log_weights, kept, u + t * step0, v + t * step1)
+                if trial[0] <= log_l + 1e-12:
                     break
-                t[pending] *= 0.5
-            else:
-                terms = _terms(weights, q, u0 + t * step0, u1 + t * step1)
-            u0, u1 = u0 + t * step0, u1 + t * step1
-    for r in np.flatnonzero(~converged)[:1]:  # the first row that failed
-        if not math.isfinite(base[r]):
-            raise ClassifyError(f"the inventory leaves the float range at u = ({u0[r]}, {u1[r]})")
-        if not det[r] > 0:
-            raise ClassifyError(f"singular Hessian at u = ({u0[r]}, {u1[r]})")
-        raise ClassifyError("Newton iteration failed to converge "
-                            f"(relative residual {residual[r]})")
-    return np.stack([u0, u1], axis=1), rel[:, 2:]
+            u, v, (log_l, moments) = u + t * step0, v + t * step1, trial
+        solutions.append((u, v, moments[2:]))
+    return solutions
 
 
 class _Cell(NamedTuple):
@@ -148,12 +140,6 @@ def _prepare(model: StepSet) -> _Cell:
     return _Cell(model, drift(model))
 
 
-_POWERS = np.array([[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]])
-# the moments each problem keeps: the interior, S(x, 1) with its s2 column
-# zeroed and S(1, y) with its s1 column zeroed
-_KEPT = np.array([[1, 1, 1, 1, 1, 1], [1, 1, 0, 1, 0, 0], [1, 0, 1, 0, 0, 1]], dtype=float)
-
-
 def _solve(cell: _Cell, exact: Optional[tuple]) -> Classification:
     """One model's Classification from its three problems; raise its ClassifyError if they fail.
 
@@ -166,23 +152,19 @@ def _solve(cell: _Cell, exact: Optional[tuple]) -> Classification:
     is given, as it always is for a corner cell.
     """
     try:
-        floats = np.array(_float_weights(cell.model.weights))
+        floats = _float_weights(cell.model.weights)
     except OverflowError as exc:
         raise ClassifyError(str(exc)) from None
-    # moment rows 1, s1, s2, s1^2, s1 s2, s2^2 of the three problems
-    steps = cell.model.steps
-    q = _KEPT[:, :, None] * (np.array(steps, dtype=float) ** _POWERS[:, None, :]).prod(axis=2)
+    if math.isinf(sum(floats)):  # S(1, 1), where every problem starts
+        raise ClassifyError("the inventory leaves the float range at u = (0.0, 0.0)")
+    log_weights, steps = [math.log(w) for w in floats], cell.model.steps
     # far from the minimizer a damped step moves about one unit of log scale
     spread = max(abs(math.log(w.numerator) - math.log(w.denominator)) for w in cell.model.weights)
-    u, h = _newton(floats, q, 200 + math.ceil(2 * spread))
-    # the interior candidate, then the edge points where y = 1 and where x = 1:
-    # an edge row's fixed coordinate stays exactly 0
-    points = np.maximum(u, 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values, rel = _moments(_terms(floats, q[0], points[:, 0], points[:, 1]), q[0])
-    values, grads, points = values.tolist(), rel[:, :2].tolist(), points.tolist()
-    (us, vs), (huu, huv, hvv) = u[0].tolist(), h[0].tolist()
-    u1, v1 = float(u[1, 0]), float(u[2, 1])
+    (us, vs, (huu, huv, hvv)), (u1, _, _), (_, v1, _) = _newton(
+        log_weights, steps, 200 + math.ceil(2 * spread))
+    # the interior candidate, then the edge points where y = 1 and where x = 1
+    points = [(max(us, 0.0), max(vs, 0.0)), (max(u1, 0.0), 0.0), (0.0, max(v1, 0.0))]
+    log_values, grads = zip(*(_moments(log_weights, steps, *point) for point in points))
     if huu <= 0 or hvv <= 0:
         raise ClassifyError("degenerate Hessian at the critical point")
     c = huv / math.sqrt(huu * hvv)
@@ -194,7 +176,7 @@ def _solve(cell: _Cell, exact: Optional[tuple]) -> Classification:
         point, rho_exact = (0.0, 0.0), sum(cell.model.weights)
         rho = float(rho_exact)
     elif us >= -EQ_TOL and vs >= -EQ_TOL:
-        point, rho = points[0], values[0]
+        point, rho = points[0], math.exp(log_values[0])
         family = "reluctant" if us > EQ_TOL and vs > EQ_TOL else "transitional"
     else:
         # KKT on the edge where coordinate `axis` is 1: S must not decrease into Q
@@ -202,8 +184,8 @@ def _solve(cell: _Cell, exact: Optional[tuple]) -> Classification:
                       if free_drift < 0 and t >= -EQ_TOL and grads[r][axis] >= -KKT_TOL]
         if not candidates:
             raise ClassifyError("no KKT point found on the boundary of Q")
-        r = min(candidates, key=values.__getitem__)
-        point, rho, family = points[r], values[r], "directed"
+        r = min(candidates, key=log_values.__getitem__)
+        point, rho, family = points[r], math.exp(log_values[r]), "directed"
         bands.append(("off-edge gradient", grads[r][math.exp(point[0]) > 1.0 + EQ_TOL]))
     family, p1_exact, ambiguities = exact or (family, None, tuple(
         f"{name} = {quantity:.3e} lies in the ambiguity band"

@@ -33,7 +33,9 @@ Exact = Union[Fraction, "Surd"]
 
 
 def _weights(a: Real, b: Real) -> tuple[Fraction, Fraction]:
-    """a and b as exact Fractions; both must be finite and positive."""
+    """a and b as exact Fractions; both must be finite and positive, and neither a bool."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        raise ValueError("weights a, b must be numbers, not bools")
     try:
         a, b = Fraction(a), Fraction(b)
     except (ValueError, OverflowError):
@@ -197,6 +199,8 @@ class GBParams:
         a, b = _weights(self.a, self.b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        if isinstance(self.i, bool) or isinstance(self.j, bool):
+            raise ValueError("start point coordinates must be ints, not bools")
         if self.i < 0 or self.j < 0:
             raise ValueError("start point must lie in the quarter plane")
 

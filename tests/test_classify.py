@@ -7,6 +7,8 @@ import warnings
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from orthantwalks import (AmbiguousClassError, ClassifyError, builtin_model,
                           central_weights, classify, drift, drift_diagram,
@@ -154,6 +156,50 @@ class TestCovarianceOracle:
         model = make_stepset([(0, -1), (-1, -1), (1, 1), (0, 1)],
                              [24, F(4, 5), F(5, 28), 29])
         assert solved(model).covariance == pytest.approx(0.1188459126253145954, rel=1e-14)
+
+
+king_weights = st.builds(F, st.integers(1, 9), st.integers(1, 9))
+
+
+@st.composite
+def king_sets(draw):
+    """A non-singular subset of the king steps with weights p/q, 1 <= p, q <= 9."""
+    steps = draw(st.lists(st.sampled_from(KING), min_size=3, max_size=8, unique=True))
+    model = make_stepset(steps, draw(st.lists(king_weights, min_size=len(steps),
+                                              max_size=len(steps))))
+    assume(not is_singular(model))
+    return model
+
+
+def log_gradient(model, x, y):
+    """(x S_x, y S_y) / S, from the terms of S."""
+    terms = [float(w) * x ** s1 * y ** s2 for (s1, s2), w in zip(model.steps, model.weights)]
+    return [sum(t * s[k] for t, s in zip(terms, model.steps)) / sum(terms) for k in (0, 1)]
+
+
+# u, v in [0, 3] in steps of 1/8: a grid of Q in log coordinates
+LOG_GRID = [math.exp(k / 8) for k in range(25)]
+
+
+class TestKingSetSolve:
+    """The solve on random king sets, judged with inventory_eval as the oracle."""
+
+    @given(king_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_solution_against_the_inventory(self, model):
+        result = solved(model)
+        x, y = result.minimizer
+        assert x >= 1.0 and y >= 1.0
+        assert result.rho == pytest.approx(inventory_eval(model, (x, y)), rel=1e-12)
+        lowest = min(inventory_eval(model, (gx, gy)) for gx in LOG_GRID for gy in LOG_GRID)
+        assert result.rho <= lowest * (1 + 1e-9)
+        assert math.hypot(*log_gradient(model, *result.critical_point)) <= 1e-9
+        # KKT at the minimizer: S is stationary along a free coordinate and
+        # does not decrease into Q along a coordinate at 1
+        for coordinate, slope in zip((x, y), log_gradient(model, x, y)):
+            assert slope >= -1e-9 and (coordinate == 1.0 or abs(slope) <= 1e-9)
+        dx, dy = drift(model)
+        assert (result.family in ("free", "axial", "balanced")) == (dx >= 0 and dy >= 0)
 
 
 def minimize_on_q(model):
@@ -383,6 +429,41 @@ class TestClassify:
                               (0, 0, 1), (0, 0, -1)], [1] * 6)
         with pytest.raises(ClassifyError):
             classify(model)
+
+
+class TestFailureGuards:
+    """Each ClassifyError of the solve, reached where public inputs reach it."""
+
+    def test_degenerate_hessian(self):
+        # the gradient vanishes at u = 0 by symmetry, where the x-terms are 10**-600 of S
+        model = make_stepset([(1, 0), (-1, 0), (0, 1), (0, -1)],
+                             [F(1, 10 ** 300)] * 2 + [10 ** 300] * 2)
+        with pytest.raises(ClassifyError, match="degenerate Hessian at the critical point"):
+            classify(model)
+
+    def test_covariance_outside_the_open_interval(self):
+        # the steps (1, 1) and (-1, -1) carry all but 10**-600 of S at the critical point u = 0
+        model = make_stepset([(1, 1), (-1, -1), (1, 0), (0, -1), (-1, 0), (0, 1)],
+                             [10 ** 300] * 2 + [F(1, 10 ** 300)] * 4)
+        with pytest.raises(ClassifyError, match=r"covariance factor 1\.0 outside \(-1, 1\)"):
+            classify(model)
+
+    def test_iteration_cap(self):
+        # the simple walk with weight 2 on (-1, 0) has its critical point at x = sqrt(2)
+        steps, log_weights = [(1, 0), (-1, 0), (0, 1), (0, -1)], [0.0, math.log(2), 0.0, 0.0]
+        (u, v, _), _, _ = CLASSIFY_MODULE._newton(log_weights, steps, 10)
+        assert (u, v) == (pytest.approx(math.log(2) / 2, abs=1e-12), 0.0)
+        with pytest.raises(ClassifyError, match="Newton iteration failed to converge"):
+            CLASSIFY_MODULE._newton(log_weights, steps, 1)
+
+    def test_no_kkt_point(self, monkeypatch):
+        # a float safety net: the minimizer on Q of a strictly convex S meets the KKT
+        # test exactly, so only edge minimizers off by more than the tolerances fail it
+        hessian = (1.0, 0.0, 1.0)
+        monkeypatch.setattr(CLASSIFY_MODULE, "_newton", lambda *args: [
+            (-1.0, -1.0, hessian), (-1.0, 0.0, hessian), (0.0, -1.0, hessian)])
+        with pytest.raises(ClassifyError, match="no KKT point found on the boundary of Q"):
+            classify(builtin_model("simple", F(1, 2), F(1, 2)))
 
 
 class TestRegionGeometry:

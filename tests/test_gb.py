@@ -42,10 +42,20 @@ def test_non_finite_weight_rejected(entry, value):
             ENTRY_POINTS[entry](a, b)
 
 
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_bool_weight_rejected(entry):
+    # Fraction(True) is 1, so a bool would pass for a weight
+    for a, b in [(True, 1), (1, False)]:
+        with pytest.raises(ValueError, match="weights a, b must be numbers, not bools"):
+            ENTRY_POINTS[entry](a, b)
+
+
 @pytest.mark.parametrize("call,message", [
     (lambda: GBParams(1, 1, -1, 0), "start point must lie in the quarter plane"),
+    (lambda: GBParams(1, 1, True, 0), "start point coordinates must be ints, not bools"),
+    (lambda: GBParams(1, 1, 0, False), "start point coordinates must be ints, not bools"),
     (lambda: gb_excursion_estimate(GBParams(1, 1), 0), "estimates require n >= 1"),
-], ids=["start", "excursion-length"])
+], ids=["start", "start-bool-i", "start-bool-j", "excursion-length"])
 def test_rejected_input(call, message):
     with pytest.raises(ValueError) as info:
         call()
