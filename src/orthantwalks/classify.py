@@ -194,11 +194,16 @@ def _solve(cell: _Cell, exact: Optional[tuple]) -> Classification:
     alpha_exact = None if slope and p1_exact is None else offset + slope * (p1_exact or 0)
     p1 = math.pi / math.acos(-c)
     alpha = float(alpha_exact) if alpha_exact is not None else slope * p1 + float(offset)
+    try:
+        critical, minimizer, boundary = [(math.exp(u), math.exp(v))
+                                         for u, v in ((us, vs), point, (u1, v1))]
+    except OverflowError:
+        raise ClassifyError(f"a critical point leaves the float range at u = ({us}, {vs}), "
+                            f"({u1}, {v1})") from None
     return Classification(
-        family=family, rho=rho, alpha=alpha, critical_point=(math.exp(us), math.exp(vs)),
-        minimizer=(math.exp(point[0]), math.exp(point[1])), boundary=(math.exp(u1), math.exp(v1)),
-        covariance=c, p1=p1, drift=cell.drift, rho_exact=rho_exact, alpha_exact=alpha_exact,
-        ambiguities=ambiguities)
+        family=family, rho=rho, alpha=alpha, critical_point=critical, minimizer=minimizer,
+        boundary=boundary, covariance=c, p1=p1, drift=cell.drift, rho_exact=rho_exact,
+        alpha_exact=alpha_exact, ambiguities=ambiguities)
 
 
 # p1 = pi / arccos(-c) for each c**2 that Niven's theorem allows, as (c >= 0, c < 0)

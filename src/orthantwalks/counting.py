@@ -1,10 +1,11 @@
 """Counting tables for weighted walks confined to the nonnegative orthant.
 
 Every layer comes out of one stream, `_layers`, the only loop over layers.
-It yields layer n as (n, layer, raw total), the layer a `Layer`, and builds
-layer n+1 only when asked.  `WalkTable` records totals, tracked endpoints and
-kept layers from it; the null-space checker and the relation checks read it
-directly, keep no table, and stop pulling once they have their answer.
+It yields layer n as (n, layer, total), the layer a `Layer` and the total a
+scaled layer's raw sum (None in exact mode), and builds layer n+1 only when
+asked.  `WalkTable` records totals, tracked endpoints and kept layers from
+it; the null-space checker and the relation checks read it directly, keep no
+table, pay for no total, and stop pulling once they have their answer.
 
 One transfer kernel builds every layer.  Steps agree modulo m_k = gcd_s(s_k -
 s0_k) on axis k, so layer n lies in the coset start + n*s0 (mod m), in a dense
@@ -22,16 +23,27 @@ outgrows its rows is first copied into longer ones.  The stream carries the
 row layout, and with it each step's flat offset, from layer to layer.  Only
 the array's dtype depends on the mode:
 
-* exact mode: object arrays of Python ints.  Rational weights are cleared to
-  integers by the common denominator L, so layer n stores L**n times the true
-  weighted count and every identity check stays bit-exact.
+* exact mode: object arrays of Python ints.  A central weighting w_s = beta *
+  alpha**s with rational alpha and beta (`central.solve_central`) runs on
+  unit weights: every n-step walk from the start to p weighs beta**n *
+  alpha**(p - start), so weighted(p, n) is that times the unit-weight count
+  (Garbit & Raschel, Rev. Mat. Iberoam. 32, 2016), and every read folds the
+  factor in.  Every other weighting runs on its weights cleared to integers
+  by their common denominator L, and reads with alpha = 1, beta = 1 and a
+  further 1 / L**n.  The total of a layer comes from the boundary identity
+  of `_boundary`, which reads only the cells next to the axes; it is kept as
+  one integer per layer and becomes a Fraction only when read.  A draw
+  weighs each cell by L**n times its count, L the weights' denominator, on
+  either path, so a seed draws the same walk from both.
 * scaled mode: float64 arrays with one shared binary exponent per layer.
   Powers of two are exact in binary floating point, so the renormalization
   (the one step only scaled mode takes) adds no rounding error; per-layer
   relative error is bounded by (|S|+2) ulp and hence by n * 2**-50 after n
   layers.  One sum per layer gives the total and the range check: entries
   are nonnegative, so max <= sum <= cells * max, and only a sum outside
-  [cells * 2**-499, 2**500] needs the maximum.
+  [cells * 2**-499, 2**500] needs the maximum.  The boundary identity would
+  not serve here: its subtraction cancels in floats where the mass of a
+  layer sits next to the axes.
 
 A layer the table does not keep is written into one of two buffers, both
 sized once to the largest padded layer, so the build allocates no layer it
@@ -71,6 +83,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
+from .central import NotCentralError, SingularModelError, solve_central
 from .xfloat import XFloat
 from .stepset import StepSet, StepSetError, Vector, _float_weights
 
@@ -125,6 +138,42 @@ def _kernel_weights(model: StepSet, mode: str) -> tuple[list, int]:
     return [int(w * scale) for w in model.weights], scale
 
 
+def _fold(model: StepSet) -> Optional[tuple[tuple[Fraction, ...], Fraction]]:
+    """alpha and beta of a central weighting when both are rational and not all 1, else None."""
+    if set(model.weights) == {1}:
+        return None
+    try:
+        dec = solve_central(model)
+    except (SingularModelError, NotCentralError):
+        return None
+    alpha, beta = dec.alpha_exact(), dec.beta_exact()
+    return None if beta is None or None in alpha else (alpha, beta)
+
+
+def _boundary(steps, weights: list[int], alpha: Sequence[tuple[int, int]], neg: Vector,
+              pos: Vector) -> tuple[int, list[tuple[int, list]]]:
+    """K = Lambda * sum_s w_s alpha**s, and the classes of the band, for the boundary identity.
+
+    With alpha_k = N_k / D_k, Lambda = prod_k N_k**-neg_k * D_k**pos_k and
+    g(q, n) = Lambda**n alpha**(q - start), the lifted total t(n) = sum_q
+    g(q, n) raw(q, n) obeys t(n+1) = K t(n) - band(n).  A step leaves the
+    orthant only from a cell q with q_k < -neg_k on some axis, so band(n)
+    sums g(q, n) raw(q, n) Lambda sum_{s: q+s outside} w_s alpha**s over
+    those cells.  They fall into classes, one per pattern of the coordinates
+    min(q_k, -neg_k); a class is its weight Lambda sum_s w_s alpha**s and,
+    per axis, its coordinate, or None where q_k >= -neg_k is free.
+    """
+    lifts = [math.prod(a ** (c - q) * b ** (p - c) for (a, b), c, q, p in zip(alpha, s, neg, pos))
+             for s in steps]
+    classes = []
+    for c in itertools.product(*(range(1 - q) for q in neg)):
+        weight = sum(w * g for s, w, g in zip(steps, weights, lifts)
+                     if any(x + t < 0 for x, t in zip(c, s)))
+        if weight:
+            classes.append((weight, [x if x < -q else None for x, q in zip(c, neg)]))
+    return sum(w * g for w, g in zip(weights, lifts)), classes
+
+
 class WalkTable:
     """Layered counts of orthant-confined walks from a fixed start point.
 
@@ -138,6 +187,8 @@ class WalkTable:
                  guard: int = DEFAULT_GUARD,
                  track: Iterable[Vector] = (),
                  keep_layers: bool = False):
+        if any(isinstance(c, bool) for c in start):
+            raise StepSetError("start point coordinates must be ints, not bools")
         if any(c < 0 for c in start):
             raise StepSetError(f"start {start} lies outside the orthant")
         if len(start) != model.dimension:
@@ -152,7 +203,6 @@ class WalkTable:
         self.mode = mode
         self.guard = guard
         self._lattice = _lattice(model.steps)
-        self._weights, self._scale = _kernel_weights(model, mode)
         # layers n with n % stride == 0 (and the last) are kept; stride 0 keeps none
         keeps = mode == "exact" or keep_layers
         self._stride = max(1, math.isqrt(n_max)) if keeps else 0
@@ -167,16 +217,43 @@ class WalkTable:
         if held > guard:
             raise ResourceGuardError(
                 f"{mode} table of {held} cells exceeds guard of {guard}")
+        # a central weighting with rational alpha and beta runs on unit weights; every other
+        # table on the weights L * w, with alpha = (1, ..., 1) and beta = 1
+        fold = _fold(model) if mode == "exact" else None
+        alpha, beta = fold or ((Fraction(1),) * model.dimension, Fraction(1))
+        kernel = model if fold is None else model.unweighted()
+        self._weights, scale = _kernel_weights(kernel, mode)
+        # a cell reads beta**n * alpha**(p - start) * raw / scale**n = g(p, n) * raw * (num/den)**n
+        self._span = neg, pos = _extents(model.steps, self._lattice)[:2]
+        alpha = [(a.numerator, a.denominator) for a in alpha]
+        lam = math.prod(a ** -q * b ** p for (a, b), q, p in zip(alpha, neg, pos))
+        self._per_layer = (beta.numerator, beta.denominator * scale * lam)
+        self._trivial = self._per_layer == (1, 1) and set(alpha) == {(1, 1)}
+        # the powers N_k**j and D_k**j that g takes, None for 1
+        self._powers = [[None if v == 1 else np.array(list(itertools.accumulate(
+            itertools.repeat(v, n_max * (p - q)), operator.mul, initial=1)), dtype=object)
+            for v in pair] for pair, q, p in zip(alpha, neg, pos)]
+        # a draw weighs walks by L**n times their weight, L the weights' denominator
+        self._unit = math.lcm(*(w.denominator for w in model.weights))
         self._tracked: dict[Vector, list[tuple]] = {tuple(p): [] for p in track}
         if any(len(p) != model.dimension for p in self._tracked):
             raise StepSetError("tracked point dimension mismatch")
+        if any(isinstance(c, bool) for p in self._tracked for c in p):
+            raise StepSetError("tracked point coordinates must be ints, not bools")
         self._windows, self._totals, self._kept = [], [], {}
         self._first = None  # sample_walk's last first pick: n, cells, cumsum, shape, corner
-        for n, layer, total in _layers(model, self.start, n_max, mode, guard,
-                                       checkpoints.__contains__):
+        if mode == "exact":  # every exact total comes from the boundary identity
+            factor, self._classes = _boundary(model.steps, self._weights, alpha, neg, pos)
+            total = 1
+        for n, layer, scaled_total in _layers(kernel, self.start, n_max, mode, guard,
+                                              checkpoints.__contains__):
             arr, exp, window = layer[:3]
             self._windows.append(window)
+            if mode == "scaled":
+                total = scaled_total
             self._totals.append((total, exp))
+            if mode == "exact" and n < n_max:
+                total = factor * total - self._band(arr, window[0], n)
             for p, series in self._tracked.items():
                 index = _index(window, p, self._lattice)
                 series.append((0 if index is None else arr[index], exp))
@@ -266,11 +343,66 @@ class WalkTable:
         return stack, k * size + sum(map(operator.mul, apex, strides)), size, offsets, j
 
     def _value(self, raw, exp: int, n: int) -> Count:
+        """A count from a raw total, or from g(p, n) times a raw cell: an int when every weight
+        is an integer, else a Fraction; an XFloat when scaled."""
         if self.mode == "scaled":
             return XFloat(float(raw), exp)
-        if self._scale == 1:
+        if self._trivial:
             return raw
-        return Fraction(raw, self._scale ** n)
+        num, den = self._per_layer
+        value = Fraction(raw * num ** n if num != 1 else raw, den ** n)
+        return value if self._unit != 1 else int(value)
+
+    def _lift_axis(self, k: int, x: int, size: int, n: int) -> Optional[np.ndarray]:
+        """g(p, n)'s factor on axis k at x, x + m, ... (`size` points, m the axis's spacing),
+        None where alpha_k = 1: N_k**(x - l) * D_k**(h - x), with alpha_k = N_k / D_k and l
+        and h the least and the greatest coordinate n steps reach from the start."""
+        up, down = self._powers[k]
+        if up is None and down is None or not size:
+            return None
+        (neg, pos), m = self._span, self._lattice[k]
+        l, h = self.start[k] + n * neg[k], self.start[k] + n * pos[k]
+        vec = 1 if up is None else up[x - l:x - l + m * size:m]
+        return vec if down is None else vec * down[h - x - m * (size - 1):h - x + 1:m][::-1]
+
+    def _lift(self, point: Vector, n: int) -> int:
+        """g(point, n) = Lambda**n * alpha**(point - start), an integer where n steps reach."""
+        return math.prod(int(v[0]) for k, x in enumerate(point)
+                         if (v := self._lift_axis(k, x, 1, n)) is not None)
+
+    def _lifted(self, arr: np.ndarray, corner: Vector, n: int) -> np.ndarray:
+        """The cells g(p, n) * raw(p, n) of an array of layer n's cells from `corner` on."""
+        for k, (x, size) in enumerate(zip(corner, arr.shape)):
+            if (vec := self._lift_axis(k, x, size, n)) is not None:
+                arr = arr * vec.reshape([-1 if j == k else 1 for j in range(arr.ndim)])
+        return arr
+
+    def _band(self, arr: np.ndarray, lo: Vector, n: int) -> int:
+        """band(n) of `_boundary`: per class, its slab of the layer contracted with g."""
+        out = 0
+        for weight, fixed in self._classes:
+            index, free = [], []
+            for k, (c, l, m, q) in enumerate(zip(fixed, lo, self._lattice, self._span[0])):
+                # a fixed coordinate c, or every cell with q_k >= -neg_k
+                i, r = divmod(c - l, m) if c is not None else (max(0, -((l + q) // m)), 0)
+                if r or not 0 <= i < arr.shape[k]:
+                    break
+                if c is None:
+                    index.append(slice(i, None))
+                    free.append((k, l + m * i))
+                else:
+                    index.append(i)
+                    if (vec := self._lift_axis(k, c, 1, n)) is not None:
+                        weight *= int(vec[0])
+            else:
+                part = arr[tuple(index)]
+                for k, x in reversed(free):
+                    if (vec := self._lift_axis(k, x, part.shape[-1], n)) is not None:
+                        part = part.dot(vec)
+                    else:  # Python sums a row of ints faster
+                        part = sum(part.tolist()) if part.ndim == 1 else part.sum(axis=-1)
+                out += weight * part
+        return out
 
     def _check_n(self, n: int) -> None:
         if not 0 <= n <= self.n_max:
@@ -288,31 +420,33 @@ class WalkTable:
         if len(end) != len(self.start):
             raise StepSetError("endpoint dimension mismatch")
         if end in self._tracked:
-            return self._value(*self._tracked[end][n], n)
-        if not self._kept:
+            raw, exp = self._tracked[end][n]
+        elif not self._kept:
             raise ValueError(
                 f"endpoint {end} was not tracked; pass track=[{end}] to count_walks")
-        exp = self._totals[n][1]
-        index = _index(self._windows[n], end, self._lattice)
-        if index is None:
-            return self._value(0, exp, n)
-        stack, at = self._stretch(end, n, n)[:2]
-        return self._value(stack[at], exp, n)
+        elif (index := _index(self._windows[n], end, self._lattice)) is None:
+            raw, exp = 0, self._totals[n][1]
+        else:
+            stack, at = self._stretch(end, n, n)[:2]
+            raw, exp = stack[at], self._totals[n][1]
+        return self._value(raw * self._lift(end, n) if raw and not self._trivial else raw, exp, n)
 
     def layer(self, n: int) -> dict[Vector, Count]:
         """Endpoint -> count map of the nonzero entries of layer n; scaled entries are
         XFloats, and a scaled table has whole layers only if built with keep_layers."""
         self._check_n(n)
-        arr, exp, (lo, _) = self._replay(n)[:3]
+        arr, exp, window = self._replay(n)[:3]
+        if not self._trivial:
+            arr = self._lifted(arr, window[0], n)
         nonzero = np.nonzero(arr)
-        points = zip(*((m * i + l).tolist() for i, l, m in zip(nonzero, lo, self._lattice)))
+        points = zip(*((m * i + l).tolist() for i, l, m in zip(nonzero, window[0], self._lattice)))
         return {p: self._value(c, exp, n) for p, c in zip(points, arr[nonzero].tolist())}
-
 
 def _layers(model: StepSet, start: Vector, n_max: int, mode: str,
             guard: int = DEFAULT_GUARD,
             keep: Callable[[int], bool] = lambda n: True) -> Iterator[tuple]:
-    """Layers 0..n_max from `start` as (n, `Layer`, raw total).
+    """Layers 0..n_max from `start` as (n, `Layer`, raw total), the total scaled only (None
+    in exact mode, where `WalkTable` takes it from the boundary identity).
 
     Raw exact cells are L**n times the weighted counts.  Layer n goes into a
     buffer of its own when keep(n), else into one of two spare buffers, both
@@ -352,8 +486,8 @@ def _layers(model: StepSet, start: Vector, n_max: int, mode: str,
                         window[0], reach[0], lattice, layout[1])])
                 else:
                     at = 0
-            # all rows, ghosts included (and _trim's zero faces); Python sums ints faster
-            total = cells.sum() if mode == "scaled" else sum(cells.tolist())
+            # all rows, ghosts included (and _trim's zero faces); an exact table sums the boundary
+            total = cells.sum() if mode == "scaled" else None
             # max <= computed sum <= 2 * cells * max, so a sum in range clears the max
             if mode == "scaled" and not arr.size * _NORM_FLOOR <= total <= _NORM_LIMIT:
                 peak = float(cells.max(initial=0.0))
@@ -612,6 +746,8 @@ def brute_force_count(model: StepSet, start: Sequence[int], n: int,
     start = tuple(start)
     if len(start) != model.dimension:
         raise StepSetError("start point dimension mismatch")
+    if any(isinstance(c, bool) for c in start):
+        raise StepSetError("start point coordinates must be ints, not bools")
     if min(start) < 0:
         raise StepSetError(f"start {start} lies outside the orthant")
     integer = all(w.denominator == 1 for w in model.weights)
@@ -650,14 +786,29 @@ def sample_walk(table: WalkTable, n: int, seed: int) -> Walk:
     """
     table._check_n(n)
     rng = random.Random(seed)
+    ratio = 1
+    if not table._trivial:  # a draw weighs a count, g(p, n) * raw(p, n) * (num/den)**n, by L**n
+        num, den = table._per_layer
+        ratio = Fraction(table._unit * num, den) ** n
     if table._first is None or table._first[0] != n:
-        arr, _, (lo, _) = table._replay(n)[:3]
+        arr, _, window = table._replay(n)[:3]
+        if not table._trivial:
+            arr = table._lifted(arr, window[0], n)
+            if ratio != 1:
+                arr = arr * ratio.numerator // ratio.denominator
         cells = np.flatnonzero(arr)
-        table._first = (n, cells, np.cumsum(arr.ravel()[cells]), arr.shape, lo)
+        table._first = (n, cells, np.cumsum(arr.ravel()[cells]), arr.shape, window[0])
     _, cells, cumulative, shape, lo = table._first
     index = np.unravel_index(cells[_pick(rng, cumulative)], shape)
     point = tuple(l + q * int(i) for l, q, i in zip(lo, table._lattice, index))
     steps, weights = table.model.steps, table._weights
+    # A step back by s_i from `point` at layer m weighs L w_i times the count below, which is
+    # `unit` = L**m beta**m alpha**(point - start) over L w_i times the raw cell: the draw
+    # weighs the raw cells by `unit` times the kernel's weights, and unit moves by units[i].
+    unit, units = 1, [1] * len(steps)
+    if not table._trivial:
+        unit = table._lift(point, n) * ratio.numerator // ratio.denominator
+        units = [int(w * table._unit) // k for w, k in zip(table.model.weights, weights)]
     steps_taken: list[Vector] = []
     # cells.item(at - offsets[i]) is the count at point - steps[i] one layer down, for
     # every layer from `low` up; after step i the index moves down by size + offsets[i]
@@ -675,17 +826,22 @@ def sample_walk(table: WalkTable, n: int, seed: int) -> Walk:
                 total += w * count
                 candidates.append(i)
                 cumulative.append(total)
-        i = candidates[_pick(rng, cumulative)]
+        i = candidates[_pick(rng, cumulative, unit)]
+        unit //= units[i]
         steps_taken.append(steps[i])
         point = tuple(map(operator.sub, point, steps[i]))
         at -= size + offsets[i]
     return Walk(table.start, tuple(reversed(steps_taken)))
 
 
-def _pick(rng: random.Random, cumulative: Sequence) -> int:
-    """Index i drawn with probability (cumulative[i] - cumulative[i - 1]) / cumulative[-1]."""
+def _pick(rng: random.Random, cumulative: Sequence, unit: int = 1) -> int:
+    """Index i drawn with probability (cumulative[i] - cumulative[i - 1]) / cumulative[-1].
+
+    Integer weights are drawn as `unit` times themselves: r < unit * c
+    exactly when r // unit < c, so the draw is that over the products.
+    """
     total = cumulative[-1] if len(cumulative) else 0
     if not total > 0:
         raise ValueError("cannot sample from an empty layer")
-    r = rng.randrange(total) if isinstance(total, int) else rng.random() * total
+    r = rng.randrange(total * unit) // unit if isinstance(total, int) else rng.random() * total
     return min(bisect.bisect_right(cumulative, r), len(cumulative) - 1)

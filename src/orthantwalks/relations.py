@@ -10,6 +10,11 @@ Because alpha and beta are monomials with rational exponents in the weights,
 both identities are verified in exponent-cleared form: raised to the lcm D of
 the exponent denominators, beta and alpha_k are exact rationals, and every
 comparison is an equality of integers.
+
+A `WalkTable` of a central weighting reads its counts through this very
+identity, from the unit-weight stream.  So the checks build the weighted
+stream directly, with `_layers` on the weights themselves, and never through
+a table: a table would compare the identity with itself.
 """
 
 from __future__ import annotations

@@ -448,6 +448,14 @@ class TestFailureGuards:
         with pytest.raises(ClassifyError, match=r"covariance factor 1\.0 outside \(-1, 1\)"):
             classify(model)
 
+    def test_critical_point_outside_the_float_range(self):
+        # S is finite at u = 0, but its critical point lies beyond e**709.8 on one axis
+        model = make_stepset([(-1, -1), (0, -1), (0, 1), (1, 1)],
+                             [25 * 10 ** 244, F(3, 35 * 10 ** 21), F(10 ** 286, 7),
+                              F(3, 35 * 10 ** 68)])
+        with pytest.raises(ClassifyError, match="a critical point leaves the float range"):
+            classify(model)
+
     def test_iteration_cap(self):
         # the simple walk with weight 2 on (-1, 0) has its critical point at x = sqrt(2)
         steps, log_weights = [(1, 0), (-1, 0), (0, 1), (0, -1)], [0.0, math.log(2), 0.0, 0.0]

@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from orthantwalks import (ResourceGuardError, StepSetError, XFloat, brute_force_count,
-                          builtin_model, central_weights, count_walks,
+                          builtin_model, central_weights, count_walks, is_singular,
                           make_stepset, sample_walk)
 from orthantwalks import counting
 
@@ -136,9 +137,18 @@ class TestAccessors:
          "endpoint dimension mismatch"),
         (lambda gb: count_walks(gb, (0, 0), 4, "scaled", keep_layers=True).endpoint((0, 0, 0), 4),
          StepSetError, "endpoint dimension mismatch"),
+        (lambda gb: count_walks(gb, (True, False), 3), StepSetError,
+         "start point coordinates must be ints, not bools"),
+        (lambda gb: count_walks(gb, (0, True), 3, "scaled"), StepSetError,
+         "start point coordinates must be ints, not bools"),
+        (lambda gb: count_walks(gb, (0, 0), 3, track=[(1, 0), (False, 0)]), StepSetError,
+         "tracked point coordinates must be ints, not bools"),
+        (lambda gb: brute_force_count(gb, (True, False), 3), StepSetError,
+         "start point coordinates must be ints, not bools"),
     ], ids=["start-dimension", "negative-n-max", "mode", "brute-force-start",
             "brute-force-1d", "brute-force-3d", "tracked-dimension", "endpoint-exact-dimension",
-            "endpoint-scaled-dimension"])
+            "endpoint-scaled-dimension", "start-bool", "start-bool-scaled", "tracked-bool",
+            "brute-force-bool"])
     def test_rejected_input(self, call, error, message):
         with pytest.raises(error) as info:
             call(builtin_model("gb"))
@@ -703,6 +713,8 @@ class TestFlatKernel:
         kept = {None: lambda n: True, "none": lambda n: False,
                 "every 7th": lambda n: n % 7 == 0}[keep]
         renormalized = False
+        if mode == "exact":  # exact totals come from the table's boundary identity
+            table, scale = count_walks(model, start, n_max), counting._kernel_weights(model, mode)[1]
         for got, want in itertools.zip_longest(
                 counting._layers(model, start, n_max, mode, keep=kept),
                 slice_layers(model, start, n_max, mode)):
@@ -711,7 +723,7 @@ class TestFlatKernel:
             assert (exp, window) == (want_exp, want_window), n
             assert arr.shape == cells.shape and np.array_equal(arr, cells), n
             if mode == "exact":
-                assert total == want_total, n
+                assert total is None and table.total(n) == F(want_total, scale ** n), n
             else:
                 assert abs(total - want_total) <= 4 * np.spacing(want_total), n
             renormalized |= exp != 0
@@ -736,6 +748,120 @@ class TestFlatKernel:
         for n, (man, exp) in want.items():
             total = table.total(n)
             assert (total.man.hex(), total.exp) == (man, exp), n
+
+
+def direct_layers(model, start, n_max):
+    """(L**n, layer n of the weighted stream as {point: raw}), the raw cells L**n times the
+    counts, from the kernel on the weights L * w."""
+    scale = counting._kernel_weights(model, "exact")[1]
+    lattice = counting._lattice(model.steps)
+    for n, (arr, _, (lo, _), *_), _ in counting._layers(model, start, n_max, "exact"):
+        yield scale ** n, {tuple(l + m * i for l, m, i in zip(lo, lattice, index)): c
+                           for index, c in np.ndenumerate(arr) if c}
+
+
+def seeded_king_weightings(seed, count, pick, label):
+    """`count` non-singular king sets from (1, 0) with central weights beta * alpha**s, each of
+    alpha_1, alpha_2 and beta drawn by pick(rng)."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        steps = tuple(rng.sample(KING, rng.randint(3, 8)))
+        if not is_singular(make_stepset(steps, [1] * len(steps))):
+            alpha, beta = (pick(rng), pick(rng)), pick(rng)
+            out.append((f"king#{len(out)} {label}",
+                        make_stepset(steps, central_weights(steps, alpha, beta)), (1, 0)))
+    return out
+
+
+KING = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
+EXTREME = (F(10) ** 200, F(10) ** -200)
+
+# central weightings with rational alpha and beta, read through the unit-weight stream
+FOLD_CASES = (
+    seeded_king_weightings(1, 3, lambda rng: F(rng.randint(1, 9), rng.randint(1, 9)), "p/q")
+    + seeded_king_weightings(2, 2, lambda rng: rng.choice(EXTREME + (F(rng.randint(1, 9), 7),)),
+                             "10^+-200")
+    + [("1-d from 3", make_stepset([(1,), (-1,), (2,)], central_weights([(1,), (-1,), (2,)],
+                                                                         [F(3, 5)], F(2, 7))), (3,)),
+       ("3d from (1,0,2)", make_stepset(THREE_D, central_weights(THREE_D, [2, F(1, 3), F(5, 4)],
+                                                                   F(1, 6))), (1, 0, 2)),
+       ("longstep from (2,1)", make_stepset(LONG_STEP_SET, central_weights(
+           LONG_STEP_SET, [F(1, 2), F(5, 7)], 3)), (2, 1)),
+       ("stride (2,2) from (1,3)", make_stepset(((2, 0), (-2, 2), (0, -2), (2, -2)), central_weights(
+           ((2, 0), (-2, 2), (0, -2), (2, -2)), [F(4, 3), F(1, 2)], F(9, 10))), (1, 3)),
+       # integer weights 12, 18, 1: the counts stay ints
+       ("integral from (0,2)", make_stepset(((1, 0), (0, 1), (-1, -1)), central_weights(
+           ((1, 0), (0, 1), (-1, -1)), [2, 3], 6)), (0, 2))])
+# central, but beta = sqrt(6) is irrational: the table stays on the weights L * w
+IRRATIONAL = ("simple, beta = sqrt(6)", make_stepset(SIMPLE, [2, 3, 1, 6]), (1, 1))
+
+
+def same(count, raw, scale):
+    """Whether an exact count equals raw / scale, compared without a gcd."""
+    count = F(count)
+    return count.numerator * scale == raw * count.denominator
+
+
+class TestCentralFold:
+    """A central weighting's table runs on unit weights and folds beta**n * alpha**(p - start)
+    into every read; the weighted stream itself is the oracle."""
+
+    N = 40
+
+    @pytest.mark.parametrize("name,model,start", FOLD_CASES + [IRRATIONAL],
+                             ids=[c[0] for c in FOLD_CASES + [IRRATIONAL]])
+    def test_reads_equal_the_weighted_stream(self, name, model, start):
+        folded = name != IRRATIONAL[0]
+        kind = int if all(w.denominator == 1 for w in model.weights) else F
+        tracked = [start, (0,) * len(start), tuple(c + 1 for c in start)]
+        table = count_walks(model, start, self.N, track=tracked)
+        assert (set(table._weights) == {1}) == folded
+        if not folded:
+            assert table._weights == counting._kernel_weights(model, "exact")[0]
+        for n, (scale, want) in enumerate(direct_layers(model, start, self.N)):
+            total = table.total(n)
+            assert same(total, sum(want.values()), scale) and type(total) is kind, n
+            for p in tracked + [min(want), max(want)]:  # the last two untracked
+                assert same(table.endpoint(p, n), want.get(p, 0), scale), (n, p)
+            # a whole layer of counts 10**(200 n) apart takes seconds to reduce
+            if "10^" not in name or n <= 10 or n % 20 == 0:
+                got = table.layer(n)
+                assert got.keys() == want.keys(), n
+                assert all(same(got[p], c, scale) and type(got[p]) is kind
+                           for p, c in want.items()), n
+
+    @pytest.mark.parametrize("name,model,start", FOLD_CASES, ids=[c[0] for c in FOLD_CASES])
+    def test_draws_equal_direct_weight_draws(self, name, model, start, monkeypatch):
+        n = 30
+        table = count_walks(model, start, n)
+        with monkeypatch.context() as patch:
+            patch.setattr(counting, "_fold", lambda model: None)
+            direct = count_walks(model, start, n)
+        assert set(table._weights) == {1} and direct._weights != table._weights
+        for seed in range(5):
+            assert sample_walk(table, n, seed) == sample_walk(direct, n, seed), seed
+
+    # ROADMAP Q's ten models: the boundary identity against the sum of every cell
+    TEN = [
+        ("gb", builtin_model("gb", 1, 1), (0, 0)),
+        ("gb(2/3,5/7) from (1,2)", builtin_model("gb", F(2, 3), F(5, 7)), (1, 2)),
+        ("tandem(3/2,1/3)", builtin_model("tandem", F(3, 2), F(1, 3)), (0, 0)),
+        ("gessel from (2,0)", builtin_model("gessel", 1, 1), (2, 0)),
+        *[(f"king {steps}", make_stepset(steps, [F(rng.randint(1, 9), rng.randint(1, 9))
+                                                 for _ in steps]), (1, 0))
+          for rng in [random.Random(10)]
+          for steps in [tuple(rng.sample(KING, k)) for k in (4, 5, 6, 8)]],
+        ("3d weighted", make_stepset(THREE_D, [1, 2, F(1, 3), 1, 1, 5]), (1, 0, 2)),
+        ("steps of length 2 and 3", make_stepset(((3, -1), (-2, 0), (0, 2), (-1, -3), (1, 1)),
+                                                 [1, F(2, 3), 3, F(1, 2), 1]), (0, 0)),
+    ]
+
+    @pytest.mark.parametrize("name,model,start", TEN, ids=[c[0] for c in TEN])
+    def test_boundary_totals_equal_the_cell_sum(self, name, model, start):
+        table = count_walks(model, start, self.N)
+        scale = counting._kernel_weights(model, "exact")[1]
+        for n, (arr, *_), _ in counting._layers(model, start, self.N, "exact"):
+            assert table.total(n) == F(sum(arr.ravel().tolist()), scale ** n), n
 
 
 # 1-D step sets: the second lies on the coset 1 + 5Z

@@ -28,6 +28,10 @@ Every figure is a median over the rounds:
   it, as the `exact-algebra` workload's check makes them.
 * `harmonic_ms`: `check_harmonicity` at grid 30 on the nine GB class
   representatives, as the `exact-algebra` workload runs it.
+* `exact_build_ms`: the exact GB(1,1) build from the origin to n = 300.
+* `exact_weighted_ms`: the exact GB(2/3, 5/7) build from the origin to
+  n = 300.  Its ratio to `exact_build_ms` is what a weighting costs over
+  unit weights.
 
 Each timed call runs with the garbage collector collected and then disabled,
 so no collection lands inside a reading.
@@ -50,6 +54,7 @@ from pathlib import Path
 TINY_N, TINY_BUILDS = 40, 20
 DRAW_N, DRAWS = 600, 5
 EXACT_N, EXACT_DRAW_N, EXACT_DRAWS = 150, 120, 100
+BUILD_N, WEIGHTED = 300, (F(2, 3), F(5, 7))
 # bench/workloads.py's CLASS_REPS: one (a, b) per GB class
 CLASS_REPS = ((1, 1), (2, 3), (F(1, 2), F(1, 2)), (1, 4), (3, 2), (2, 2), (2, 4),
               (1, F(1, 2)), (F(1, 2), 1))
@@ -103,6 +108,10 @@ def measure(ow, seeds) -> dict[str, float]:
         lambda: [exact.endpoint((0, 0), n) for n in range(EXACT_N + 1)])
     reps = [ow.gb.GBParams(a, b) for a, b in CLASS_REPS]
     out["harmonic_ms"] = 1e3 * clock(lambda: [ow.gb.check_harmonicity(p, 30) for p in reps])
+    out["exact_build_ms"] = 1e3 * clock(lambda: ow.count_walks(gb, (0, 0), BUILD_N, "exact"))
+    weighted = ow.builtin_model("gb", *WEIGHTED)
+    out["exact_weighted_ms"] = 1e3 * clock(
+        lambda: ow.count_walks(weighted, (0, 0), BUILD_N, "exact"))
     return out
 
 
