@@ -9,15 +9,16 @@ their relative gradient residuals |grad S| / S.
 `_prepare` does the exact checks of one model and its rational drift.
 `_solve` then calls `_newton`, which runs one scalar damped Newton in plain
 floats for each of three problems: the interior critical point, and the
-minimizers of S(x, 1) and S(1, y) for the two edges.  Every sum of terms is
-taken in log space, relative to its largest term, so no inventory value
-overflows inside the solve; only S(1, 1), where every problem starts, is
-checked against the float range.  The covariance factor
+minimizers of S(x, 1) and S(1, y) for the two edges, each edge a one-axis
+solve started from the interior problem's evaluation at (0, 0).  Every sum
+of terms is taken in log space, relative to its largest term, so no
+inventory value overflows inside the solve; only S(1, 1), where every
+problem starts, is checked against the float range.  The covariance factor
 c = H_uv / sqrt(H_uu H_vv) is read from the log-coordinate Hessian at the
 critical point, and the minimizer of S on Q = {x >= 1, y >= 1} from the
-three solutions.  The branch that places that
-minimizer names the class from its position and the gradient signs there,
-and `_solve` builds the `Classification`.
+three solutions.  The branch that places that minimizer names the class
+from its position and the gradient signs there, and `_solve` builds the
+`Classification`.
 
 Two rules decide the class exactly, with no Newton.  Corner gradient signs
 are the drift signs.  A central weighting w_s = beta prod_k alpha_k^{s_k}
@@ -84,6 +85,21 @@ def _moments(log_weights: list[float], steps: Sequence[tuple[int, int]],
     return top + math.log(total), (l0 / total, l1 / total, l00 / total, l01 / total, l11 / total)
 
 
+def _axis_moments(log_weights: list[float], column: Sequence[int], axis: int,
+                  u: float, v: float) -> tuple[float, tuple[float, ...]]:
+    """`_moments` with the other coordinate of every step zero: the same sums in the same
+    order, for the steps' coordinate `column` on `axis`."""
+    x = v if axis else u
+    logs = [lw + s * x for lw, s in zip(log_weights, column)]
+    top = max(logs)
+    total = l0 = l00 = 0.0
+    for log, s in zip(logs, column):
+        term = math.exp(log - top)
+        total, l0, l00 = total + term, l0 + term * s, l00 + term * s * s
+    g, h = l0 / total, l00 / total
+    return top + math.log(total), (0.0, g, 0.0, 0.0, h) if axis else (g, 0.0, h, 0.0, 0.0)
+
+
 def _newton(log_weights: list[float], steps: Sequence[tuple[int, int]],
             cap: int) -> list[tuple[float, float, tuple[float, ...]]]:
     """Damped Newton from u = 0 for the minimizers of L(u, v), L(u, 0) and L(0, v).
@@ -94,16 +110,19 @@ def _newton(log_weights: list[float], steps: Sequence[tuple[int, int]],
     Returns each minimizer (u, v) with the relative Hessian (L_uu, L_uv, L_vv)
     / L there, or raises the first failed problem's error.
     """
+    start = log_l, (g0, g1, h00, _, h11) = _moments(log_weights, steps, 0.0, 0.0)
+    # an edge problem runs on one coordinate column from the interior sums at u = 0, and
+    # a unit pad on the other axis's Hessian entry gives that axis a zero step
+    problems = [(functools.partial(_moments, log_weights, steps), start, 0, 0)] + [
+        (functools.partial(_axis_moments, log_weights, [s[axis] for s in steps], axis),
+         (log_l, (0.0, g1, 0.0, 0.0, h11) if axis else (g0, 0.0, h00, 0.0, 0.0)),
+         axis, 1 - axis) for axis in (0, 1)]
     solutions = []
-    # an edge problem zeroes the other axis's step coordinates, and a unit pad
-    # on that axis's Hessian entry gives it a zero step
-    for keep0, keep1 in ((1, 1), (1, 0), (0, 1)):
-        kept = [(s1 * keep0, s2 * keep1) for s1, s2 in steps]
+    for moments_at, (log_l, moments), pad0, pad1 in problems:
         u = v = 0.0
-        log_l, moments = _moments(log_weights, kept, u, v)
         for iteration in range(cap + 1):
             g0, g1, h00, h01, h11 = moments
-            h00, h11 = h00 + (1 - keep0), h11 + (1 - keep1)
+            h00, h11 = h00 + pad0, h11 + pad1
             residual, det = math.hypot(g0, g1), h00 * h11 - h01 * h01
             if residual <= GRAD_TOL:
                 break
@@ -117,7 +136,7 @@ def _newton(log_weights: list[float], steps: Sequence[tuple[int, int]],
             t = 2.0
             for _ in range(61):  # t = 2**-60, the last, is taken whatever it gives
                 t *= 0.5
-                trial = _moments(log_weights, kept, u + t * step0, v + t * step1)
+                trial = moments_at(u + t * step0, v + t * step1)
                 if trial[0] <= log_l + 1e-12:
                     break
             u, v, (log_l, moments) = u + t * step0, v + t * step1, trial
@@ -162,9 +181,6 @@ def _solve(cell: _Cell, exact: Optional[tuple]) -> Classification:
     spread = max(abs(math.log(w.numerator) - math.log(w.denominator)) for w in cell.model.weights)
     (us, vs, (huu, huv, hvv)), (u1, _, _), (_, v1, _) = _newton(
         log_weights, steps, 200 + math.ceil(2 * spread))
-    # the interior candidate, then the edge points where y = 1 and where x = 1
-    points = [(max(us, 0.0), max(vs, 0.0)), (max(u1, 0.0), 0.0), (0.0, max(v1, 0.0))]
-    log_values, grads = zip(*(_moments(log_weights, steps, *point) for point in points))
     if huu <= 0 or hvv <= 0:
         raise ClassifyError("degenerate Hessian at the critical point")
     c = huv / math.sqrt(huu * hvv)
@@ -172,21 +188,28 @@ def _solve(cell: _Cell, exact: Optional[tuple]) -> Classification:
         raise ClassifyError(f"covariance factor {c} outside (-1, 1)")
     dx, dy = cell.drift
     rho_exact, bands = None, [("log x_s", us), ("log y_s", vs)]
-    if dx >= 0 and dy >= 0:
+    if dx.numerator >= 0 and dy.numerator >= 0:
         point, rho_exact = (0.0, 0.0), sum(cell.model.weights)
         rho = float(rho_exact)
     elif us >= -EQ_TOL and vs >= -EQ_TOL:
-        point, rho = points[0], math.exp(log_values[0])
+        point = (max(us, 0.0), max(vs, 0.0))
+        rho = math.exp(_moments(log_weights, steps, *point)[0])
         family = "reluctant" if us > EQ_TOL and vs > EQ_TOL else "transitional"
     else:
-        # KKT on the edge where coordinate `axis` is 1: S must not decrease into Q
-        candidates = [r for axis, r, t, free_drift in ((0, 2, v1, dy), (1, 1, u1, dx))
-                      if free_drift < 0 and t >= -EQ_TOL and grads[r][axis] >= -KKT_TOL]
+        # KKT on the edge where coordinate `axis` is 1: S must not decrease into Q;
+        # like the interior branch, this one evaluates S only at the points it reads
+        candidates = []
+        for axis, point, t, free_drift in ((0, (0.0, max(v1, 0.0)), v1, dy),
+                                           (1, (max(u1, 0.0), 0.0), u1, dx)):
+            if free_drift.numerator < 0 and t >= -EQ_TOL:
+                log_value, grad = _moments(log_weights, steps, *point)
+                if grad[axis] >= -KKT_TOL:
+                    candidates.append((log_value, point, grad))
         if not candidates:
             raise ClassifyError("no KKT point found on the boundary of Q")
-        r = min(candidates, key=log_values.__getitem__)
-        point, rho, family = points[r], math.exp(log_values[r]), "directed"
-        bands.append(("off-edge gradient", grads[r][math.exp(point[0]) > 1.0 + EQ_TOL]))
+        log_value, point, grad = min(candidates, key=lambda candidate: candidate[0])
+        rho, family = math.exp(log_value), "directed"
+        bands.append(("off-edge gradient", grad[math.exp(point[0]) > 1.0 + EQ_TOL]))
     family, p1_exact, ambiguities = exact or (family, None, tuple(
         f"{name} = {quantity:.3e} lies in the ambiguity band"
         for name, quantity in bands if EQ_TOL <= abs(quantity) <= AMBIG_TOL))
@@ -252,9 +275,9 @@ def _sign(weights: Sequence[Fraction], exponents: Sequence[int]) -> int:
 def _exact(cell: _Cell) -> Optional[tuple[str, Optional[Fraction], tuple[str, ...]]]:
     """(family, exact p1 or None, no band hits) by the exact rules, or None for Newton."""
     (dx, dy), model = cell.drift, cell.model
-    if dx >= 0 and dy >= 0:
+    if dx.numerator >= 0 and dy.numerator >= 0:
         # corner cell; gradient signs at (1,1) are the exact drift components
-        zeros = (dx == 0) + (dy == 0)
+        zeros = (not dx.numerator) + (not dy.numerator)
         p1 = _exact_p1(model.steps, model.weights) if zeros == 2 else None
         return ("free", "axial", "balanced")[zeros], p1, ()
     rule = _central_rule(model.steps)

@@ -4,7 +4,8 @@ The GB step set {(1,0), (-1,0), (-1,1), (1,-1)} with product weights
 (a, 1/a, b/a, a/b) splits into six universality classes depending on (a, b).
 This module stores the class conditions, the exponential growth rho, the
 critical exponent, and the per-class constant kappa and harmonic function V,
-and evaluates the resulting estimate kappa * V * rho**n * n**-alpha.
+and evaluates the resulting estimate kappa * V * rho**n * n**-alpha.  The
+class label is decided on the integers p, q, r, s of a = p/q and b = r/s.
 
 Values of V may depend on the parity of n + i; they are handled as an
 (even, odd) pair throughout.  The weights are converted once to Fractions (a
@@ -30,6 +31,7 @@ from .xfloat import XFloat
 
 Real = Union[int, Fraction, float]
 Exact = Union[Fraction, "Surd"]
+_1, _4 = Fraction(1), Fraction(4)
 
 
 def _weights(a: Real, b: Real) -> tuple[Fraction, Fraction]:
@@ -37,10 +39,10 @@ def _weights(a: Real, b: Real) -> tuple[Fraction, Fraction]:
     if isinstance(a, bool) or isinstance(b, bool):
         raise ValueError("weights a, b must be numbers, not bools")
     try:
-        a, b = Fraction(a), Fraction(b)
+        a, b = (x if type(x) is Fraction else Fraction(x) for x in (a, b))
     except (ValueError, OverflowError):
         raise ValueError("weights a, b must be finite") from None
-    if a <= 0 or b <= 0:
+    if a.numerator <= 0 or b.numerator <= 0:
         raise ValueError("weights a, b must be positive")
     return a, b
 
@@ -180,10 +182,11 @@ class Surd:
         return f"Surd({self})"
 
 
-def _root(b: Fraction, c: Fraction = Fraction(1)) -> Exact:
-    # c sqrt(b): a Fraction when b is a square, else c times the generator of Q(sqrt(b))
+def _roots(b: Fraction, *coefficients: Fraction) -> list[Exact]:
+    # c sqrt(b) for each c, from one root of b: a Fraction when b is a square, else c
+    # times the generator of Q(sqrt(b))
     root = _rational_root(b, 2)
-    return c * root if root is not None else Surd(Fraction(0), c, b)
+    return [c * root if root is not None else Surd(Fraction(0), c, b) for c in coefficients]
 
 
 @dataclass(frozen=True)
@@ -222,45 +225,52 @@ def gb_classify(a: Real, b: Real) -> GBClassification:
     Conditions are checked in the order balanced, axial-1, axial-2, free,
     directed-1, directed-2, transitional-1, transitional-2, reluctant; they
     partition the positive quadrant, with sqrt(b) comparisons rewritten as
-    exact comparisons against b.
+    exact comparisons against b, and are decided on integers by `_label`.
     """
     a, b = _weights(a, b)
-    if a == 1 and b == 1:
-        return GBClassification("balanced", "balanced", Fraction(4), Fraction(2))
-    if a == b and a > 1:
-        return GBClassification("axial1", "axial", _e12(a), Fraction(1, 2))
-    if b == a * a and a > 1:
-        return GBClassification("axial2", "axial", _e13(b), Fraction(1, 2))
-    if b < a * a and a < b:
-        return GBClassification("free", "free", _e123(a, b), Fraction(0))
-    if b > 1 and b > a * a:
-        return GBClassification("directed1", "directed", _e13(b), Fraction(3, 2))
-    if a > 1 and a > b:
-        return GBClassification("directed2", "directed", _e12(a), Fraction(3, 2))
-    if a == 1 and b < 1:
-        return GBClassification("transitional1", "transitional", Fraction(4), Fraction(3))
-    if b == 1 and a < 1:
-        return GBClassification("transitional2", "transitional", Fraction(4), Fraction(3))
-    if a < 1 and b < 1:
-        return GBClassification("reluctant", "reluctant", Fraction(4), Fraction(5))
-    raise AssertionError(f"class conditions failed to match (a, b) = ({a}, {b})")
+    parts = a.numerator, a.denominator, b.numerator, b.denominator
+    family, rho, alpha = _CLASSES[label := _label(*parts)]
+    return GBClassification(label, family, rho(*parts) if callable(rho) else rho, alpha)
 
 
-def _e12(a: Fraction) -> Fraction:
-    # (1 + a)**2 / a from integers, for a = p/q
-    p, q = a.numerator, a.denominator
+def _label(p: int, q: int, r: int, s: int) -> str:
+    """The sub-case label of a = p/q and b = r/s: the first condition of gb_classify that
+    holds, each a sign of p - q (a - 1), r - s (b - 1), p s - r q (a - b) or r q**2 - p**2 s
+    (b - a**2)."""
+    a1, b1, ab, ba2 = p - q, r - s, p * s - r * q, r * q * q - p * p * s
+    hits = (a1 == 0 and b1 == 0, ab == 0 and a1 > 0, ba2 == 0 and a1 > 0,
+            ba2 < 0 and ab < 0, b1 > 0 and ba2 > 0, a1 > 0 and ab > 0,
+            a1 == 0 and b1 < 0, b1 == 0 and a1 < 0, a1 < 0 and b1 < 0)
+    if True not in hits:
+        raise AssertionError("class conditions failed to match "
+                             f"(a, b) = ({Fraction(p, q)}, {Fraction(r, s)})")
+    return _LABELS[hits.index(True)]
+
+
+def _e12(p: int, q: int, *_) -> Fraction:
+    # (1 + a)**2 / a for a = p/q
     return Fraction((p + q) ** 2, p * q)
 
 
-def _e13(b: Fraction) -> Exact:
-    # 2 (b + 1) / sqrt(b) = (2 (b + 1) / b) sqrt(b)
-    return _root(b, Fraction(2 * (b.numerator + b.denominator), b.numerator))
+def _e13(p: int, q: int, r: int, s: int) -> Exact:
+    # 2 (b + 1) / sqrt(b) = (2 (b + 1) / b) sqrt(b), for b = r/s
+    return _roots(Fraction(r, s), Fraction(2 * (r + s), r))[0]
 
 
-def _e123(a: Fraction, b: Fraction) -> Fraction:
-    # (1 + b) (a**2 + b) / (a b), for b = r/s
-    p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
+def _e123(p: int, q: int, r: int, s: int) -> Fraction:
+    # (1 + b) (a**2 + b) / (a b)
     return Fraction((r + s) * (p * p * s + r * q * q), p * q * r * s)
+
+
+# label -> (family, rho or its function of p, q, r, s, alpha), in the order of the conditions
+_CLASSES = {"balanced": ("balanced", _4, Fraction(2)), "axial1": ("axial", _e12, Fraction(1, 2)),
+            "axial2": ("axial", _e13, Fraction(1, 2)), "free": ("free", _e123, Fraction(0)),
+            "directed1": ("directed", _e13, Fraction(3, 2)),
+            "directed2": ("directed", _e12, Fraction(3, 2)),
+            "transitional1": ("transitional", _4, Fraction(3)),
+            "transitional2": ("transitional", _4, Fraction(3)),
+            "reluctant": ("reluctant", _4, Fraction(5))}
+_LABELS = tuple(_CLASSES)
 
 
 def gb_kappa_V(params: GBParams) -> tuple[Optional[float], Exact, Exact]:
@@ -271,7 +281,7 @@ def gb_kappa_V(params: GBParams) -> tuple[Optional[float], Exact, Exact]:
     its log2.  V is exact, a Fraction or a Surd.
     """
     a, b = params.a, params.b
-    label = gb_classify(a, b).label
+    label = _label(a.numerator, a.denominator, b.numerator, b.denominator)
     k, e = _KAPPA[label]
     # sqrt(K) = sqrt(K / 4**s) * 2**s, with K / 4**s in [1/4, 4) and no
     # rounding from the power of two, so an in-range kappa is not changed
@@ -291,10 +301,8 @@ def _form(label: str, a: Fraction, b: Fraction) -> tuple:
 
     V^[n](i, j) = lam**i mu**j R(i, j) (plus + (-1)**(n+i) minus), and plus != 0.
     """
-    return _V[label](a, b, _root(b))
+    return _V[label](a, b, *_roots(b, _1))
 
-
-_1 = Fraction(1)
 
 # (lam, mu, R, plus, minus) per class from a, b and sqrt(b)
 _V = {
@@ -453,12 +461,14 @@ def gb_critical_points(a: Real, b: Real) -> list[CriticalPoint]:
     a, b = _weights(a, b)
     # a = p/q and b = r/s; S(1/x, 1/y) = sign(x) * growth, so t = 1/(|x| y growth)
     p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
-    one, four, x13, e13, e123 = Fraction(1), Fraction(4), _root(b, a / b), _e13(b), _e123(a, b)
+    x13, e13 = _roots(b, Fraction(p * s, q * r), Fraction(2 * (r + s), r))  # e13 as _e13
+    e123 = _e123(p, q, r, s)
     t1, t13 = Fraction(q * s, 4 * p * r), Fraction(q * r, 2 * p * (r + s))
-    points = (("c1+", "V1", a, b, four, t1), ("c1-", "V1", -a, b, four, t1),
-              ("c12", "V12", one, b / a, _e12(a), Fraction(p * p * s, r * (p + q) ** 2)),
-              ("c13+", "V13", x13, one, e13, t13), ("c13-", "V13", -x13, one, e13, t13),
-              ("c123", "V123", one, one, e123, 1 / e123))
+    points = (("c1+", "V1", a, b, _4, t1), ("c1-", "V1", -a, b, _4, t1),
+              ("c12", "V12", _1, Fraction(r * q, s * p), _e12(p, q),
+               Fraction(p * p * s, r * (p + q) ** 2)),
+              ("c13+", "V13", x13, _1, e13, t13), ("c13-", "V13", -x13, _1, e13, t13),
+              ("c123", "V123", _1, _1, e123, Fraction(e123.denominator, e123.numerator)))
     return [CriticalPoint(label, stratum, (x, y), t, growth)
             for label, stratum, x, y, growth, t in points]
 
@@ -474,4 +484,5 @@ _CONTRIBUTING = {
 
 def gb_contributing(a: Real, b: Real) -> frozenset[str]:
     """Labels of the contributing critical points for the weighting (a, b)."""
-    return _CONTRIBUTING[gb_classify(a, b).label]
+    a, b = _weights(a, b)
+    return _CONTRIBUTING[_label(a.numerator, a.denominator, b.numerator, b.denominator)]

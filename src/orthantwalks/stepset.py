@@ -5,7 +5,7 @@ strictly positive exact-rational weight.  Everything downstream (counting
 tables, centrality algebra, classification) consumes the immutable StepSet
 defined here.  Singularity, whether the steps fit a closed half-space, depends
 on the steps alone: one exact dual-cone test serves every dimension and runs
-once per step tuple.
+once per step tuple, and the normal of each face it tries once per face.
 """
 
 from __future__ import annotations
@@ -63,25 +63,26 @@ class StepSet:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if isinstance(self.dimension, bool) or self.dimension < 1:
+        dimension, steps, weights = self.dimension, self.steps, self.weights
+        if isinstance(dimension, bool) or dimension < 1:
             raise StepSetError("dimension must be a positive integer")
-        if not self.steps:
+        if not steps:
             raise StepSetError("empty step set")
-        if len(self.steps) != len(self.weights):
+        if len(steps) != len(weights):
             raise StepSetError("weights and steps must have equal length")
         seen = set()
-        for s in self.steps:
-            if len(s) != self.dimension:
-                raise StepSetError(f"step {s} has dimension {len(s)}, expected {self.dimension}")
+        for s in steps:
+            if len(s) != dimension:
+                raise StepSetError(f"step {s} has dimension {len(s)}, expected {dimension}")
             if not all(type(c) is int for c in s):  # not a bool either
                 raise StepSetError(f"step {s} has non-integer coordinates")
             if s in seen:
                 raise StepSetError(f"duplicate step {s}")
             seen.add(s)
-        for s, w in zip(self.steps, self.weights):
+        for s, w in zip(steps, weights):
             if not isinstance(w, Fraction):
                 raise StepSetError(f"weight of step {s} is not an exact rational")
-            if w <= 0:
+            if w.numerator <= 0:  # the denominator of a Fraction is positive
                 raise StepSetError(f"weight of step {s} must be strictly positive, got {w}")
 
     @property
@@ -126,7 +127,7 @@ def central_weights(steps: Iterable[Sequence[int]],
     """Weights beta * prod_k alpha_k**s_k, the generic product-form weighting."""
     alphas = [as_fraction(x) for x in alphas]
     beta = as_fraction(beta)
-    if any(x <= 0 for x in alphas) or beta <= 0:
+    if any(x.numerator <= 0 for x in alphas) or beta.numerator <= 0:
         raise StepSetError("central weighting parameters must be positive")
     # integer numerator and denominator, reduced once per weight
     return [Fraction(beta.numerator * num, beta.denominator * den)
@@ -156,7 +157,7 @@ def builtin_model(name: str, a: Rational = 1, b: Rational = 1) -> StepSet:
                            f"choose from {sorted(BUILTIN_MODELS)}")
     steps = BUILTIN_MODELS[key]
     a, b = as_fraction(a), as_fraction(b)
-    if a <= 0 or b <= 0:
+    if a.numerator <= 0 or b.numerator <= 0:
         raise StepSetError("model parameters a, b must be positive rationals")
     return StepSet(2, steps, tuple(central_weights(steps, (a, b))))  # nothing for _step to convert
 
@@ -192,10 +193,10 @@ def stepset_from_json(data: Union[str, Mapping]) -> StepSet:
 def drift(model: StepSet) -> tuple[Fraction, ...]:
     """The weighted vector sum of the steps, component-exact."""
     # integer numerators over the common denominator: one reduction per component
-    den = math.lcm(*(w.denominator for w in model.weights))
+    den = math.lcm(*[w.denominator for w in model.weights])
     nums = [w.numerator * (den // w.denominator) for w in model.weights]
-    return tuple(Fraction(sum(n * c for n, c in zip(nums, column)), den)
-                 for column in zip(*model.steps))
+    return tuple([Fraction(sum(map(operator.mul, nums, column)), den)
+                  for column in zip(*model.steps)])
 
 
 def inventory_eval(model: StepSet, point: Sequence) -> Union[Fraction, float]:
@@ -245,12 +246,16 @@ def _dual_cone_nontrivial(steps: tuple[Vector, ...]) -> bool:
     d = len(steps[0])
     if EchelonBasis(d, steps).rank < d:
         return True
-    for subset in combinations(steps, d - 1):
-        face = EchelonBasis(d, subset)
-        if face.rank != d - 1:
-            continue
-        (u,) = face.null_space()
-        for cand in (u, [-x for x in u]):
-            if all(sum(cx * sx for cx, sx in zip(cand, s)) >= 0 for s in steps):
-                return True
+    # one ray per distinct face: subsets spanning the same hyperplane share it
+    for u in {_normal(d, subset) for subset in combinations(steps, d - 1)} - {None}:
+        dots = [sum(map(operator.mul, u, s)) for s in steps]
+        if min(dots) >= 0 or max(dots) <= 0:  # u or -u
+            return True
     return False
+
+
+@functools.cache
+def _normal(d: int, face: tuple[Vector, ...]) -> Optional[Vector]:
+    """The primitive normal of the hyperplane that d-1 steps span; None if they span less."""
+    basis = EchelonBasis(d, face)
+    return basis.null_space()[0] if basis.rank == d - 1 else None

@@ -431,6 +431,96 @@ class TestClassify:
             classify(model)
 
 
+def padded_newton(log_weights, steps, cap):
+    """`_newton` with its edge problems solved as 2-D problems, kept as the reference.
+
+    An edge problem zeroes the other axis's step coordinates, and a unit pad on
+    that axis's Hessian entry gives it a zero step; each problem starts with its
+    own evaluation at u = 0.
+    """
+    moments_at, grad_tol = CLASSIFY_MODULE._moments, CLASSIFY_MODULE.GRAD_TOL
+    solutions = []
+    for keep0, keep1 in ((1, 1), (1, 0), (0, 1)):
+        kept = [(s1 * keep0, s2 * keep1) for s1, s2 in steps]
+        u = v = 0.0
+        log_l, moments = moments_at(log_weights, kept, u, v)
+        for iteration in range(cap + 1):
+            g0, g1, h00, h01, h11 = moments
+            h00, h11 = h00 + (1 - keep0), h11 + (1 - keep1)
+            residual, det = math.hypot(g0, g1), h00 * h11 - h01 * h01
+            if residual <= grad_tol:
+                break
+            if not det > 0:
+                raise ClassifyError(f"singular Hessian at u = ({u}, {v})")
+            if iteration == cap:
+                raise ClassifyError("Newton iteration failed to converge "
+                                    f"(relative residual {residual})")
+            step0, step1 = (h01 * g1 - h11 * g0) / det, (h01 * g0 - h00 * g1) / det
+            t = 2.0
+            for _ in range(61):
+                t *= 0.5
+                trial = moments_at(log_weights, kept, u + t * step0, v + t * step1)
+                if trial[0] <= log_l + 1e-12:
+                    break
+            u, v, (log_l, moments) = u + t * step0, v + t * step1, trial
+        solutions.append((u, v, moments[2:]))
+    return solutions
+
+
+def seeded_models(count, seed, vectors, weight):
+    """Seeded non-singular sets of 3 to 8 of `vectors`, each weight drawn by weight(rng)."""
+    rng = random.Random(seed)
+    models = []
+    while len(models) < count:
+        steps = rng.sample(vectors, rng.randrange(3, 9))
+        model = make_stepset(steps, [weight(rng) for _ in steps])
+        if not is_singular(model):
+            models.append(model)
+    return models
+
+
+LONG = [(i, j) for i in range(-3, 4) for j in range(-3, 4) if (i, j) != (0, 0)]
+
+
+class TestEdgeSolves:
+    """The one-axis edge solves against the padded 2-D solves they replace, bit for bit."""
+
+    @staticmethod
+    def outcome(newton, model, cap=None):
+        log_weights = [math.log(w) for w in CLASSIFY_MODULE._float_weights(model.weights)]
+        spread = max(abs(math.log(w.numerator) - math.log(w.denominator)) for w in model.weights)
+        try:
+            return newton(log_weights, model.steps, cap or 200 + math.ceil(2 * spread))
+        except ClassifyError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("models", [
+        king_models(300, seed=33),
+        seeded_models(20, 33, KING, lambda rng: F(10) ** rng.randint(-250, 250)),
+        seeded_models(20, 35, LONG, lambda rng: F(rng.randrange(1, 10), rng.randrange(1, 10)))],
+        ids=["king p/q", "king 10^k", "steps up to 3"])
+    def test_every_float_equals_the_padded_solve(self, models):
+        for model in models:
+            got = self.outcome(CLASSIFY_MODULE._newton, model)
+            want = self.outcome(padded_newton, model)
+            assert got == want and repr(got) == repr(want), model
+
+    def test_capped_solves_fail_as_the_padded_solve(self):
+        # small caps stop the interior problem or an edge problem, whichever fails first;
+        # the two weighted sets take (11, 4, 16) and (12, 17, 1) iterations (interior,
+        # x-edge, y-edge), so caps 11 to 15 and 12 to 16 fail an edge after the interior
+        # converged
+        models = king_models(40, seed=34) + [
+            make_stepset([(1, 1), (1, -1), (1, 0), (-1, 0)],
+                         [F(1, 10 ** 6), 10 ** 6, 1, 10 ** 7]),
+            make_stepset([(1, 0), (0, -1), (1, -1), (-1, -1), (0, 1), (1, 1)],
+                         [F(1, 10 ** 6), F(1, 100), 10 ** 5, F(1, 10 ** 8), 10 ** 5, F(1, 10)])]
+        for model in models:
+            for cap in range(1, 21):
+                assert (self.outcome(CLASSIFY_MODULE._newton, model, cap)
+                        == self.outcome(padded_newton, model, cap)), (model, cap)
+
+
 class TestFailureGuards:
     """Each ClassifyError of the solve, reached where public inputs reach it."""
 

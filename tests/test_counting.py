@@ -1054,3 +1054,7 @@ class TestSampling:
         stuck = count_walks(model_stuck, (0, 0), 1)
         with pytest.raises(ValueError):
             sample_walk(stuck, 1, seed=0)
+
+    def test_pick_from_empty_layer(self):
+        with pytest.raises(ValueError, match="cannot sample from an empty layer"):
+            counting._pick(random.Random(0), [])

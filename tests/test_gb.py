@@ -8,6 +8,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orthantwalks import (GBParams, check_harmonicity,
                           gb_classify, gb_contributing, gb_critical_points,
@@ -237,7 +239,7 @@ class TestEstimates:
         assert est.log2() == pytest.approx(math.log2(8 / math.pi) + 10000 - 2 * math.log2(5000))
 
     def test_requires_positive_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="estimates require n >= 1"):
             gb_estimate(GBParams(1, 1), 0)
 
     @pytest.mark.parametrize("minus", [1, 2], ids=["zero", "negative"])
@@ -607,3 +609,103 @@ class TestSqrtExact:
             assert _rational_root(q ** r, r) == q
             # n**r < n**r + 1 < (n + 1)**r
             assert r == 1 or _rational_root(F(q.numerator ** r + 1), r) is None
+
+
+def oracle_root(b, c):
+    # c sqrt(b) by Fraction arithmetic: a Fraction when b is a square, else a Surd
+    root = _rational_root(b, 2)
+    return c * root if root is not None else Surd(F(0), F(1), b) * c
+
+
+def oracle_classify(a, b):
+    """(label, family, rho, alpha) by the nine Fraction conditions of the class table."""
+    a, b = F(a), F(b)
+    e12, e13 = (1 + a) ** 2 / a, oracle_root(b, 2 * (b + 1) / b)
+    if a == 1 and b == 1:
+        return "balanced", "balanced", F(4), F(2)
+    if a == b and a > 1:
+        return "axial1", "axial", e12, F(1, 2)
+    if b == a * a and a > 1:
+        return "axial2", "axial", e13, F(1, 2)
+    if b < a * a and a < b:
+        return "free", "free", (1 + b) * (a * a + b) / (a * b), F(0)
+    if b > 1 and b > a * a:
+        return "directed1", "directed", e13, F(3, 2)
+    if a > 1 and a > b:
+        return "directed2", "directed", e12, F(3, 2)
+    if a == 1 and b < 1:
+        return "transitional1", "transitional", F(4), F(3)
+    if b == 1 and a < 1:
+        return "transitional2", "transitional", F(4), F(3)
+    assert a < 1 and b < 1
+    return "reluctant", "reluctant", F(4), F(5)
+
+
+ORACLE_CONTRIBUTING = {
+    "balanced": {"c1+", "c1-"}, "transitional1": {"c1+", "c1-"},
+    "transitional2": {"c1+", "c1-"}, "reluctant": {"c1+", "c1-"},
+    "axial1": {"c12"}, "directed2": {"c12"},
+    "axial2": {"c13+", "c13-"}, "directed1": {"c13+", "c13-"},
+    "free": {"c123"},
+}
+
+
+def oracle_points(a, b):
+    """(label, stratum, x, y, t, growth) of each critical point by Fraction arithmetic."""
+    a, b = F(a), F(b)
+    x13, e12, e13 = oracle_root(b, a / b), (1 + a) ** 2 / a, oracle_root(b, 2 * (b + 1) / b)
+    e123 = (1 + b) * (a * a + b) / (a * b)
+    t1, t13 = 1 / (4 * a * b), b / (2 * a * (b + 1))
+    return [("c1+", "V1", a, b, t1, F(4)), ("c1-", "V1", -a, b, t1, F(4)),
+            ("c12", "V12", F(1), b / a, a * a / (b * (1 + a) ** 2), e12),
+            ("c13+", "V13", x13, F(1), t13, e13), ("c13-", "V13", -x13, F(1), t13, e13),
+            ("c123", "V123", F(1), F(1), 1 / e123, e123)]
+
+
+# a = p/q and b = r/s, with b forced onto a class boundary by `on`
+WEIGHTS = st.tuples(*[st.integers(1, 40)] * 4,
+                    st.sampled_from(["any", "a = b", "b = a**2", "a = 1", "b = 1"]))
+
+
+def weighting(p, q, r, s, on):
+    a, b = F(p, q), F(r, s)
+    return {"any": (a, b), "a = b": (a, a), "b = a**2": (a, a * a),
+            "a = 1": (F(1), b), "b = 1": (a, F(1))}[on]
+
+
+class TestIntegerLabel:
+    """The class label, rho and the critical points decided on integers, against the
+    Fraction conditions and formulas they replace."""
+
+    @staticmethod
+    def check(a, b):
+        label, family, rho, alpha = oracle_classify(a, b)
+        cls = gb_classify(a, b)
+        assert (cls.label, cls.family, cls.rho, cls.alpha) == (label, family, rho, alpha)
+        assert repr(cls.rho) == repr(rho)
+        assert gb_contributing(a, b) == ORACLE_CONTRIBUTING[label]
+        got = [(p.label, p.stratum, *p.xy, p.t, p.growth) for p in gb_critical_points(a, b)]
+        assert got == oracle_points(a, b)
+        assert repr(got) == repr(oracle_points(a, b))
+
+    @settings(max_examples=300, deadline=None)
+    @given(WEIGHTS)
+    @example((1, 1, 1, 1, "any"))
+    @example((2, 1, 1, 1, "a = b"))
+    @example((2, 1, 1, 1, "b = a**2"))
+    @example((3, 7, 1, 1, "a = 1"))
+    @example((3, 7, 1, 1, "b = 1"))
+    @example((7, 3, 1, 1, "b = 1"))
+    @example((1, 4, 1, 1, "b = a**2"))
+    def test_rational_weights(self, drawn):
+        self.check(*weighting(*drawn))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(1 / 40, 40), st.floats(1 / 40, 40))
+    @example(0.5, 0.25)
+    @example(2.0, 4.0)
+    @example(2.0, 2.0)
+    @example(1.0, 0.3)
+    @example(0.7, 1.0)
+    def test_float_weights(self, a, b):
+        self.check(a, b)

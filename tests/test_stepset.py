@@ -160,6 +160,16 @@ class TestDrift:
         dx, dy = drift(builtin_model("tandem", a, b))
         assert (dx, dy) == (a - b / a, b / a - 1 / b)
 
+    @given(st.integers(1, 3).flatmap(lambda d: st.lists(
+               st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=9, unique=True)),
+           st.lists(st.fractions(min_value=F(1, 99), max_value=99), min_size=9, max_size=9))
+    @settings(max_examples=80)
+    def test_equals_the_fraction_sum(self, steps, weights):
+        model = make_stepset(steps, weights[:len(steps)])
+        want = tuple(sum((w * s[k] for s, w in zip(model.steps, model.weights)), F(0))
+                     for k in range(model.dimension))
+        assert drift(model) == want and all(type(c) is F for c in drift(model))
+
 
 class TestInventory:
     def test_uniform_at_ones(self):
@@ -271,3 +281,12 @@ class TestCentralWeights:
     def test_beta_scaling(self):
         weights = central_weights([(1, 1)], (F(2), F(3)), beta=F(5))
         assert weights == [F(30)]
+
+    @pytest.mark.parametrize("name", ["gb", "tandem", "gessel", "simple"])
+    @given(st.fractions(min_value=F(1, 99), max_value=99),
+           st.fractions(min_value=F(1, 99), max_value=99))
+    @settings(max_examples=40)
+    def test_builtin_weights_are_product_powers(self, name, a, b):
+        model = builtin_model(name, a, b)
+        assert model.weights == tuple(F(a) ** s1 * F(b) ** s2 for s1, s2 in model.steps)
+        assert builtin_model(name, str(a), str(b)) == model

@@ -30,7 +30,7 @@ class TestTotals:
         assert not report.passed
 
     def test_minimum_length_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_max >= 50"):
             validate_totals(GBParams(1, 1), 40, 0.05)
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0, 0.0])

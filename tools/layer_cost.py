@@ -1,4 +1,4 @@
-"""Time counting layers, a scaled draw and exact-table reads, for one or two checkouts.
+"""Time counting layers, a scaled draw, exact-table reads and classification, for one or two checkouts.
 
 Usage:
 
@@ -32,6 +32,17 @@ Every figure is a median over the rounds:
 * `exact_weighted_ms`: the exact GB(2/3, 5/7) build from the origin to
   n = 300.  Its ratio to `exact_build_ms` is what a weighting costs over
   unit weights.
+* `diagram_ms`: `drift_diagram` over the tandem 60 x 60 grid of the
+  `class-sweep` benchmark workload at seed 1.
+* `gb_points_ms`: `gb_critical_points` and `gb_contributing` on each cell of
+  that workload's GB 30 x 30 grid.
+* `classify_ms`: `classify` with on_ambiguity="report" on that workload's 300
+  weighted king sets, each parsed from its JSON text as the workload does.
+
+Before each of the last three calls every `functools` cache of the package
+(`_dual_cone_nontrivial`, `_central_rule` and `_base_solve` among them) is
+cleared, so the exact step-set checks run cold, as in a fresh benchmark
+worker.
 
 Each timed call runs with the garbage collector collected and then disabled,
 so no collection lands inside a reading.
@@ -45,6 +56,8 @@ import argparse
 import gc
 import importlib.util
 import itertools
+import json
+import random
 import statistics
 import sys
 import time
@@ -58,6 +71,10 @@ BUILD_N, WEIGHTED = 300, (F(2, 3), F(5, 7))
 # bench/workloads.py's CLASS_REPS: one (a, b) per GB class
 CLASS_REPS = ((1, 1), (2, 3), (F(1, 2), F(1, 2)), (1, 4), (3, 2), (2, 2), (2, 4),
               (1, F(1, 2)), (F(1, 2), 1))
+# bench/workloads.py's KING and RATIONAL, for the class-sweep inputs at seed 1
+KING = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
+RATIONAL = tuple(sorted({F(p, q) for p in range(1, 6) for q in range(1, 6)}))
+SWEEP_SEED, SWEEP_SETS = 1, 300
 
 
 def load(checkout: Path, name: str):
@@ -80,6 +97,41 @@ def clock(call) -> float:
         return time.perf_counter() - begin
     finally:
         gc.enable()
+
+
+def sweep_inputs(ow) -> tuple[tuple[list, list], list, list]:
+    """The class-sweep workload's tandem grid, GB grid and king-set JSON texts.
+
+    Drawn in the workload's order from its seeded generator; a king set is
+    kept when its steps fit no closed half-plane.
+    """
+    rng = random.Random(f"class-sweep/{SWEEP_SEED}")
+    grids = []
+    for step, count in ((F(1, 15), 60), (F(1, 15), 60), (F(2, 15), 30), (F(2, 15), 30)):
+        lo = F(rng.randint(1, 4), 20)
+        grids.append([lo + step * k for k in range(count)])
+    tandem_a, tandem_b, gb_a, gb_b = grids
+    sets = []
+    while len(sets) < SWEEP_SETS:
+        steps = tuple(rng.sample(KING, 3 + len(sets) % 6))
+        if not ow.is_singular(ow.make_stepset(steps, [1] * len(steps))):
+            sets.append(steps)
+    texts = []
+    for steps in sets:
+        weights = [rng.choice(RATIONAL) for _ in steps]
+        texts.append(json.dumps({"dimension": 2, "steps": [
+            {"v": list(s), "w": str(w)} for s, w in zip(steps, weights)]}))
+    return (tandem_a, tandem_b), [(a, b) for a in gb_a for b in gb_b], texts
+
+
+def clock_cold(ow, call) -> float:
+    """clock(call) after clearing every `functools` cache of the package."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith(f"{ow.__name__}."):
+            for value in list(vars(module).values()):
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+    return clock(call)
 
 
 def measure(ow, seeds) -> dict[str, float]:
@@ -112,6 +164,13 @@ def measure(ow, seeds) -> dict[str, float]:
     weighted = ow.builtin_model("gb", *WEIGHTED)
     out["exact_weighted_ms"] = 1e3 * clock(
         lambda: ow.count_walks(weighted, (0, 0), BUILD_N, "exact"))
+    tandem_grid, gb_cells, texts = sweep_inputs(ow)
+    out["diagram_ms"] = 1e3 * clock_cold(ow, lambda: ow.drift_diagram(
+        lambda a, b: ow.builtin_model("tandem", a, b), *tandem_grid))
+    out["gb_points_ms"] = 1e3 * clock_cold(ow, lambda: [
+        (ow.gb_critical_points(a, b), ow.gb_contributing(a, b)) for a, b in gb_cells])
+    out["classify_ms"] = 1e3 * clock_cold(ow, lambda: [
+        ow.classify(ow.stepset_from_json(text), on_ambiguity="report") for text in texts])
     return out
 
 
